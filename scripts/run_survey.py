@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Exhaustive small-dimension survey: enumerate all valid restricted Lie
-algebras over GF(2), compare rad_p against the brute-force subspace oracle,
-and print summary statistics."""
+algebras over GF(p), compare rad_p against the brute-force subspace oracle,
+and print summary statistics.
+
+    PYTHONPATH=src python scripts/run_survey.py --p 3 --dim 3
+
+runs the whole GF(3) dimension-3 grid (29,537 algebras)."""
 
 import argparse
 import time
@@ -14,11 +18,13 @@ from pradical.survey import (brute_force_radical, enumerate_algebras,
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--p", type=int, default=2,
+                        help="characteristic of the prime field (default 2)")
     parser.add_argument("--dim", type=int, default=3)
-    parser.add_argument("--cap", type=int, default=10000)
+    parser.add_argument("--cap", type=int, default=50000)
     args = parser.parse_args()
 
-    F = PrimeField(2)
+    F = PrimeField(args.p)
     started = time.monotonic()
     total = 0
     mismatches = 0
@@ -35,8 +41,8 @@ def main():
         if not has_nonzero_p_nilpotent(g) and g.is_abelian():
             no_nilpotents_abelian += 1
     elapsed = time.monotonic() - started
-    print("dimension %d over GF(2): %d valid instances in %.1fs"
-          % (args.dim, total, elapsed))
+    print("dimension %d over %r: %d valid instances in %.1fs"
+          % (args.dim, F, total, elapsed))
     print("oracle mismatches: %d" % mismatches)
     print("radical dimension histogram: %s"
           % dict(sorted(radical_dims.items())))

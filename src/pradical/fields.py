@@ -23,6 +23,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n, for n >= 2; a smaller n is returned as is."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Z/p, as tuples of ints (low degree first)
 # ---------------------------------------------------------------------------
@@ -305,9 +315,6 @@ class RationalFunctionField(Ring):
     def t(self):
         return ((0, 1), (1,))
 
-    def from_poly(self, coeffs):
-        return self.frac(tuple(c % self.p for c in coeffs), (1,))
-
     def add(self, a, b):
         p = self.p
         (an, ad), (bn, bd) = a, b
@@ -550,20 +557,6 @@ class PolynomialRing(Ring):
 
     def from_int(self, n):
         return self.embed(self.base.from_int(n))
-
-    def scale(self, a, c):
-        if self.base.is_zero(c):
-            return ()
-        return self._canon({e: self.base.mul(cc, c) for e, cc in a})
-
-    def univariate_coeff(self, a, d):
-        """Coefficient of var^d; only for univariate rings."""
-        if self.nvars != 1:
-            raise ValueError("univariate_coeff needs a univariate ring")
-        for e, c in a:
-            if e[0] == d:
-                return c
-        return self.base.zero
 
     def evaluate(self, a, values):
         """Evaluate at base-ring values (full specialization)."""

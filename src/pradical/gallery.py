@@ -15,7 +15,8 @@ Gallery names (CLI-addressable):
 
 from __future__ import annotations
 
-from .fields import PrimeField, RationalFunctionField
+from .fields import (PrimeField, RationalFunctionField, is_prime,
+                     smallest_prime_factor)
 from .hopf import HopfAlgebra, tensor_product_hopf
 from .lie import RLieAlgebra, direct_sum
 from .linalg import mat_mul, mat_pow, mat_sub, mat_rank
@@ -277,7 +278,7 @@ def resolve(name, hopf_cap=128):
 
 
 def _resolve_alpha_hopf(order):
-    p = _smallest_prime_factor(order)
+    p = smallest_prime_factor(order)
     r = 0
     n = order
     while n % p == 0:
@@ -289,23 +290,14 @@ def _resolve_alpha_hopf(order):
 
 
 def _resolve_mu_hopf(order):
-    if _smallest_prime_factor(order) != order:
+    if smallest_prime_factor(order) != order:
         raise UnknownGalleryName("mu order %d is not prime" % order)
     return mu_hopf(order)
 
 
-def _smallest_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def _prime(text):
     p = int(text)
-    if p < 2 or _smallest_prime_factor(p) != p:
+    if not is_prime(p):
         raise UnknownGalleryName("%d is not prime" % p)
     return p
 

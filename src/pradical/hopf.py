@@ -120,13 +120,6 @@ class SCAlgebra:
     def tensor_index(self, a, b):
         return a * self.dim + b
 
-    def tensor_basis_vector(self, a, b):
-        F = self.field
-        d2 = self.dim * self.dim
-        v = [F.zero] * d2
-        v[self.tensor_index(a, b)] = F.one
-        return tuple(v)
-
     def tensor_of(self, x, y):
         """x ⊗ y as a d²-vector."""
         F = self.field

@@ -30,6 +30,13 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
+def _nested_tuples(x, depth):
+    """x is a tuple of tuples ... (depth levels) of scalars."""
+    if type(x) is not tuple:
+        return False
+    return depth == 1 or all(_nested_tuples(v, depth - 1) for v in x)
+
+
 class RLieAlgebra:
 
     def __init__(self, field, dim, brackets, ppowers, labels=None):
@@ -37,8 +44,12 @@ class RLieAlgebra:
         ppowers: tuple of coordinate tuples e_i^[p]."""
         self.field = field
         self.dim = dim
-        self.brackets = tuple(tuple(tuple(v) for v in row) for row in brackets)
-        self.ppowers = tuple(tuple(v) for v in ppowers)
+        # A table that is already nested tuples is kept, not copied, so
+        # algebras built from one table (p-power variants) share it.
+        self.brackets = brackets if _nested_tuples(brackets, 3) else tuple(
+            tuple(tuple(v) for v in row) for row in brackets)
+        self.ppowers = ppowers if _nested_tuples(ppowers, 2) else tuple(
+            tuple(v) for v in ppowers)
         self.labels = tuple(labels) if labels else tuple(
             "e%d" % (i + 1) for i in range(dim))
         self._ad_basis = None
@@ -186,55 +197,37 @@ class RLieAlgebra:
                 if not self.field.is_zero(pv[k]):
                     total[k] = R.add(total[k], R.mul(cp, emb(pv[k])))
             if acc_nonzero:
-                cross = self._jacobson_cross(term, tuple(acc), R, ring is not None)
+                cross = self._jacobson_cross(term, tuple(acc), ring)
                 for k in range(n):
                     total[k] = R.add(total[k], cross[k])
             acc[i] = R.add(acc[i], c)
             acc_nonzero = True
         return tuple(total)
 
-    def _jacobson_cross(self, a, b, R, embedded):
-        """sum_{i=1}^{p-1} s_i(a, b) with i*s_i = [lambda^(i-1)] ad(la+b)^(p-1)(a)."""
+    def _jacobson_cross(self, a, b, ring):
+        """sum_{i=1}^{p-1} s_i(a, b) with i*s_i = [lambda^(i-1)] ad(la+b)^(p-1)(a).
+
+        w = ad(la+b)^k(a) is kept as its lambda-coefficient vectors
+        w_0 .. w_(k-1) over the coefficient ring (the top one, ad(a)^k(a),
+        vanishes), and one step is new_d = [b, w_d] + [a, w_(d-1)].  After
+        p-1 steps w holds exactly the p-1 coefficients the sum needs; no
+        polynomial ring in lambda is built.
+        """
+        R = ring or self.field
         p = self.p
-        if p == 2:
-            return self.bracket(b, a, None if not embedded else R)
-        S = PolynomialRing(R, ("@l",))
-        lam = S.var(0)
-        aS = tuple(S.embed(c) for c in a)
-        bS = tuple(S.embed(c) for c in b)
-        u = tuple(S.add(S.mul(lam, ca), cb) for ca, cb in zip(aS, bS))
-        # bracket over S with structure constants pushed through R
-        push = (lambda c: S.embed(c)) if not embedded else (
-            lambda c: S.embed(R.embed(c)))
-        n = self.dim
-
-        def brk(xv, yv):
-            out = [S.zero] * n
-            for i in range(n):
-                if xv[i] == S.zero:
-                    continue
-                for j in range(n):
-                    if yv[j] == S.zero:
-                        continue
-                    c = S.mul(xv[i], yv[j])
-                    row = self.brackets[i][j]
-                    for k in range(n):
-                        if not self.field.is_zero(row[k]):
-                            out[k] = S.add(out[k], S.mul(c, push(row[k])))
-            return tuple(out)
-
-        w = aS
-        for _ in range(p - 1):
-            w = brk(u, w)
-        out = []
-        for k in range(n):
-            val = R.zero
-            for i in range(1, p):
-                coeff = S.univariate_coeff(w[k], i - 1)
-                inv_i = pow(i, p - 2, p)
-                val = R.add(val, R.scale_int(coeff, inv_i))
-            out.append(val)
-        return tuple(out)
+        w = [self.bracket(b, a, ring)]
+        for _ in range(p - 2):
+            lower = [self.bracket(b, v, ring) for v in w]
+            upper = [self.bracket(a, v, ring) for v in w]
+            w = ([lower[0]]
+                 + [vec_add(R, lo, up) for lo, up in zip(lower[1:], upper)]
+                 + [upper[-1]])
+        out = w[0]
+        for i in range(2, p):
+            inv_i = R.from_int(pow(i, p - 2, p))
+            out = tuple(o if R.is_zero(c) else R.add(o, R.mul(inv_i, c))
+                        for o, c in zip(out, w[i - 1]))
+        return out
 
     def generic_p_power(self):
         """p-power of the generic element sum x_i e_i, over the coordinate ring."""

@@ -50,19 +50,21 @@ def mat_mul(F, A, B):
                        for j in range(m)) for i in range(n))
 
 
-def mat_add(F, A, B):
-    return tuple(vec_add(F, ra, rb) for ra, rb in zip(A, B))
-
-
 def mat_sub(F, A, B):
     return tuple(vec_sub(F, ra, rb) for ra, rb in zip(A, B))
 
 
 def mat_pow(F, A, e):
-    out = mat_identity(F, len(A))
-    for _ in range(e):
-        out = mat_mul(F, out, A)
-    return out
+    """A^e by square-and-multiply: about 2 log2(e) products, not e."""
+    out = None
+    base = tuple(tuple(row) for row in A)
+    while e:
+        if e & 1:
+            out = base if out is None else mat_mul(F, out, base)
+        e >>= 1
+        if e:
+            base = mat_mul(F, base, base)
+    return mat_identity(F, len(A)) if out is None else out
 
 
 def mat_frobenius(F, A, e=1):

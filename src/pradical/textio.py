@@ -11,7 +11,7 @@ optional REP (A = [[...],[...]]).  Unspecified brackets and p-powers are 0.
 from __future__ import annotations
 
 from .fields import (ExtensionField, PrimeField, RationalFunctionField,
-                     is_prime)
+                     is_prime, smallest_prime_factor)
 from .hopf import HopfAlgebra
 from .lie import RLieAlgebra
 
@@ -55,7 +55,7 @@ def parse_field(text, line=None):
             n = int(body)
         except ValueError:
             raise ParseError("bad field order %r" % body, line)
-        p = _smallest_prime_factor(n)
+        p = smallest_prime_factor(n)
         m = 0
         while n > 1 and n % p == 0:
             n //= p
@@ -76,15 +76,6 @@ def parse_field(text, line=None):
 
 def field_literal(F):
     return repr(F)
-
-
-def _smallest_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 # -- expression parsing --------------------------------------------------------

@@ -3,16 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pradical.envelope import u_env
 from pradical.fields import PrimeField, base_change_map, ExtensionField
 from pradical.gallery import paper_g, sl2_kernel_char2
 from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
-from pradical.survey import enumerate_algebras
+from pradical.survey import _restricted_choices, enumerate_algebras
 
 
 def _instances():
     F = PrimeField(2)
     out = list(enumerate_algebras(F, 2))
     out += list(enumerate_algebras(F, 3, cap=120))
+    # p = 3: the Jacobson cross term has more than one bracket
+    out += list(enumerate_algebras(PrimeField(3), 2))
     return out
 
 INSTANCES = _instances()
@@ -75,6 +78,72 @@ def test_jacobson_additivity_against_generic_polynomial(g, seed):
     assert evaluated == g.p_power(x)
 
 
+def _witt(p):
+    """W(1) over GF(p): [e_a, e_b] = (b - a) e_(a+b), e_0^[p] = e_0."""
+    F = PrimeField(p)
+    upper = {}
+    for a in range(p):
+        for b in range(a + 1, p):
+            k = a + b - 1          # position a holds e_(a-1)
+            if k < p and (b - a) % p:
+                upper[(a, b)] = tuple(F.from_int(b - a) if m == k else F.zero
+                                      for m in range(p))
+    ppowers = [(F.zero,) * p] * p
+    ppowers[1] = tuple(F.one if m == 1 else F.zero for m in range(p))
+    return RLieAlgebra.from_upper(F, p, upper, ppowers)
+
+
+def _non_abelian_grid(F, count, rng):
+    """A seeded sample of non-abelian dim-2 grid algebras over F."""
+    zero = (F.zero, F.zero)
+    out = []
+    while len(out) < count:
+        v = (F.random_element(rng), F.random_element(rng))
+        if v == zero:
+            continue
+        g0 = RLieAlgebra.from_upper(F, 2, {(0, 1): v}, [zero, zero])
+        choices = [_restricted_choices(F, g0.ad_basis(), i, 2)
+                   for i in range(2)]
+        if all(choices):
+            out.append(RLieAlgebra(F, 2, g0.brackets,
+                                   [rng.choice(c) for c in choices]))
+    return out
+
+
+def _oracle_cases():
+    rng = random.Random(20261018)
+    non_abelian = [g for p in (3, 5)
+                   for g in enumerate_algebras(PrimeField(p), 2)
+                   if not g.is_abelian()]
+    cases = ([("W(1) p=3", _witt(3)), ("paper_g(3)", paper_g(3)[0])]
+             + [("GF(p) dim 2", g) for g in rng.sample(non_abelian, 8)]
+             + [("GF(9) dim 2", g)
+                for g in _non_abelian_grid(ExtensionField(3, 2), 2, rng)])
+    return [(name, g, seed) for seed, (name, g) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("name,g,seed", _oracle_cases())
+def test_p_power_matches_envelope_power(name, g, seed):
+    """In u(g), the p-th power of x equals the image of x^[p]; u(g) is
+    built from the basis p-powers only, so this checks the Jacobson
+    expansion independently."""
+    F = g.field
+    H = u_env(g)
+    units = [H._monomial_index[tuple(int(m == i) for m in range(g.dim))]
+             for i in range(g.dim)]
+
+    def image(x):
+        v = [F.zero] * H.dim
+        for i, c in zip(units, x):
+            v[i] = c
+        return tuple(v)
+
+    rng = random.Random(seed)
+    for _ in range(4):
+        x = _random_vec(g, rng)
+        assert H.power(image(x), F.p) == image(g.p_power(x))
+
+
 @given(st.sampled_from(INSTANCES))
 @settings(max_examples=100, deadline=None)
 def test_center_and_derived_are_p_ideals(g):
@@ -122,7 +191,7 @@ def test_unipotence_is_base_change_invariant():
     F = PrimeField(2)
     K = ExtensionField(2, 2)
     hom = base_change_map(F, K)
-    for g in INSTANCES[:60]:
+    for g in [g for g in INSTANCES if g.field == F][:60]:
         gK = g.base_change(hom)
         assert g.is_unipotent() == gK.is_unipotent()
 
