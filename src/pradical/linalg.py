@@ -178,6 +178,14 @@ class Subspace:
                 v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
         return tuple(v)
 
+    def lift(self, coords):
+        """The ambient vector with coordinates `coords` along the basis."""
+        F = self.field
+        acc = vec_zero(F, self.ambient)
+        for coeff, bvec in zip(coords, self.basis):
+            acc = vec_add(F, acc, vec_scale(F, bvec, coeff))
+        return acc
+
     def contains_vector(self, v):
         return vec_is_zero(self.field, self.reduce(v))
 

@@ -214,17 +214,7 @@ def _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero_spaces):
         return g.zero_subspace()
     B0 = g.p_power_matrix(zero_space)
     W_local = SemilinearMap(F, B0).rational_unipotent_part()
-
-    def lift(local_vecs):
-        out = []
-        for lv in local_vecs:
-            acc = tuple(F.zero for _ in range(g.dim))
-            for coeff, bvec in zip(lv, zero_space.basis):
-                acc = vec_add(F, acc, vec_scale(F, bvec, coeff))
-            out.append(acc)
-        return out
-
-    W = g.subspace(lift(W_local.basis))
+    W = g.subspace([zero_space.lift(lv) for lv in W_local.basis])
     # bracket with nonzero-weight vectors must vanish (it leaves weight 0)
     vanish_rows = []
     for c, E in sorted(nonzero_spaces.items()):
@@ -256,13 +246,8 @@ def _semilinear_preimage_in_subspace(g, space, B_local, constraint_rows):
     F = g.field
     d = space.dim
     # constraint on the p-power expressed in local coordinates: rows . lift(B_local . x^(p))
-    lifted_cols = []
-    for j in range(d):
-        col = tuple(B_local[k][j] for k in range(d))
-        acc = tuple(F.zero for _ in range(g.dim))
-        for coeff, bvec in zip(col, space.basis):
-            acc = vec_add(F, acc, vec_scale(F, bvec, coeff))
-        lifted_cols.append(acc)
+    lifted_cols = [space.lift(tuple(B_local[k][j] for k in range(d)))
+                   for j in range(d)]
     # matrix M with M . x_local^(p) = constraint_rows . p_power(x): rows x d
     rows = []
     for r in constraint_rows:
@@ -270,13 +255,7 @@ def _semilinear_preimage_in_subspace(g, space, B_local, constraint_rows):
                                 for a in range(g.dim))
                           for j in range(d)))
     local = semilinear_kernel(F, rows) if rows else Subspace.full(F, d)
-    vecs = []
-    for lv in local.basis:
-        acc = tuple(F.zero for _ in range(g.dim))
-        for coeff, bvec in zip(lv, space.basis):
-            acc = vec_add(F, acc, vec_scale(F, bvec, coeff))
-        vecs.append(acc)
-    return g.subspace(vecs)
+    return g.subspace([space.lift(lv) for lv in local.basis])
 
 
 def _probe_lower_bound(g, trace, samples=64, seed=20260826):
@@ -435,10 +414,7 @@ def one_dim_p_ideals(g):
         else:
             complete = False
             for coeffs in _prime_field_combinations(F, E.dim):
-                v = vec_zero(F, g.dim)
-                for b, a in zip(E.basis, coeffs):
-                    v = vec_add(F, v, vec_scale(F, b, a))
-                try_line(v)
+                try_line(E.lift(coeffs))
 
     if zero_space.dim:
         # a stable line in the zero-weight space is killed by every

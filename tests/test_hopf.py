@@ -4,10 +4,12 @@ import pytest
 
 from pradical.envelope import dual_hopf, u_env
 from pradical.fields import PrimeField
-from pradical.gallery import alpha_hopf, mu_hopf, sl2_kernel_char2
-from pradical.hopf import (NonDirectedFamilyError, SCAlgebra, frobenius_kernel,
-                           is_normal, is_subgroup_ideal, schematic_union,
-                           tensor_intersection_identity, tensor_product_hopf)
+from pradical.gallery import (alpha_hopf, mu_hopf, sl2_kernel_char2,
+                             torus_lie)
+from pradical.hopf import (HopfAlgebra, NonDirectedFamilyError, SCAlgebra,
+                           frobenius_kernel, is_normal, is_subgroup_ideal,
+                           schematic_union, tensor_intersection_identity,
+                           tensor_product_hopf)
 from pradical.linalg import Subspace
 
 
@@ -25,7 +27,6 @@ def test_validate_hopf_catches_broken_antipode():
     H = mu_hopf(3)
     bad = list(H.antipode)
     bad[1] = basis_vec(H.field, H.dim, 1)  # S(x) = x instead of x^2
-    from pradical.hopf import HopfAlgebra
     broken = HopfAlgebra(H.field, H.dim, H.mult, H.unit, H.comult, H.counit,
                          bad, H.labels)
     report = broken.validate_hopf()
@@ -44,10 +45,14 @@ def test_validate_hopf_catches_broken_comult():
         if a != 0 and b != 0:
             v[idx] = F.zero
     bad[3] = tuple(v)
-    from pradical.hopf import HopfAlgebra
     broken = HopfAlgebra(F, H.dim, H.mult, H.unit, bad, H.counit,
                          H.antipode, H.labels)
-    assert not broken.validate_hopf()
+    report = broken.validate_hopf()
+    assert not report
+    # x generates: the generator check fails at (x^2, x), and the full
+    # rescan names the first failing basis pair
+    assert broken.algebra_generators() == (1,)
+    assert report.first() == ("comult-multiplicative", (1, 2))
 
 
 def test_subgroup_ideal_witnesses():
@@ -121,6 +126,9 @@ def test_schematic_union_directed_and_forced():
     union, ok, witness = schematic_union(P, [g1, g2], force=True)
     assert not ok
     assert witness["condition"] == "comultiplication"
+    mixed = P.mixed_tensor_subspace(union.ideal)
+    assert witness["escape"] == mixed.reduce(P.delta(witness["element"]))
+    assert any(not Fp.is_zero(c) for c in witness["escape"])
 
 
 def _embed_pair(P, F, right_aug):
@@ -165,3 +173,114 @@ def test_is_normal_true_for_commutative_cocommutative():
     I = Subspace.from_vectors(F, 4, [basis_vec(F, 4, 2), basis_vec(F, 4, 3)])
     assert is_normal(H, I)
     assert is_normal(H, I, both_legs=True)
+
+
+def _hopf_samples():
+    return [alpha_hopf(2, 2), alpha_hopf(3, 1), mu_hopf(3),
+            tensor_product_hopf(alpha_hopf(2, 1), mu_hopf(2)),
+            dual_hopf(u_env(torus_lie(2, 3))),
+            dual_hopf(u_env(sl2_kernel_char2())),
+            u_env(sl2_kernel_char2())]
+
+
+def _random_vector(F, n, rng):
+    return tuple(rng.choice(list(F.elements())) for _ in range(n))
+
+
+def test_tensor_membership_matches_tensor_subspaces(rng):
+    for A in _hopf_samples():
+        F, d = A.field, A.dim
+        subspaces = [Subspace.zero(F, d), Subspace.full(F, d),
+                     A.augmentation_ideal()]
+        for k in (1, 2):
+            gens = [_random_vector(F, d, rng) for _ in range(k)]
+            subspaces.append(A.ideal_closure(gens))  # often not Hopf
+            subspaces.append(Subspace.from_vectors(F, d, gens))  # not ideals
+        for I in subspaces:
+            right = A.right_tensor_subspace(I)
+            mixed = A.mixed_tensor_subspace(I)
+            samples = [_random_vector(F, d * d, rng) for _ in range(4)]
+            for T in (right, mixed):
+                for _ in range(4):
+                    x = [F.zero] * (d * d)
+                    for row in T.basis:
+                        c = rng.choice(list(F.elements()))
+                        x = [F.add(a, F.mul(c, b)) for a, b in zip(x, row)]
+                    samples.append(tuple(x))
+            for a in range(d):
+                for b in range(d):   # e_a⊗e_b: in A⊗I iff e_b ∈ I
+                    samples.append(basis_vec(F, d * d, a * d + b))
+            for x in samples:
+                assert A.in_right_tensor(I, x) == right.contains_vector(x)
+                assert A.in_mixed_tensor(I, x) == mixed.contains_vector(x)
+
+
+def _generated_subalgebra(A, gens):
+    """The unital subalgebra generated by the basis elements `gens`, closed
+    under all products of its elements."""
+    F, d = A.field, A.dim
+    S = Subspace.from_vectors(
+        F, d, [A.unit] + [basis_vec(F, d, g) for g in gens])
+    while True:
+        prods = [A.mul(x, y) for x in S.basis for y in S.basis]
+        nxt = Subspace.from_vectors(F, d, list(S.basis) + prods)
+        if nxt == S:
+            return S
+        S = nxt
+
+
+def test_algebra_generators_generate():
+    for A in _hopf_samples() + [u_env(torus_lie(3, 1))]:
+        gens = A.algebra_generators()
+        assert _generated_subalgebra(A, gens).dim == A.dim
+        # greedy: no generator lies in the subalgebra of the earlier ones
+        for n, g in enumerate(gens):
+            sub = _generated_subalgebra(A, gens[:n])
+            assert not sub.contains_vector(basis_vec(A.field, A.dim, g))
+    assert alpha_hopf(2, 2).algebra_generators() == (1,)
+    assert len(dual_hopf(u_env(torus_lie(2, 3))).algebra_generators()) == 3
+
+
+def _full_scan_first_failure(H):
+    """First failing multiplicativity pair by the definition, over all
+    basis pairs."""
+    F, d = H.field, H.dim
+    for i in range(d):
+        for j in range(d):
+            prod = H.mul(basis_vec(F, d, i), basis_vec(F, d, j))
+            if H.delta(prod) != H.tensor_mul(H.comult[i], H.comult[j]):
+                return ("comult-multiplicative", (i, j))
+            if not F.eq(H.counit_of(prod),
+                        F.mul(H.counit[i], H.counit[j])):
+                return ("counit-multiplicative", (i, j))
+    return None
+
+
+def test_validate_hopf_mixed_structures_report_full_scan_failure():
+    # the algebra of one Hopf algebra with the coalgebra of another passes
+    # the checks before multiplicativity; the report names the same pair as
+    # a scan over every basis pair
+    A2, M2 = alpha_hopf(2, 1), mu_hopf(2)
+    family = [alpha_hopf(2, 2), tensor_product_hopf(A2, A2),
+              tensor_product_hopf(A2, M2), tensor_product_hopf(M2, M2),
+              dual_hopf(u_env(torus_lie(2, 2)))]
+    seen = set()
+    for X in family:
+        for Y in family:
+            H = HopfAlgebra(X.field, X.dim, X.mult, X.unit, Y.comult,
+                            Y.counit, Y.antipode)
+            report = H.validate_hopf()
+            expected = _full_scan_first_failure(H)
+            if expected is not None:
+                assert report.failures == [expected]
+                seen.add(expected[0])
+            elif X is Y:
+                assert report
+    assert seen == {"comult-multiplicative", "counit-multiplicative"}
+
+
+def test_validate_hopf_dual_torus_dim32():
+    H = dual_hopf(u_env(torus_lie(2, 5)))
+    assert H.dim == 32
+    assert len(H.algebra_generators()) == 5
+    assert H.validate_hopf()

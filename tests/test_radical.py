@@ -155,6 +155,24 @@ def test_undecided_fragment_is_honest():
     assert g.is_p_ideal(cert.radical) and g.is_unipotent(cert.radical)
 
 
+def test_one_dim_p_ideals_two_dim_weight_space_infinite_field(K3t):
+    # [h, x_i] = x_i over GF(3)(t): the weight-1 space span{x1, x2} holds
+    # four stable lines, found by combining its basis over GF(3); the
+    # two-dimensional weight space makes the verdict a fragment
+    K = K3t
+    e = lambda i: tuple(K.one if j == i else K.zero for j in range(3))
+    z3 = (K.zero,) * 3
+    g = RLieAlgebra.from_upper(K, 3, {(0, 1): e(1), (0, 2): e(2)},
+                               [e(0), z3, z3], labels=("h", "x1", "x2"))
+    assert g.validate()
+    lines, verdict = one_dim_p_ideals(g)
+    assert verdict == "undecided-fragment"
+    two = K.from_int(2)
+    expected = [g.subspace([v]) for v in (
+        e(1), e(2), (K.zero, K.one, K.one), (K.zero, K.one, two))]
+    assert len(lines) == 4 and all(L in lines for L in expected)
+
+
 def test_mult_type_detection():
     assert is_mult_type(torus_lie(3, 2))
     assert not is_mult_type(alpha_lie(3))
