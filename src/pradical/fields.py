@@ -318,6 +318,9 @@ class RationalFunctionField(Ring):
     def add(self, a, b):
         p = self.p
         (an, ad), (bn, bd) = a, b
+        if ad == bd == (1,):
+            # polynomials: the trimmed sum is already reduced (0 is ((), (1,)))
+            return padd(an, bn, p), ad
         return self.frac(padd(pmul(an, bd, p), pmul(bn, ad, p), p), pmul(ad, bd, p))
 
     def neg(self, a):
@@ -325,6 +328,8 @@ class RationalFunctionField(Ring):
 
     def mul(self, a, b):
         p = self.p
+        if a[1] == b[1] == (1,):
+            return pmul(a[0], b[0], p), a[1]
         return self.frac(pmul(a[0], b[0], p), pmul(a[1], b[1], p))
 
     def inv(self, a):

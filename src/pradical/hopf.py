@@ -480,11 +480,20 @@ class NonDirectedFamilyError(ValueError):
         self.pair = pair
 
 
+class NotSubgroupIdealError(ValueError):
+    def __init__(self, witness):
+        super().__init__("the intersection of the directed family is not a "
+                         "subgroup ideal; witness %r" % (witness,))
+        self.witness = witness
+
+
 def schematic_union(A, ideals, force=False):
     """Intersection ideal of an upward-directed family of subgroups.
 
     The family must be pairwise comparable unless `force` is set (testing
-    hook for the non-directed counterexample).  Returns a SubgroupIdeal.
+    hook for the non-directed counterexample), and without `force` its
+    intersection must be a subgroup ideal (NotSubgroupIdealError otherwise).
+    Returns a SubgroupIdeal.
     """
     if not ideals:
         raise ValueError("need at least one subgroup ideal")
@@ -500,8 +509,7 @@ def schematic_union(A, ideals, force=False):
     ok, witness = is_subgroup_ideal(A, inter)
     if not force:
         if not ok:
-            raise AssertionError("directed union failed the subgroup-ideal "
-                                 "check: %r" % (witness,))
+            raise NotSubgroupIdealError(witness)
         # for a finite directed family the union is the smallest ideal
         smallest = min(ideals, key=lambda J: J.dim)
         if inter != smallest:

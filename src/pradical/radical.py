@@ -48,7 +48,14 @@ def rad_p(g, strategy=None, trace=None):
     return RadicalCertificate(sub, used, EXACT if exact else UNDECIDED, trace)
 
 
-def _rad_search(g, strategy, trace):
+def _rad_search(g, strategy, trace, probe=True):
+    """One walk down the ladder: (radical, strategy, exact).
+
+    With probe=False the walk is exact-only: where it would run the probe,
+    here or in the quotient after an s2, s3 or s4 reduction, it returns
+    None instead.  The p-reductive verdicts use this mode, so they read only
+    the complete rungs and the probe never runs for them.
+    """
     F = g.field
     n = g.dim
     if n == 0:
@@ -72,28 +79,39 @@ def _rad_search(g, strategy, trace):
         D = g.spin_p_ideal(derived)
         if D.dim > 0 and g.is_unipotent(D):
             trace.append({"step": "s2-derived-reduction", "ideal_dim": D.dim})
-            q, project, section = g.quotient(D)
-            inner, used, exact = _rad_search(q, None, trace)
-            return _pullback(g, D, section, inner), "s2", exact
+            return _descend(g, D, "s2", trace, probe)
         if strategy == "s2":
             raise ValueError("s2 forced but the derived p-closure is not unipotent")
 
     if strategy in (None, "s3") and _is_finite(F):
-        return _s3_enumerate(g, trace)
+        return _s3_enumerate(g, trace, probe)
     if strategy == "s3":
         raise ValueError("s3 forced over an infinite field")
 
     if strategy in (None, "s4"):
-        result = _s4_split_weights(g, trace)
+        result = _s4_split_weights(g, trace, probe)
         if result is not None:
             return result
         if strategy == "s4":
             raise ValueError("s4 fragment does not apply")
 
+    if not probe:
+        return None
     # no complete strategy: probe for unipotent p-ideals, report a lower bound
     found = _probe_lower_bound(g, trace)
     trace.append({"step": "undecided", "lower_bound_dim": found.dim})
     return found, "probe", False
+
+
+def _descend(g, I, rung, trace, probe):
+    """Radical of g/I pulled back to g, for a unipotent p-ideal I found by
+    `rung`; None when probe=False and the quotient needs the probe."""
+    q, project, section = g.quotient(I)
+    found = _rad_search(q, None, trace, probe)
+    if found is None:
+        return None
+    inner, used, exact = found
+    return _pullback(g, I, section, inner), rung, exact
 
 
 def _pullback(g, I, section, inner):
@@ -102,7 +120,7 @@ def _pullback(g, I, section, inner):
     return g.subspace(vecs)
 
 
-def _s3_enumerate(g, trace):
+def _s3_enumerate(g, trace, probe):
     """Finite field: scan projective points for a unipotent p-ideal.
 
     Complete: a nonzero radical contains a minimal unipotent p-ideal, hence
@@ -113,9 +131,7 @@ def _s3_enumerate(g, trace):
         I = g.spin_p_ideal(g.subspace([v]))
         if I.dim < g.dim and g.is_unipotent(I):
             trace.append({"step": "s3-point", "index": idx, "ideal_dim": I.dim})
-            q, project, section = g.quotient(I)
-            inner, used, exact = _rad_search(q, None, trace)
-            return _pullback(g, I, section, inner), "s3", exact
+            return _descend(g, I, "s3", trace, probe)
     trace.append({"step": "s3-exhausted"})
     return g.zero_subspace(), "s3", True
 
@@ -148,7 +164,7 @@ def weight_decomposition(g):
     return None
 
 
-def _s4_split_weights(g, trace):
+def _s4_split_weights(g, trace, probe):
     """Split-weight fragment.
 
     Pick a basis element h with ad(h) split semisimple over the prime field;
@@ -156,7 +172,9 @@ def _s4_split_weights(g, trace):
     lines are tested directly; what remains must sit inside the zero-weight
     space, which is handled by the abelian machinery when it is abelian.
     Complete when all nonzero weight spaces are 1-dimensional and the
-    zero-weight space is abelian.
+    zero-weight space is abelian.  Returns None when the fragment does not
+    settle g, or when probe=False and the quotient after a weight line
+    would need the probe.
     """
     F = g.field
     dec = weight_decomposition(g)
@@ -190,9 +208,7 @@ def _s4_split_weights(g, trace):
             if I.dim < g.dim and g.is_unipotent(I):
                 trace.append({"step": "s4-weight-line", "weight": c,
                               "pivot_basis": h_idx, "ideal_dim": I.dim})
-                q, project, section = g.quotient(I)
-                inner, used, exact = _rad_search(q, None, trace)
-                return _pullback(g, I, section, inner), "s4", exact
+                return _descend(g, I, "s4", trace, probe)
 
     if not complete:
         return None
@@ -297,19 +313,22 @@ def is_mult_type(g):
 
 
 def is_p_reductive(g, max_inseparable_exponent=4):
-    """True/False/None(undecided): is the geometric radical trivial?"""
+    """True/False/None(undecided): is the geometric radical trivial?
+
+    Every radical read here comes from the complete rungs of the ladder
+    (`_rad_search` with probe=False): a verdict uses only exact radicals,
+    so the probe, whose lower bound is never exact, does not run.
+    """
     g.require_valid()
     if g.dim == 0:
         return True
-    cert = rad_p(g)
-    if cert.radical.dim > 0 and cert.is_exact:
+    radical = _exact_radical(g)
+    if radical is not None and radical.dim > 0:
         return False
 
     if _is_finite(g.field):
         # perfect base field: separable base-change invariance applies
-        if cert.is_exact:
-            return cert.radical.dim == 0
-        return None
+        return None if radical is None else True
 
     if g.is_abelian():
         B = g.p_power_matrix()
@@ -326,10 +345,16 @@ def is_p_reductive(g, max_inseparable_exponent=4):
         for m in range(1, max_inseparable_exponent + 1):
             target = RationalFunctionField(g.field.p, "@s")
             hom = base_change_map(g.field, target, m)
-            cert_m = rad_p(g.base_change(hom))
-            if cert_m.radical.dim > 0 and cert_m.is_exact:
+            radical_m = _exact_radical(g.base_change(hom))
+            if radical_m is not None and radical_m.dim > 0:
                 return False
     return None
+
+
+def _exact_radical(g):
+    """rad_p(g) when a complete rung settles it, else None."""
+    found = _rad_search(g, None, [], probe=False)
+    return None if found is None else found[0]
 
 
 def _geometric_s4(g):

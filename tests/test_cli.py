@@ -106,6 +106,17 @@ def test_hopf_commands(capsys, tmp_path):
     assert code == 0 and "verdict: false" in out
 
 
+def test_hopf_union_of_non_subgroup_intersection_is_operational(capsys):
+    # directed family whose intersection span{x_x} is not even an ideal
+    code, out, err = run(["hopf-union", "product(alpha2,mu2)",
+                          "--ideal", "x_1,x_x", "--ideal", "x_x"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "not a subgroup ideal" in err and "witness" in err
+    assert "'condition': 'ideal'" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_compare_dim2(capsys):
     code, out, err = run(["oracle-compare", "--dim", "2"], capsys)
     assert code == 0 and "verdict: agree" in out

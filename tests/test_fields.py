@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pradical.fields import (ExtensionField, PolynomialRing, PrimeField,
                              RationalFunctionField, UnsupportedKindError,
-                             base_change_map, find_irreducible, pth_root)
+                             base_change_map, find_irreducible, padd, pmul,
+                             pth_root)
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
           ExtensionField(3, 2), RationalFunctionField(2),
@@ -100,6 +101,39 @@ def test_extension_field_structure(F8):
     for _ in range(7):
         acc = F8.mul(acc, a)
     assert F8.eq(acc, F8.one)
+
+
+@st.composite
+def ratfunc_operands(draw):
+    """Two GF(p)(t) elements, each zero, a polynomial or a general fraction;
+    sometimes b = -a, so that the sum cancels."""
+    K = RationalFunctionField(draw(st.sampled_from((2, 3, 5))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def operand(kind):
+        if kind == "zero":
+            return K.zero
+        if kind == "poly":
+            return K.frac(tuple(rng.randrange(K.p)
+                                for _ in range(rng.randrange(1, 6))), (1,))
+        return K.random_element(rng)
+
+    kinds = ("zero", "poly", "general")
+    a = operand(draw(st.sampled_from(kinds)))
+    b = (K.neg(a) if draw(st.booleans())
+         else operand(draw(st.sampled_from(kinds))))
+    return K, a, b
+
+
+@given(ratfunc_operands())
+@settings(max_examples=200, deadline=None)
+def test_ratfunc_add_mul_match_textbook_fractions(data):
+    K, (an, ad), (bn, bd) = data
+    p = K.p
+    a, b = (an, ad), (bn, bd)
+    assert K.add(a, b) == K.frac(padd(pmul(an, bd, p), pmul(bn, ad, p), p),
+                                 pmul(ad, bd, p))
+    assert K.mul(a, b) == K.frac(pmul(an, bn, p), pmul(ad, bd, p))
 
 
 def test_rational_function_reduction(K2t):

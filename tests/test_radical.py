@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
     base_change_map
-from pradical.gallery import alpha_lie, mu_lie, paper_g, sl2_kernel_char2, \
-    torus_lie
+from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
+    sl2_kernel_char2, torus_lie
 from pradical.lie import RLieAlgebra, direct_sum
-from pradical.radical import (is_mult_type, is_p_reductive, one_dim_p_ideals,
-                              rad_p, weight_decomposition)
+from pradical.radical import (_rad_search, is_mult_type, is_p_reductive,
+                              one_dim_p_ideals, rad_p, weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent,
                              unipotent_restricted_subalgebras)
@@ -199,3 +199,82 @@ def test_unipotent_subalgebras_land_in_radical_when_derived_unipotent():
         R = rad_p(g).radical
         for S in unipotent_restricted_subalgebras(g):
             assert R.contains(S)
+
+
+# gallery Lie targets and the p-reductive verdict each had before the
+# exact-only ladder; None is "undecided"
+GALLERY_P_REDUCTIVE = {
+    "paper-G@p=2": True,
+    "paper-G@p=3": True,
+    "paper-G@p=5": True,
+    "paper-G@p=7": True,
+    "sl2-kernel@2": True,
+    "alpha@2": False,
+    "alpha@3": False,
+    "mu@2": True,
+    "mu@5": True,
+    "torus@2": True,
+    "torus@2^2": True,
+    "torus@3^2": True,
+    "product(alpha@2,mu@2)": False,
+    "product(alpha@3,alpha@3)": False,
+    "product(sl2-kernel@2,alpha@2)": False,
+    "product(sl2-kernel@2,mu@2)": True,
+    "product(paper-G@p=2,paper-G@p=2)": None,
+}
+
+
+def _heisenberg_t(K):
+    """[x0, x1] = x2 over GF(2)(t) with x2^[p] = t.x2: no rung settles it."""
+    z3 = (K.zero,) * 3
+    return RLieAlgebra.from_upper(K, 3, {(0, 1): (K.zero, K.zero, K.one)},
+                                  [z3, z3, (K.zero, K.zero, K.t)])
+
+
+def _s4_then_probe(K):
+    """paper-G/X + Heisenberg: s4 splits off the weight line Y, and the
+    quotient needs the probe."""
+    g, _ = paper_g(2)
+    q, project, section = g.quotient(g.subspace([g.basis_vector(0)]))
+    return direct_sum(q, _heisenberg_t(K))
+
+
+def _assert_exact_only_agrees(g):
+    cert = rad_p(g)
+    found = _rad_search(g, None, [], probe=False)
+    if cert.is_exact:
+        assert found == (cert.radical, cert.strategy, True)
+    else:
+        assert found is None
+    return cert
+
+
+def test_exact_only_ladder_matches_rad_p(K2t):
+    algebras = [resolve(name) for name in GALLERY_P_REDUCTIVE]
+    algebras += list(enumerate_algebras(PrimeField(2), 3))
+    algebras += [paper_g(p)[0] for p in (2, 3, 5)]
+    algebras += [direct_sum(paper_g(2)[0], paper_g(2)[0]),
+                 _heisenberg_t(K2t), _s4_then_probe(K2t)]
+    certs = [_assert_exact_only_agrees(g) for g in algebras]
+    assert sum(not cert.is_exact for cert in certs) == 4
+
+
+def test_exact_only_ladder_stops_inside_the_quotient(K2t):
+    # the probe would report the weight line as a lower bound; the
+    # exact-only walk returns None instead of probing the quotient
+    g = _s4_then_probe(K2t)
+    cert = rad_p(g)
+    assert cert.strategy == "s4" and not cert.is_exact
+    assert cert.radical.dim == 1
+    assert _rad_search(g, None, [], probe=False) is None
+    assert is_p_reductive(g) is None
+
+
+def test_p_reductive_verdicts_on_gallery_targets():
+    for name, verdict in GALLERY_P_REDUCTIVE.items():
+        assert is_p_reductive(resolve(name)) is verdict, name
+
+
+def test_p_reductive_paper_g_squared_p3_is_undecided():
+    g = direct_sum(paper_g(3)[0], paper_g(3)[0])
+    assert is_p_reductive(g) is None
