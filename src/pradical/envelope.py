@@ -96,6 +96,14 @@ class _Straightener:
         return elem
 
 
+def _to_vec(F, index, elem):
+    """A sorted-monomial element as a coordinate vector over `index`."""
+    v = [F.zero] * len(index)
+    for m, c in elem.items():
+        v[index[m]] = c
+    return tuple(v)
+
+
 def u_env(g, cap=128):
     """The restricted enveloping algebra of g as a Hopf algebra.
 
@@ -112,15 +120,9 @@ def u_env(g, cap=128):
     monos = list(itertools.product(range(p), repeat=n))
     index = {m: i for i, m in enumerate(monos)}
     st = _Straightener(g)
-
-    def to_vec(elem):
-        v = [F.zero] * d
-        for m, c in elem.items():
-            v[index[m]] = c
-        return tuple(v)
-
-    mult = [[to_vec(st.mono_mul(a, b)) for b in monos] for a in monos]
-    unit = to_vec({monos[0]: F.one})
+    mult = [[_to_vec(F, index, st.mono_mul(a, b)) for b in monos]
+            for a in monos]
+    unit = _to_vec(F, index, {monos[0]: F.one})
 
     # comultiplication: Δ(e^α) = Π_i (e_i⊗1 + 1⊗e_i)^{α_i}
     comult = []
@@ -131,19 +133,9 @@ def u_env(g, cap=128):
                 nxt = {}
                 for (ma, mb), c in tensor.items():
                     for m2, c2 in st.mono_times_gen(ma, i).items():
-                        key = (m2, mb)
-                        s = F.add(nxt.get(key, F.zero), F.mul(c, c2))
-                        if F.is_zero(s):
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
+                        st._add_into(nxt, (m2, mb), F.mul(c, c2))
                     for m2, c2 in st.mono_times_gen(mb, i).items():
-                        key = (ma, m2)
-                        s = F.add(nxt.get(key, F.zero), F.mul(c, c2))
-                        if F.is_zero(s):
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
+                        st._add_into(nxt, (ma, m2), F.mul(c, c2))
                 tensor = nxt
         dv = [F.zero] * (d * d)
         for (ma, mb), c in tensor.items():
@@ -163,7 +155,8 @@ def u_env(g, cap=128):
         sign = F.one
         for _ in range(sum(a) % 2):
             sign = F.mul(sign, minus_one)
-        antipode.append(to_vec({m: F.mul(sign, c) for m, c in elem.items()}))
+        antipode.append(_to_vec(F, index,
+                                {m: F.mul(sign, c) for m, c in elem.items()}))
 
     labels = tuple(
         "1" if sum(a) == 0 else
@@ -197,17 +190,10 @@ def envelope_subalgebra_span(g, S, H):
     p = F.p
     st = _Straightener(g)
     index = H._monomial_index
-    d = H.dim
-
-    def to_vec(elem):
-        v = [F.zero] * d
-        for m, c in elem.items():
-            v[index[m]] = c
-        return tuple(v)
 
     zero_mono = tuple([0] * g.dim)
     cur = [{zero_mono: F.one}]
-    vecs = [to_vec(cur[0])]
+    vecs = [_to_vec(F, index, cur[0])]
     for _ in range(S.dim * (p - 1)):
         nxt = []
         for elem in cur:
@@ -217,16 +203,12 @@ def envelope_subalgebra_span(g, S, H):
                     if F.is_zero(w[j]):
                         continue
                     for m2, c2 in st.elem_times_gen(elem, j).items():
-                        c = F.add(prod.get(m2, F.zero), F.mul(w[j], c2))
-                        if F.is_zero(c):
-                            prod.pop(m2, None)
-                        else:
-                            prod[m2] = c
+                        st._add_into(prod, m2, F.mul(w[j], c2))
                 if prod:
                     nxt.append(prod)
-                    vecs.append(to_vec(prod))
+                    vecs.append(_to_vec(F, index, prod))
         cur = nxt
-    return Subspace.from_vectors(F, d, vecs)
+    return Subspace.from_vectors(F, H.dim, vecs)
 
 
 def subgroup_ideal_from_p_subalgebra(g, S, cap=128):

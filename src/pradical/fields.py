@@ -192,9 +192,6 @@ class Ring:
             e >>= 1
         return out
 
-    def scale_int(self, a, n):
-        return self.mul(self.from_int(n), a)
-
     def sum(self, xs):
         out = self.zero
         for x in xs:

@@ -189,9 +189,6 @@ class SCAlgebra:
 
     # -- tensor square helpers ----------------------------------------------
 
-    def tensor_index(self, a, b):
-        return a * self.dim + b
-
     def tensor_of(self, x, y):
         """x ⊗ y as a d²-vector."""
         F = self.field

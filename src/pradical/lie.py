@@ -504,6 +504,8 @@ class RLieAlgebra:
                             for j in range(n)) for i in range(n))
         ppow = tuple(tuple(hom(c) for c in v) for v in self.ppowers)
         out = RLieAlgebra(hom.target, n, table, ppow, self.labels)
+        # an injective homomorphism keeps every identity and every failure
+        out._validated = self.validate()
         out.require_valid()
         return out
 

@@ -8,12 +8,13 @@ the verdict degrades to "undecided-fragment" instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (
-    Subspace, SemilinearMap, projective_points, semilinear_kernel,
-    vec_add, vec_is_zero, vec_scale,
+    Subspace, SemilinearMap, nullspace, projective_points, semilinear_kernel,
+    vec_is_zero,
 )
 
 EXACT = "exact"
@@ -30,6 +31,10 @@ class RadicalCertificate:
     @property
     def is_exact(self):
         return self.verdict == EXACT
+
+
+class _ProbeNeeded(Exception):
+    """An exact-only walk reached the probe: no complete rung settles g."""
 
 
 def _is_finite(field):
@@ -51,52 +56,29 @@ def rad_p(g, strategy=None, trace=None):
 def _rad_search(g, strategy, trace, probe=True):
     """One walk down the ladder: (radical, strategy, exact).
 
-    With probe=False the walk is exact-only: where it would run the probe,
-    here or in the quotient after an s2, s3 or s4 reduction, it returns
-    None instead.  The p-reductive verdicts use this mode, so they read only
-    the complete rungs and the probe never runs for them.
+    The first rung of `_LADDER` that settles g answers; a forced `strategy`
+    runs only its own rung and raises that rung's refusal if it does not.
+    With probe=False the walk is exact-only, for the p-reductive verdicts:
+    where it would run the probe, here or in the quotient after an s2, s3
+    or s4 reduction, it raises _ProbeNeeded.
     """
-    F = g.field
-    n = g.dim
-    if n == 0:
+    if g.dim == 0:
         return g.zero_subspace(), "trivial", True
 
     if g.is_unipotent():
         trace.append({"step": "whole-algebra-unipotent"})
         return g.full_subspace(), "unipotent-whole", True
 
-    if strategy in (None, "s1"):
-        if g.is_abelian():
-            B = g.p_power_matrix()
-            part = SemilinearMap(F, B).rational_unipotent_part()
-            trace.append({"step": "s1-abelian", "dim": part.dim})
-            return part, "s1", True
-        if strategy == "s1":
-            raise ValueError("s1 forced on a non-abelian algebra")
-
-    if strategy in (None, "s2"):
-        derived = g.derived_subalgebra()
-        D = g.spin_p_ideal(derived)
-        if D.dim > 0 and g.is_unipotent(D):
-            trace.append({"step": "s2-derived-reduction", "ideal_dim": D.dim})
-            return _descend(g, D, "s2", trace, probe)
-        if strategy == "s2":
-            raise ValueError("s2 forced but the derived p-closure is not unipotent")
-
-    if strategy in (None, "s3") and _is_finite(F):
-        return _s3_enumerate(g, trace, probe)
-    if strategy == "s3":
-        raise ValueError("s3 forced over an infinite field")
-
-    if strategy in (None, "s4"):
-        result = _s4_split_weights(g, trace, probe)
-        if result is not None:
-            return result
-        if strategy == "s4":
-            raise ValueError("s4 fragment does not apply")
+    for name, rung, refusal in _LADDER:
+        if strategy in (None, name):
+            found = rung(g, trace, probe)
+            if found is not None:
+                return found
+            if strategy == name:
+                raise ValueError(refusal)
 
     if not probe:
-        return None
+        raise _ProbeNeeded
     # no complete strategy: probe for unipotent p-ideals, report a lower bound
     found = _probe_lower_bound(g, trace)
     trace.append({"step": "undecided", "lower_bound_dim": found.dim})
@@ -105,12 +87,10 @@ def _rad_search(g, strategy, trace, probe=True):
 
 def _descend(g, I, rung, trace, probe):
     """Radical of g/I pulled back to g, for a unipotent p-ideal I found by
-    `rung`; None when probe=False and the quotient needs the probe."""
+    `rung`: I lies in rad_p(g) and rad_p(g)/I = rad_p(g/I), so the answer
+    is exact exactly when the quotient's is."""
     q, project, section = g.quotient(I)
-    found = _rad_search(q, None, trace, probe)
-    if found is None:
-        return None
-    inner, used, exact = found
+    inner, used, exact = _rad_search(q, None, trace, probe)
     return _pullback(g, I, section, inner), rung, exact
 
 
@@ -120,16 +100,49 @@ def _pullback(g, I, section, inner):
     return g.subspace(vecs)
 
 
+def _unipotent_spin(g, v):
+    """The p-ideal spun from v when it is proper and unipotent, else None."""
+    I = g.spin_p_ideal(g.subspace([v]))
+    return I if I.dim < g.dim and g.is_unipotent(I) else None
+
+
+def _s1_abelian(g, trace, probe):
+    """Abelian g: the rational unipotent part of the p-power map.
+
+    Complete whenever g is abelian; None otherwise.
+    """
+    if not g.is_abelian():
+        return None
+    part = SemilinearMap(g.field, g.p_power_matrix()).rational_unipotent_part()
+    trace.append({"step": "s1-abelian", "dim": part.dim})
+    return part, "s1", True
+
+
+def _s2_derived(g, trace, probe):
+    """Reduce by the p-closure D of [g, g].
+
+    Applies when D is nonzero and unipotent, and is then as complete as the
+    walk on g/D; None otherwise.
+    """
+    D = g.spin_p_ideal(g.derived_subalgebra())
+    if D.dim == 0 or not g.is_unipotent(D):
+        return None
+    trace.append({"step": "s2-derived-reduction", "ideal_dim": D.dim})
+    return _descend(g, D, "s2", trace, probe)
+
+
 def _s3_enumerate(g, trace, probe):
     """Finite field: scan projective points for a unipotent p-ideal.
 
-    Complete: a nonzero radical contains a minimal unipotent p-ideal, hence
-    a point whose spin is a unipotent p-ideal.
+    Complete over a finite field: a nonzero radical contains a minimal
+    unipotent p-ideal, hence a point whose spin is a unipotent p-ideal.
+    None over an infinite field.
     """
-    F = g.field
-    for idx, v in enumerate(projective_points(F, g.dim)):
-        I = g.spin_p_ideal(g.subspace([v]))
-        if I.dim < g.dim and g.is_unipotent(I):
+    if not _is_finite(g.field):
+        return None
+    for idx, v in enumerate(projective_points(g.field, g.dim)):
+        I = _unipotent_spin(g, v)
+        if I is not None:
             trace.append({"step": "s3-point", "index": idx, "ideal_dim": I.dim})
             return _descend(g, I, "s3", trace, probe)
     trace.append({"step": "s3-exhausted"})
@@ -142,8 +155,6 @@ def weight_decomposition(g):
     Returns (index, {scalar c: eigenspace}) with the eigenspaces spanning g,
     or None.
     """
-    from .linalg import nullspace, mat_identity
-
     F = g.field
     n = g.dim
     for i in range(n):
@@ -164,50 +175,60 @@ def weight_decomposition(g):
     return None
 
 
-def _s4_split_weights(g, trace, probe):
-    """Split-weight fragment.
+def _weight_split(g):
+    """(pivot, {c: nonzero weight space}, zero-weight space, complete) for
+    the first split pivot of `weight_decomposition`, or None.
 
-    Pick a basis element h with ad(h) split semisimple over the prime field;
-    every unipotent p-ideal splits along the eigenspaces.  Nonzero weight
-    lines are tested directly; what remains must sit inside the zero-weight
-    space, which is handled by the abelian machinery when it is abelian.
-    Complete when all nonzero weight spaces are 1-dimensional and the
-    zero-weight space is abelian.  Returns None when the fragment does not
-    settle g, or when probe=False and the quotient after a weight line
-    would need the probe.
+    Every p-ideal splits along the weight spaces of the pivot.  complete:
+    every nonzero weight space is a line and the zero-weight space is
+    abelian; this is the completeness condition of each split-weight walk.
     """
-    F = g.field
     dec = weight_decomposition(g)
     if dec is None:
         return None
-    h_idx, spaces = dec
+    pivot, spaces = dec
     nonzero = {c: E for c, E in spaces.items() if c != 0}
     zero_space = spaces.get(0, g.zero_subspace())
+    complete = (all(E.dim == 1 for E in nonzero.values())
+                and g.is_abelian(zero_space))
+    return pivot, nonzero, zero_space, complete
+
+
+def _weight_vectors(F, E):
+    """Candidate vectors of a weight space: the line itself, or the
+    prime-field combinations of its basis when it is wider (incomplete)."""
+    if E.dim == 1:
+        return [E.basis[0]]
+    return [E.lift(coeffs) for coeffs in _prime_field_combinations(F, E.dim)]
+
+
+def _killed_by_weights(g, S, nonzero):
+    """The part of S killed by ad of every nonzero-weight vector."""
+    rows = [row for _, E in sorted(nonzero.items())
+            for w in E.basis for row in g.ad_matrix(w)]
+    return S.intersect(nullspace(g.field, rows, g.dim)) if rows else S
+
+
+def _s4_split_weights(g, trace, probe):
+    """Split-weight fragment: spin the vectors of the nonzero weight spaces
+    (lines, or planes scanned over the prime field), then settle the
+    abelian zero-weight space.  Complete under `_weight_split`'s condition;
+    None when it does not settle g (no split pivot, a weight space wider
+    than a plane, or an incomplete split with no unipotent weight spin).
+    """
+    split = _weight_split(g)
+    if split is None:
+        return None
+    pivot, nonzero, zero_space, complete = split
     if any(E.dim > 2 for E in nonzero.values()):
         return None
 
-    complete = (all(E.dim == 1 for E in nonzero.values())
-                and g.is_abelian(zero_space))
-
-    # candidate weight vectors: full weight lines when dim 1, prime-field
-    # combinations when dim 2 (incomplete, hence the verdict downgrade)
     for c, E in sorted(nonzero.items()):
-        candidates = []
-        if E.dim == 1:
-            candidates.append(E.basis[0])
-        else:
-            for a in range(F.p):
-                for b in range(F.p):
-                    if a == 0 and b == 0:
-                        continue
-                    v = vec_add(F, vec_scale(F, E.basis[0], F.from_int(a)),
-                                vec_scale(F, E.basis[1], F.from_int(b)))
-                    candidates.append(v)
-        for v in candidates:
-            I = g.spin_p_ideal(g.subspace([v]))
-            if I.dim < g.dim and g.is_unipotent(I):
+        for v in _weight_vectors(g.field, E):
+            I = _unipotent_spin(g, v)
+            if I is not None:
                 trace.append({"step": "s4-weight-line", "weight": c,
-                              "pivot_basis": h_idx, "ideal_dim": I.dim})
+                              "pivot_basis": pivot, "ideal_dim": I.dim})
                 return _descend(g, I, "s4", trace, probe)
 
     if not complete:
@@ -215,9 +236,18 @@ def _s4_split_weights(g, trace, probe):
 
     # all unipotent p-ideals now live inside the abelian zero-weight space
     J = _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero)
-    trace.append({"step": "s4-zero-weight", "pivot_basis": h_idx,
+    trace.append({"step": "s4-zero-weight", "pivot_basis": pivot,
                   "dim": J.dim})
     return J, "s4", True
+
+
+_LADDER = (
+    ("s1", _s1_abelian, "s1 forced on a non-abelian algebra"),
+    ("s2", _s2_derived,
+     "s2 forced but the derived p-closure is not unipotent"),
+    ("s3", _s3_enumerate, "s3 forced over an infinite field"),
+    ("s4", _s4_split_weights, "s4 fragment does not apply"),
+)
 
 
 def _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero_spaces):
@@ -232,16 +262,7 @@ def _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero_spaces):
     W_local = SemilinearMap(F, B0).rational_unipotent_part()
     W = g.subspace([zero_space.lift(lv) for lv in W_local.basis])
     # bracket with nonzero-weight vectors must vanish (it leaves weight 0)
-    vanish_rows = []
-    for c, E in sorted(nonzero_spaces.items()):
-        for w in E.basis:
-            Ad = g.ad_matrix(w)
-            vanish_rows.extend(Ad)
-    C = W
-    if vanish_rows:
-        from .linalg import nullspace
-        killed = nullspace(F, vanish_rows, g.dim)
-        C = W.intersect(killed)
+    C = _killed_by_weights(g, W, nonzero_spaces)
     # greatest p-stable subspace of C: J <- {x in J : x^[p] in J}
     J = C
     for _ in range(g.dim + 1):
@@ -287,8 +308,8 @@ def _probe_lower_bound(g, trace, samples=64, seed=20260826):
     for v in candidates:
         if vec_is_zero(F, v):
             continue
-        I = g.spin_p_ideal(g.subspace([v]))
-        if I.dim < g.dim and g.is_unipotent(I) and I.dim > best.dim:
+        I = _unipotent_spin(g, v)
+        if I is not None and I.dim > best.dim:
             best = I
     if best.dim:
         q, project, section = g.quotient(best)
@@ -353,8 +374,10 @@ def is_p_reductive(g, max_inseparable_exponent=4):
 
 def _exact_radical(g):
     """rad_p(g) when a complete rung settles it, else None."""
-    found = _rad_search(g, None, [], probe=False)
-    return None if found is None else found[0]
+    try:
+        return _rad_search(g, None, [], probe=False)[0]
+    except _ProbeNeeded:
+        return None
 
 
 def _geometric_s4(g):
@@ -363,29 +386,22 @@ def _geometric_s4(g):
     Unipotency of a spin is insensitive to base change, so the nonzero
     weight lines answer the same as over the base field; in the abelian
     zero-weight space the geometric p-nilpotent part is measured by the
-    stable rank.  Complete when nonzero weight spaces are lines and the
-    zero-weight space is abelian.
+    stable rank.  Complete under `_weight_split`'s condition; None
+    otherwise, and when a geometric p-nilpotent part exists.
     """
-    F = g.field
-    dec = weight_decomposition(g)
-    if dec is None:
+    split = _weight_split(g)
+    if split is None:
         return None
-    h_idx, spaces = dec
-    nonzero = {c: E for c, E in spaces.items() if c != 0}
-    zero_space = spaces.get(0, g.zero_subspace())
-    if any(E.dim != 1 for E in nonzero.values()):
+    _, nonzero, zero_space, complete = split
+    if not complete:
         return None
-    if zero_space.dim and not g.is_abelian(zero_space):
-        return None
-    for c, E in sorted(nonzero.items()):
-        I = g.spin_p_ideal(g.subspace([E.basis[0]]))
-        if I.dim < g.dim and g.is_unipotent(I):
-            return False
+    if any(_unipotent_spin(g, E.basis[0]) is not None
+           for _, E in sorted(nonzero.items())):
+        return False
     if zero_space.dim == 0:
         return True
     B0 = g.p_power_matrix(zero_space)
-    geometric_part = zero_space.dim - SemilinearMap(F, B0).stable_rank()
-    if geometric_part == 0:
+    if SemilinearMap(g.field, B0).stable_rank() == zero_space.dim:
         return True
     # a geometric p-nilpotent part exists; whether it survives the
     # invariance constraints is settled after bounded base change
@@ -396,12 +412,13 @@ def one_dim_p_ideals(g):
     """All one-dimensional p-ideals of g, as a (list of lines, verdict) pair.
 
     Over a finite field: complete projective scan, verdict "exact".  Over an
-    infinite field a split eigenbasis element is used: a stable line has a
-    single weight, nonzero-weight lines are exhausted exactly, and the
-    zero-weight ones must be killed by every nonzero-weight vector.  When
-    the remaining candidate space is more than a line the p-power condition
-    turns nonlinear and the verdict degrades to "undecided-fragment" (the
-    returned lines are still genuine p-ideals).
+    infinite field the split weights of `_weight_split` are used: a stable
+    line has a single weight, nonzero-weight lines are exhausted exactly,
+    and the zero-weight ones must be killed by every nonzero-weight vector.
+    When the split is not complete, or the remaining candidate space is
+    more than a line (the p-power condition turns nonlinear), the verdict
+    degrades to "undecided-fragment" (the returned lines are still genuine
+    p-ideals).
     """
     F = g.field
     if g.dim == 0:
@@ -422,38 +439,21 @@ def one_dim_p_ideals(g):
         if L.dim == 1 and g.is_p_ideal(L) and L not in found:
             found.append(L)
 
-    dec = weight_decomposition(g)
-    if dec is None:
+    split = _weight_split(g)
+    if split is None:
         for i in range(g.dim):
             try_line(g.basis_vector(i))
         return found, UNDECIDED
 
-    h_idx, spaces = dec
-    complete = True
-    zero_space = spaces.get(0, g.zero_subspace())
-    nonzero = {c: E for c, E in spaces.items() if c != 0}
-
-    for c, E in sorted(nonzero.items()):
-        if E.dim == 1:
-            try_line(E.basis[0])
-        else:
-            complete = False
-            for coeffs in _prime_field_combinations(F, E.dim):
-                try_line(E.lift(coeffs))
+    _, nonzero, zero_space, complete = split
+    for _, E in sorted(nonzero.items()):
+        for v in _weight_vectors(F, E):
+            try_line(v)
 
     if zero_space.dim:
         # a stable line in the zero-weight space is killed by every
         # nonzero-weight vector (brackets land in the other weight space)
-        rows = []
-        for E in nonzero.values():
-            for w in E.basis:
-                rows.extend(g.ad_matrix(w))
-        C = zero_space
-        if rows:
-            from .linalg import nullspace
-            C = C.intersect(nullspace(F, rows, g.dim))
-        if not g.is_abelian(zero_space):
-            complete = False
+        C = _killed_by_weights(g, zero_space, nonzero)
         if C.dim == 1:
             try_line(C.basis[0])
         elif C.dim > 1:
@@ -464,8 +464,6 @@ def one_dim_p_ideals(g):
 
 
 def _prime_field_combinations(F, k):
-    import itertools
-
     scalars = [F.from_int(c) for c in range(F.p)]
     for coeffs in itertools.product(scalars, repeat=k):
         if any(not F.is_zero(c) for c in coeffs):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pradical.envelope import u_env
-from pradical.fields import PrimeField, base_change_map, ExtensionField
+from pradical.fields import (ExtensionField, PrimeField,
+                             RationalFunctionField, base_change_map)
 from pradical.gallery import paper_g, sl2_kernel_char2
 from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
 from pradical.survey import _restricted_choices, enumerate_algebras
@@ -194,6 +195,50 @@ def test_unipotence_is_base_change_invariant():
     for g in [g for g in INSTANCES if g.field == F][:60]:
         gK = g.base_change(hom)
         assert g.is_unipotent() == gK.is_unipotent()
+
+
+def _transported(g, hom):
+    """g over hom.target, built and validated from scratch."""
+    n = g.dim
+    table = tuple(tuple(tuple(hom(c) for c in g.brackets[i][j])
+                        for j in range(n)) for i in range(n))
+    ppow = tuple(tuple(hom(c) for c in v) for v in g.ppowers)
+    return RLieAlgebra(hom.target, n, table, ppow, g.labels)
+
+
+def _corrupted(g, i):
+    """g with e_i^[p] shifted by e_i: not restricted unless ad(e_i) is 0."""
+    F = g.field
+    pp = list(g.ppowers)
+    pp[i] = tuple(F.add(c, F.one if k == i else F.zero)
+                  for k, c in enumerate(pp[i]))
+    return RLieAlgebra(F, g.dim, g.brackets, pp, g.labels)
+
+
+def test_base_change_keeps_the_source_validation():
+    F = PrimeField(2)
+    K = RationalFunctionField(2)
+    homs = [base_change_map(F, K), base_change_map(F, ExtensionField(2, 3))]
+    grid = [g for g in enumerate_algebras(F, 3) if not g.is_abelian()][::16]
+    algebras = grid + [_corrupted(g, i) for g in grid for i in range(g.dim)]
+    sources = [(g, hom) for g in algebras for hom in homs]
+    pg = paper_g(2)[0]
+    inseparable = base_change_map(K, RationalFunctionField(2, "@s"), 1)
+    sources += [(pg, inseparable), (_corrupted(pg, 2), inseparable)]
+    invalid = 0
+    for g, hom in sources:
+        fresh = _transported(g, hom)
+        report = fresh.validate()
+        if report:
+            assert g.base_change(hom).validate() == report
+            continue
+        invalid += 1
+        with pytest.raises(ValueError) as expected:
+            fresh.require_valid()
+        with pytest.raises(ValueError) as raised:
+            g.base_change(hom)
+        assert str(raised.value) == str(expected.value)
+    assert invalid > 0
 
 
 def test_direct_sum_structure():

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
@@ -7,8 +9,9 @@ from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
 from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
     sl2_kernel_char2, torus_lie
 from pradical.lie import RLieAlgebra, direct_sum
-from pradical.radical import (_rad_search, is_mult_type, is_p_reductive,
-                              one_dim_p_ideals, rad_p, weight_decomposition)
+from pradical.radical import (_ProbeNeeded, _rad_search, is_mult_type,
+                              is_p_reductive, one_dim_p_ideals, rad_p,
+                              weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent,
                              unipotent_restricted_subalgebras)
@@ -155,15 +158,21 @@ def test_undecided_fragment_is_honest():
     assert g.is_p_ideal(cert.radical) and g.is_unipotent(cert.radical)
 
 
+def _two_dim_weight(K):
+    """[h, x_i] = x_i: the weight-1 space span{x1, x2} is a plane."""
+    e = lambda i: tuple(K.one if j == i else K.zero for j in range(3))
+    z3 = (K.zero,) * 3
+    return RLieAlgebra.from_upper(K, 3, {(0, 1): e(1), (0, 2): e(2)},
+                                  [e(0), z3, z3], labels=("h", "x1", "x2"))
+
+
 def test_one_dim_p_ideals_two_dim_weight_space_infinite_field(K3t):
     # [h, x_i] = x_i over GF(3)(t): the weight-1 space span{x1, x2} holds
     # four stable lines, found by combining its basis over GF(3); the
     # two-dimensional weight space makes the verdict a fragment
     K = K3t
     e = lambda i: tuple(K.one if j == i else K.zero for j in range(3))
-    z3 = (K.zero,) * 3
-    g = RLieAlgebra.from_upper(K, 3, {(0, 1): e(1), (0, 2): e(2)},
-                               [e(0), z3, z3], labels=("h", "x1", "x2"))
+    g = _two_dim_weight(K)
     assert g.validate()
     lines, verdict = one_dim_p_ideals(g)
     assert verdict == "undecided-fragment"
@@ -241,11 +250,12 @@ def _s4_then_probe(K):
 
 def _assert_exact_only_agrees(g):
     cert = rad_p(g)
-    found = _rad_search(g, None, [], probe=False)
     if cert.is_exact:
+        found = _rad_search(g, None, [], probe=False)
         assert found == (cert.radical, cert.strategy, True)
     else:
-        assert found is None
+        with pytest.raises(_ProbeNeeded):
+            _rad_search(g, None, [], probe=False)
     return cert
 
 
@@ -261,12 +271,13 @@ def test_exact_only_ladder_matches_rad_p(K2t):
 
 def test_exact_only_ladder_stops_inside_the_quotient(K2t):
     # the probe would report the weight line as a lower bound; the
-    # exact-only walk returns None instead of probing the quotient
+    # exact-only walk raises _ProbeNeeded instead of probing the quotient
     g = _s4_then_probe(K2t)
     cert = rad_p(g)
     assert cert.strategy == "s4" and not cert.is_exact
     assert cert.radical.dim == 1
-    assert _rad_search(g, None, [], probe=False) is None
+    with pytest.raises(_ProbeNeeded):
+        _rad_search(g, None, [], probe=False)
     assert is_p_reductive(g) is None
 
 
@@ -278,3 +289,50 @@ def test_p_reductive_verdicts_on_gallery_targets():
 def test_p_reductive_paper_g_squared_p3_is_undecided():
     g = direct_sum(paper_g(3)[0], paper_g(3)[0])
     assert is_p_reductive(g) is None
+
+
+def test_forced_rung_refusals(K2t):
+    cases = [
+        (sl2_kernel_char2(), "s1", "s1 forced on a non-abelian algebra"),
+        (sl2_kernel_char2(), "s2",
+         "s2 forced but the derived p-closure is not unipotent"),
+        (paper_g(2)[0], "s3", "s3 forced over an infinite field"),
+        (_heisenberg_t(K2t), "s4", "s4 fragment does not apply"),
+    ]
+    for g, strategy, message in cases:
+        with pytest.raises(ValueError) as refused:
+            rad_p(g, strategy=strategy)
+        assert str(refused.value) == message
+
+
+# GF(2) dim-3 grid positions (enumerate_algebras order) whose GF(2)(t) base
+# change the default ladder settles with s4
+S4_GRID_OVER_T = (
+    517, 519, 526, 527, 533, 534, 548, 550, 556, 557, 565, 566, 571, 575,
+    579, 581, 594, 595, 602, 606, 611, 612, 622, 623, 629, 630, 636, 639,
+    644, 645, 651, 652, 668, 671, 675, 677, 690, 692, 698, 702, 708, 710,
+    716, 720, 724, 727, 732, 736, 740, 745, 748, 752, 758, 759, 771, 774,
+    784, 786, 792, 794, 801, 802, 809, 812, 814, 816, 831, 834, 837, 842,
+    848, 850, 856, 857, 865, 868, 873, 875, 882, 884, 888, 891, 896, 897)
+
+# sha256 of the rad_p certificates of the algebras below: any change to a
+# radical, strategy, verdict or trace step changes it
+LADDER_DIGEST = (
+    "bdf984a35632af441cdacb7deff21b9ae4f091f9a02ca2f98217d1b1b56db43f")
+
+
+def test_ladder_certificates_are_pinned(K2t, K3t):
+    algebras = [resolve(name) for name in GALLERY_P_REDUCTIVE]
+    algebras += [paper_g(p)[0] for p in (2, 3, 5)]
+    algebras += [_heisenberg_t(K2t), _s4_then_probe(K2t),
+                 _two_dim_weight(K3t)]
+    F = PrimeField(2)
+    hom = base_change_map(F, K2t)
+    grid = list(enumerate_algebras(F, 3))
+    algebras += [grid[i].base_change(hom) for i in S4_GRID_OVER_T]
+    digest = hashlib.sha256()
+    for g in algebras:
+        cert = rad_p(g)
+        digest.update(repr((cert.radical.basis, cert.strategy, cert.verdict,
+                            cert.trace)).encode())
+    assert digest.hexdigest() == LADDER_DIGEST
