@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .hopf import HopfAlgebra, SubgroupIdeal
-from .linalg import Subspace, rref
+from .linalg import Subspace, rref, vec_terms
 
 
 class EnvelopeTooLargeError(ValueError):
@@ -64,13 +64,10 @@ class _Straightener:
             else:
                 # e_j^p acts as the p-power image, which is linear in g
                 prefix = tuple(0 if i == j else a for i, a in enumerate(mono))
-                pv = self.g.ppowers[j]
                 out = {}
-                if not all(F.is_zero(c) for c in pv):
-                    for m in range(self.n):
-                        if not F.is_zero(pv[m]):
-                            for m2, c2 in self.mono_times_gen(prefix, m).items():
-                                self._add_into(out, m2, F.mul(pv[m], c2))
+                for m, c in self.g._pterms[j]:
+                    for m2, c2 in self.mono_times_gen(prefix, m).items():
+                        self._add_into(out, m2, F.mul(c, c2))
         else:
             # peel the largest out-of-order generator:
             # e^α e_j = e^{α-ε_k} e_j e_k + e^{α-ε_k} [e_k, e_j]
@@ -79,11 +76,9 @@ class _Straightener:
             moved = self.mono_times_gen(reduced, j)
             for m2, c2 in self.elem_times_gen(moved, k).items():
                 self._add_into(out, m2, c2)
-            br = self.g.brackets[k][j]
-            for m in range(self.n):
-                if not F.is_zero(br[m]):
-                    for m2, c2 in self.mono_times_gen(reduced, m).items():
-                        self._add_into(out, m2, F.mul(br[m], c2))
+            for m, c in self.g._terms[k][j]:
+                for m2, c2 in self.mono_times_gen(reduced, m).items():
+                    self._add_into(out, m2, F.mul(c, c2))
         self._memo[key] = out
         return out
 
@@ -185,30 +180,28 @@ def dual_hopf(H):
 
 
 def envelope_subalgebra_span(g, S, H):
-    """The span of u(S) inside H = u(g), as a subspace of H."""
-    F = g.field
-    p = F.p
-    st = _Straightener(g)
-    index = H._monomial_index
+    """The span of u(S) inside H = u(g), as a subspace of H.
 
-    zero_mono = tuple([0] * g.dim)
-    cur = [{zero_mono: F.one}]
-    vecs = [_to_vec(F, index, cur[0])]
-    for _ in range(S.dim * (p - 1)):
-        nxt = []
-        for elem in cur:
-            for w in S.basis:
+    S must be a p-subalgebra; `subgroup_ideal_from_p_subalgebra` checks it.
+    Then u(S) embeds in u(g) with the restricted PBW basis of ordered
+    monomials s_1^a_1 ⋯ s_k^a_k, 0 ≤ a_i < p, over the basis s_1, ..., s_k
+    of S.  They are built by right-multiplying the monomials found so far
+    by each s_i in turn: p^dim S products, not every word in the s_i.
+    """
+    F = g.field
+    st = _Straightener(g)
+    monos = [{tuple([0] * g.dim): F.one}]
+    for s in S.basis:
+        for elem in list(monos):
+            for _ in range(F.p - 1):
                 prod = {}
-                for j in range(g.dim):
-                    if F.is_zero(w[j]):
-                        continue
+                for j, c in vec_terms(F, s):
                     for m2, c2 in st.elem_times_gen(elem, j).items():
-                        st._add_into(prod, m2, F.mul(w[j], c2))
-                if prod:
-                    nxt.append(prod)
-                    vecs.append(_to_vec(F, index, prod))
-        cur = nxt
-    return Subspace.from_vectors(F, H.dim, vecs)
+                        st._add_into(prod, m2, F.mul(c, c2))
+                elem = prod
+                monos.append(elem)
+    return Subspace.from_vectors(
+        F, H.dim, [_to_vec(F, H._monomial_index, m) for m in monos])
 
 
 def subgroup_ideal_from_p_subalgebra(g, S, cap=128):

@@ -19,7 +19,7 @@ from .fields import (PrimeField, RationalFunctionField, is_prime,
                      smallest_prime_factor)
 from .hopf import HopfAlgebra, tensor_product_hopf
 from .lie import RLieAlgebra, direct_sum
-from .linalg import mat_mul, mat_pow, mat_sub, mat_rank
+from .linalg import mat_identity, mat_mul, mat_pow, mat_sub, mat_rank
 from .radical import rad_p, is_p_reductive
 
 
@@ -52,7 +52,7 @@ def paper_g(p, a=None, field=None):
         [(F.one, F.zero, F.zero), (a, F.zero, F.zero),
          (F.zero, F.zero, F.one)],
         labels=("X", "Y", "Z"))
-    rep = (_identity_matrix(F, p), _y_matrix(F, p, a), _z_matrix(F, p))
+    rep = (mat_identity(F, p), _y_matrix(F, p, a), _z_matrix(F, p))
     return g, rep
 
 
@@ -61,11 +61,6 @@ def _is_pth_power(F, a):
         comps = F.pth_components(a)
         return all(F.is_zero(c) for i, c in enumerate(comps) if i >= 1)
     return True  # perfect fields
-
-
-def _identity_matrix(F, n):
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n))
-                 for i in range(n))
 
 
 def _y_matrix(F, p, a):

@@ -19,20 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Subspace, vec_scale, vec_is_zero
-
-
-def _nonzero(F, v):
-    """The nonzero coordinates of v as (index, value) pairs.  Elements are
-    canonical, so this is `F.is_zero` without a call per coordinate."""
-    zero = F.zero
-    return tuple([(k, c) for k, c in enumerate(v) if c != zero])
-
-
-def _accumulate(F, out, terms, c):
-    """out += c·Σ t·e_k over the (k, t) pairs of terms, in place."""
-    for k, t in terms:
-        out[k] = F.add(out[k], F.mul(c, t))
+from .linalg import (Subspace, nullspace, vec_accumulate, vec_is_zero,
+                     vec_scale, vec_terms)
 
 
 @dataclass
@@ -58,7 +46,7 @@ class SCAlgebra:
         self.labels = tuple(labels) if labels else tuple(
             "b%d" % i for i in range(dim))
         # e_i·e_j as its nonzero (k, c) pairs: every product reads this
-        self._terms = tuple(tuple(_nonzero(field, v) for v in row)
+        self._terms = tuple(tuple(vec_terms(field, v) for v in row)
                             for row in self.mult)
 
     def __repr__(self):
@@ -67,11 +55,11 @@ class SCAlgebra:
     def mul(self, x, y):
         F = self.field
         out = [F.zero] * self.dim
-        ys = _nonzero(F, y)
-        for i, a in _nonzero(F, x):
+        ys = vec_terms(F, y)
+        for i, a in vec_terms(F, x):
             row = self._terms[i]
             for j, b in ys:
-                _accumulate(F, out, row[j], F.mul(a, b))
+                vec_accumulate(F, out, row[j], F.mul(a, b))
         return tuple(out)
 
     def _basis_times(self, i, ys):
@@ -80,7 +68,7 @@ class SCAlgebra:
         out = [F.zero] * self.dim
         row = self._terms[i]
         for j, c in ys:
-            _accumulate(F, out, row[j], c)
+            vec_accumulate(F, out, row[j], c)
         return tuple(out)
 
     def _times_basis(self, xs, j):
@@ -88,7 +76,7 @@ class SCAlgebra:
         F = self.field
         out = [F.zero] * self.dim
         for i, c in xs:
-            _accumulate(F, out, self._terms[i][j], c)
+            vec_accumulate(F, out, self._terms[i][j], c)
         return tuple(out)
 
     def power(self, x, e):
@@ -120,7 +108,7 @@ class SCAlgebra:
         return None
 
     def check_unit(self):
-        us = _nonzero(self.field, self.unit)
+        us = vec_terms(self.field, self.unit)
         for i in range(self.dim):
             ei = self.basis_vector(i)
             if self._times_basis(us, i) != ei or self._basis_times(i, us) != ei:
@@ -134,6 +122,11 @@ class SCAlgebra:
         F = self.field
         gens = []
         span = Subspace.from_vectors(F, self.dim, [self.unit])
+
+        def images(v, _):
+            vs = vec_terms(F, v)
+            return [self._times_basis(vs, g) for g in gens]
+
         for i in range(self.dim):
             if span.dim == self.dim:
                 break
@@ -142,16 +135,8 @@ class SCAlgebra:
                 continue
             gens.append(i)
             # the old span is closed under the old generators
-            todo = [ei] + [self._times_basis(_nonzero(F, v), i)
-                           for v in span.basis]
-            while True:
-                fresh = [v for v in todo if not span.contains_vector(v)]
-                if not fresh:
-                    break
-                span = Subspace.from_vectors(F, self.dim,
-                                             list(span.basis) + fresh)
-                todo = [self._times_basis(_nonzero(F, v), g)
-                        for v in fresh for g in gens]
+            span = span.closure([ei] + [self._times_basis(vec_terms(F, v), i)
+                                        for v in span.basis], images)
         return tuple(gens)
 
     # -- ideals ------------------------------------------------------------
@@ -159,25 +144,19 @@ class SCAlgebra:
     def ideal_closure(self, vectors):
         """Smallest two-sided ideal containing the given elements."""
         F = self.field
-        cur = Subspace.from_vectors(F, self.dim, list(vectors))
-        for _ in range(self.dim + 1):
-            vecs = list(cur.basis)
-            sparse = [_nonzero(F, v) for v in cur.basis]
-            for i in range(self.dim):
-                for vs in sparse:
-                    vecs.append(self._basis_times(i, vs))
-                    vecs.append(self._times_basis(vs, i))
-            nxt = Subspace.from_vectors(F, self.dim, vecs)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        return cur
+
+        def images(v, _):
+            vs = vec_terms(F, v)
+            return ([self._basis_times(i, vs) for i in range(self.dim)]
+                    + [self._times_basis(vs, i) for i in range(self.dim)])
+
+        return Subspace.zero(F, self.dim).closure(vectors, images)
 
     def _ideal_escape(self, S):
         """The first (v, i), v in S.basis, with e_i·v or v·e_i outside S;
         None when S is a two-sided ideal."""
         for v in S.basis:
-            vs = _nonzero(self.field, v)
+            vs = vec_terms(self.field, v)
             for i in range(self.dim):
                 if not (S.contains_vector(self._basis_times(i, vs))
                         and S.contains_vector(self._times_basis(vs, i))):
@@ -194,8 +173,8 @@ class SCAlgebra:
         F = self.field
         d = self.dim
         out = [F.zero] * (d * d)
-        ys = _nonzero(F, y)
-        for a, xa in _nonzero(F, x):
+        ys = vec_terms(F, y)
+        for a, xa in vec_terms(F, x):
             for b, yb in ys:
                 out[a * d + b] = F.mul(xa, yb)
         return tuple(out)
@@ -204,7 +183,7 @@ class SCAlgebra:
         """A d²-vector as its nonzero (a, b, c) triples, c·e_a⊗e_b."""
         d = self.dim
         return tuple(divmod(idx, d) + (c,)
-                     for idx, c in _nonzero(self.field, u))
+                     for idx, c in vec_terms(self.field, u))
 
     def tensor_mul(self, u, v):
         """Product in A ⊗ A of two d²-vectors."""
@@ -289,14 +268,14 @@ class HopfAlgebra(SCAlgebra):
         self.antipode = tuple(tuple(v) for v in antipode)  # S(e_i) as d-vector
         # Δ(e_i) as its nonzero (a, b, c) triples, S(e_i) as (k, c) pairs
         self._coterms = tuple(self._tensor_terms(v) for v in self.comult)
-        self._antipode_terms = tuple(_nonzero(field, v)
+        self._antipode_terms = tuple(vec_terms(field, v)
                                      for v in self.antipode)
 
     def delta(self, x):
         F = self.field
         d = self.dim
         out = [F.zero] * (d * d)
-        for i, xi in _nonzero(F, x):
+        for i, xi in vec_terms(F, x):
             for a, b, c in self._coterms[i]:
                 out[a * d + b] = F.add(out[a * d + b], F.mul(xi, c))
         return tuple(out)
@@ -308,8 +287,8 @@ class HopfAlgebra(SCAlgebra):
     def antipode_of(self, x):
         F = self.field
         out = [F.zero] * self.dim
-        for i, xi in _nonzero(F, x):
-            _accumulate(F, out, self._antipode_terms[i], xi)
+        for i, xi in vec_terms(F, x):
+            vec_accumulate(F, out, self._antipode_terms[i], xi)
         return tuple(out)
 
     def _comult_leg(self, terms, first):
@@ -332,7 +311,6 @@ class HopfAlgebra(SCAlgebra):
 
     def augmentation_ideal(self):
         """ker ε as a subspace of A."""
-        from .linalg import nullspace
         return nullspace(self.field, (self.counit,), self.dim)
 
     # -- axioms -------------------------------------------------------------
@@ -408,9 +386,9 @@ class HopfAlgebra(SCAlgebra):
                 conv_r = [F.zero] * d
                 for a, b, c in self._coterms[i]:
                     for k, s in S[a]:
-                        _accumulate(F, conv_l, T[k][b], F.mul(c, s))
+                        vec_accumulate(F, conv_l, T[k][b], F.mul(c, s))
                     for k, s in S[b]:
-                        _accumulate(F, conv_r, T[a][k], F.mul(c, s))
+                        vec_accumulate(F, conv_r, T[a][k], F.mul(c, s))
                 target = vec_scale(F, self.unit, self.counit[i])
                 if tuple(conv_l) != target or tuple(conv_r) != target:
                     failures.append(("antipode-convolution", i))

@@ -4,14 +4,22 @@ An algebra is given by a field descriptor, bracket structure constants
 c[i][j] (the coordinate vector of [e_i, e_j]) and the images e_i^[p] of the
 basis under the p-operation.  The p-operation on arbitrary elements is the
 unique extension by Jacobson's formula.
+
+`brackets` and `ppowers` stay the dense public tables, but every product
+reads one sparse table derived from them once: the nonzero (k, c) terms of
+each [e_i, e_j] and each e_i^[p].  The spins are worklist closures
+(`Subspace.closure`) that bracket and p-power only the vectors new to the
+span.  Symbolic computation goes by base change: `generic_p_power` runs
+`p_power` on g over the polynomial coordinate ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import PolynomialRing, UnsupportedKindError
-from .linalg import Subspace, mat_pow, vec_add, vec_is_zero, vec_zero
+from .fields import FieldHom, PolynomialRing, UnsupportedKindError
+from .linalg import (Subspace, mat_pow, nullspace, vec_accumulate, vec_add,
+                     vec_is_zero, vec_terms, vec_zero)
 
 
 class NotPIdealError(ValueError):
@@ -52,6 +60,11 @@ class RLieAlgebra:
             tuple(v) for v in ppowers)
         self.labels = tuple(labels) if labels else tuple(
             "e%d" % (i + 1) for i in range(dim))
+        # [e_i, e_j] and e_i^[p] as their nonzero (k, c) pairs: every Lie
+        # product reads these
+        self._terms = tuple(tuple(vec_terms(field, v) for v in row)
+                            for row in self.brackets)
+        self._pterms = tuple(vec_terms(field, v) for v in self.ppowers)
         self._ad_basis = None
         self._validated = None
 
@@ -87,22 +100,15 @@ class RLieAlgebra:
                 for i in range(n))
         return self._ad_basis
 
-    def bracket(self, x, y, ring=None):
-        R = ring or self.field
-        emb = (lambda c: c) if ring is None else ring.embed
-        n = self.dim
-        out = [R.zero] * n
-        for i in range(n):
-            if R.is_zero(x[i]):
-                continue
-            for j in range(n):
-                if R.is_zero(y[j]):
-                    continue
-                c = R.mul(x[i], y[j])
-                row = self.brackets[i][j]
-                for k in range(n):
-                    if not self.field.is_zero(row[k]):
-                        out[k] = R.add(out[k], R.mul(c, emb(row[k])))
+    def bracket(self, x, y):
+        F = self.field
+        out = [F.zero] * self.dim
+        ys = vec_terms(F, y)
+        for i, a in vec_terms(F, x):
+            row = self._terms[i]
+            for j, b in ys:
+                if row[j]:
+                    vec_accumulate(F, out, row[j], F.mul(a, b))
         return tuple(out)
 
     def ad_matrix(self, x):
@@ -119,9 +125,9 @@ class RLieAlgebra:
                     out[k][j] = F.add(out[k][j], F.mul(x[i], A[k][j]))
         return tuple(tuple(r) for r in out)
 
-    def basis_vector(self, i, ring=None):
-        R = ring or self.field
-        return tuple(R.one if j == i else R.zero for j in range(self.dim))
+    def basis_vector(self, i):
+        F = self.field
+        return tuple(F.one if j == i else F.zero for j in range(self.dim))
 
     # -- validation ----------------------------------------------------------
 
@@ -147,11 +153,12 @@ class RLieAlgebra:
                 for j in range(i + 1, n):
                     for k in range(j + 1, n):
                         ei, ej, ek = (self.basis_vector(a) for a in (i, j, k))
+                        c = self.brackets
                         s = vec_add(F, vec_add(
                             F,
-                            self.bracket(self.bracket(ei, ej), ek),
-                            self.bracket(self.bracket(ej, ek), ei)),
-                            self.bracket(self.bracket(ek, ei), ej))
+                            self.bracket(c[i][j], ek),
+                            self.bracket(c[j][k], ei)),
+                            self.bracket(c[k][i], ej))
                         if not vec_is_zero(F, s):
                             failures.append(("jacobi", (i, j, k),
                                              "Jacobi fails on (%s,%s,%s)" %
@@ -176,35 +183,25 @@ class RLieAlgebra:
 
     # -- p-operation ---------------------------------------------------------
 
-    def p_power(self, x, ring=None):
+    def p_power(self, x):
         """(sum x_i e_i)^[p] via Jacobson's expansion, term by term."""
         self.require_valid()
-        R = ring or self.field
-        emb = (lambda c: c) if ring is None else ring.embed
+        F = self.field
         n = self.dim
-        p = self.p
-        total = [R.zero] * n
-        acc = [R.zero] * n
-        acc_nonzero = False
-        for i in range(n):
-            c = x[i]
-            if R.is_zero(c):
-                continue
-            term = tuple(R.mul(c, R.one) if j == i else R.zero for j in range(n))
-            cp = R.pow_int(c, p)
-            pv = self.ppowers[i]
-            for k in range(n):
-                if not self.field.is_zero(pv[k]):
-                    total[k] = R.add(total[k], R.mul(cp, emb(pv[k])))
-            if acc_nonzero:
-                cross = self._jacobson_cross(term, tuple(acc), ring)
-                for k in range(n):
-                    total[k] = R.add(total[k], cross[k])
-            acc[i] = R.add(acc[i], c)
-            acc_nonzero = True
+        total = [F.zero] * n
+        acc = None
+        for i, c in vec_terms(F, x):
+            vec_accumulate(F, total, self._pterms[i], F.pow_int(c, self.p))
+            term = tuple(c if j == i else F.zero for j in range(n))
+            if acc is None:
+                acc = [F.zero] * n
+            else:
+                cross = self._jacobson_cross(term, tuple(acc))
+                total = list(vec_add(F, total, cross))
+            acc[i] = c
         return tuple(total)
 
-    def _jacobson_cross(self, a, b, ring):
+    def _jacobson_cross(self, a, b):
         """sum_{i=1}^{p-1} s_i(a, b) with i*s_i = [lambda^(i-1)] ad(la+b)^(p-1)(a).
 
         w = ad(la+b)^k(a) is kept as its lambda-coefficient vectors
@@ -213,29 +210,30 @@ class RLieAlgebra:
         p-1 steps w holds exactly the p-1 coefficients the sum needs; no
         polynomial ring in lambda is built.
         """
-        R = ring or self.field
+        F = self.field
         p = self.p
-        w = [self.bracket(b, a, ring)]
+        w = [self.bracket(b, a)]
         for _ in range(p - 2):
-            lower = [self.bracket(b, v, ring) for v in w]
-            upper = [self.bracket(a, v, ring) for v in w]
+            lower = [self.bracket(b, v) for v in w]
+            upper = [self.bracket(a, v) for v in w]
             w = ([lower[0]]
-                 + [vec_add(R, lo, up) for lo, up in zip(lower[1:], upper)]
+                 + [vec_add(F, lo, up) for lo, up in zip(lower[1:], upper)]
                  + [upper[-1]])
         out = w[0]
         for i in range(2, p):
-            inv_i = R.from_int(pow(i, p - 2, p))
-            out = tuple(o if R.is_zero(c) else R.add(o, R.mul(inv_i, c))
+            inv_i = F.from_int(pow(i, p - 2, p))
+            out = tuple(o if F.is_zero(c) else F.add(o, F.mul(inv_i, c))
                         for o, c in zip(out, w[i - 1]))
         return out
 
     def generic_p_power(self):
-        """p-power of the generic element sum x_i e_i, over the coordinate ring."""
-        self.require_valid()
+        """p-power of the generic element sum x_i e_i, over the coordinate
+        ring R = F[x_1, ..., x_n]: g base-changed into R, then `p_power`."""
         names = tuple("x%d" % (i + 1) for i in range(self.dim))
         R = PolynomialRing(self.field, names)
-        x = tuple(R.var(i) for i in range(self.dim))
-        return self.p_power(x, ring=R), R
+        gR = self.base_change(FieldHom(self.field, R, R.embed,
+                                       "%r -> %r" % (self.field, R)))
+        return gR.p_power(tuple(R.var(i) for i in range(self.dim))), R
 
     def is_p_nilpotent(self, x):
         """Some iterated p-power of x is zero; dim iterations suffice."""
@@ -284,35 +282,33 @@ class RLieAlgebra:
         return self.is_ideal(S) and self.is_p_closed(S)
 
     def spin_p_ideal(self, S):
-        """Smallest p-ideal containing S: close under all ad(e_i) and p-powers."""
+        """Smallest p-ideal containing S: the `Subspace.closure` of S under
+        v -> [e_i, v] and v -> v^[p], taken of the vectors new to the span.
+
+        Once the span J is an ideal, p-powers of a spanning set suffice: by
+        Jacobson's formula (x + y)^[p] - x^[p] - y^[p] is a sum of Lie words
+        in x and y, which lie in [g, J] ⊆ J.
+        """
         self.require_valid()
-        cur = S
-        for _ in range(self.dim + 1):
-            vecs = list(cur.basis)
-            for i in range(self.dim):
-                ei = self.basis_vector(i)
-                vecs.extend(self.bracket(ei, v) for v in cur.basis)
-            vecs.extend(self.p_power(v) for v in cur.basis)
-            nxt = self.subspace(vecs)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        return cur
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+
+        def images(v, span):
+            return [self.bracket(e, v) for e in basis] + [self.p_power(v)]
+
+        return self.zero_subspace().closure(S.basis, images)
 
     def spin_subalgebra(self, S):
-        """Smallest restricted subalgebra containing S."""
+        """Smallest restricted subalgebra containing S: the closure of S
+        under v -> [v, u] for u in the span and v -> v^[p], taken of the
+        vectors new to the span; p-powers of a spanning set suffice as in
+        `spin_p_ideal`, now with the Lie words in [J, J] ⊆ J."""
         self.require_valid()
-        cur = S
-        for _ in range(self.dim + 1):
-            vecs = list(cur.basis)
-            vecs.extend(self.bracket(u, v)
-                        for u in cur.basis for v in cur.basis)
-            vecs.extend(self.p_power(v) for v in cur.basis)
-            nxt = self.subspace(vecs)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        return cur
+
+        def images(v, span):
+            return ([self.bracket(v, u) for u in span.basis]
+                    + [self.p_power(v)])
+
+        return self.zero_subspace().closure(S.basis, images)
 
     # -- characteristic series ------------------------------------------------
 
@@ -325,7 +321,6 @@ class RLieAlgebra:
             rows.extend(A)
         if not rows:
             return self.full_subspace()
-        from .linalg import nullspace
         return nullspace(F, rows, n)
 
     def derived_subalgebra(self, S=None):
@@ -426,7 +421,8 @@ class RLieAlgebra:
         ppow = [project(self.p_power(reps[a])) for a in range(m)]
         labels = tuple(self.labels[c] + "~" for c in comp)
         q = RLieAlgebra(F, m, table, ppow, labels)
-        q.require_valid()
+        # a quotient of a valid algebra by a p-ideal is valid
+        q._validated = ValidationReport(True)
         return q, project, section
 
     def _p_ideal_witness(self, S):

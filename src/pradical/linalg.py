@@ -34,6 +34,19 @@ def vec_is_zero(F, a):
     return all(F.is_zero(x) for x in a)
 
 
+def vec_terms(F, v):
+    """The nonzero coordinates of v as (index, value) pairs.  Elements are
+    canonical, so this is `F.is_zero` without a call per coordinate."""
+    zero = F.zero
+    return tuple([(k, c) for k, c in enumerate(v) if c != zero])
+
+
+def vec_accumulate(F, out, terms, c):
+    """out += c·Σ t·e_k over the (k, t) pairs of terms, in place."""
+    for k, t in terms:
+        out[k] = F.add(out[k], F.mul(c, t))
+
+
 def mat_identity(F, n):
     return tuple(tuple(F.one if i == j else F.zero for j in range(n))
                  for i in range(n))
@@ -228,6 +241,31 @@ class Subspace:
             return tuple(v)
 
         return comp, project, section
+
+    def closure(self, vectors, images):
+        """The smallest subspace containing this one and `vectors` that is
+        closed under `images`, by spinning (R. A. Parker, "The computer
+        calculation of modular characters", 1984).
+
+        images(v, span) lists the vectors that must lie in the span with v.
+        It is taken only of the vectors new to the span: after each round,
+        the rows at the new pivots, which are independent modulo the old span
+        and with it span the new one.  So the result is spanned by this
+        subspace, which must already be closed, and the vectors whose images
+        were taken.  That suffices when the closure condition on a spanning
+        set gives it everywhere: a linear map, or a bilinear one taken as
+        images(v, span) = [(v, u) for u in span.basis], since of two spanning
+        vectors the one new later sees the other in its span.
+        """
+        span, todo = self, list(vectors)
+        while todo:
+            new = Subspace.from_vectors(self.field, self.ambient,
+                                        list(span.basis) + todo)
+            fresh = [row for row, pc in zip(new.basis, new.pivots)
+                     if pc not in span.pivots]
+            span = new
+            todo = [w for v in fresh for w in images(v, span)]
+        return span
 
     def constraint_matrix(self):
         """A matrix whose nullspace is exactly this subspace."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .lie import RLieAlgebra
-from .linalg import Subspace, all_subspaces, rref
+from .linalg import all_subspaces, mat_pow, rref, vec_add, vec_is_zero
 
 
 def all_vectors(F, n, nonzero=False):
@@ -51,8 +51,6 @@ def _affine_solutions(F, rows, rhs, ncols):
 def _restricted_choices(F, ad, i, n):
     """All p-power vectors for basis element i: solutions of
     ad(pvec) = ad(e_i)^p, a linear system in the pvec coordinates."""
-    from .linalg import mat_pow
-
     target = mat_pow(F, ad[i], F.p)
     rows = []
     rhs = []
@@ -95,8 +93,6 @@ def enumerate_algebras(F, dim, cap=10000):
 
 
 def _jacobi_ok(g):
-    from .linalg import vec_add, vec_is_zero
-
     F = g.field
     n = g.dim
     for i in range(n):

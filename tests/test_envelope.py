@@ -6,7 +6,7 @@ from pradical.envelope import (EnvelopeTooLargeError, dual_hopf,
                                envelope_subalgebra_span,
                                subgroup_ideal_from_p_subalgebra, u_env)
 from pradical.fields import PrimeField, RationalFunctionField
-from pradical.gallery import paper_g, sl2_kernel_char2
+from pradical.gallery import alpha_lie, paper_g, sl2_kernel_char2, torus_lie
 from pradical.hopf import is_normal, is_subgroup_ideal
 from pradical.lie import RLieAlgebra
 from pradical.linalg import Subspace, all_subspaces
@@ -137,3 +137,62 @@ def test_normality_bridge_solvable_family():
             continue
         A, sgi = subgroup_ideal_from_p_subalgebra(g, S)
         assert is_normal(A, sgi.ideal) == g.is_p_ideal(S)
+
+
+def _word_span(g, S, H):
+    """Reference: the span of every word of length up to dim S·(p−1) in the
+    basis of S, multiplied out in u(g)."""
+    F = g.field
+    gens = [H._monomial_index[tuple(int(m == i) for m in range(g.dim))]
+            for i in range(g.dim)]
+
+    def image(x):
+        v = [F.zero] * H.dim
+        for i, c in zip(gens, x):
+            v[i] = c
+        return tuple(v)
+
+    cur = [H.unit]
+    vecs = [H.unit]
+    for _ in range(S.dim * (F.p - 1)):
+        cur = [H.mul(w, image(s)) for w in cur for s in S.basis]
+        vecs.extend(cur)
+    return Subspace.from_vectors(F, H.dim, vecs)
+
+
+def _span_cases():
+    """(g, restricted S) pairs: every restricted S of the sl2 kernel, torus
+    3^3, torus 2^4 and alpha_5, and spins in paper_g(2) and paper_g(3)."""
+    cases = []
+    for g in (sl2_kernel_char2(), torus_lie(3, 3), torus_lie(2, 4),
+              alpha_lie(5)):
+        cases += [(g, S) for S in all_subspaces(g.field, g.dim)
+                  if g.is_restricted_subalgebra(S)]
+    for p in (2, 3):
+        g = paper_g(p)[0]
+        K = g.field
+        for v in itertools.product((K.zero, K.one), repeat=3):
+            if any(v):
+                cases.append((g, g.spin_subalgebra(g.subspace([v]))))
+    return cases
+
+
+def test_subalgebra_span_matches_word_span():
+    envelopes = {}
+    cases = _span_cases()
+    for g, S in cases:
+        H = envelopes.setdefault(id(g), u_env(g))
+        span = envelope_subalgebra_span(g, S, H)
+        assert span == _word_span(g, S, H)
+        assert span.dim == g.p ** S.dim
+    assert len(cases) >= 110
+
+
+def test_subalgebra_span_of_the_whole_dim125_torus():
+    g = torus_lie(5, 3)
+    H = u_env(g)
+    assert H.dim == 125
+    span = envelope_subalgebra_span(g, g.full_subspace(), H)
+    assert span == Subspace.full(g.field, 125)
+    line = g.subspace([(1, 2, 3)])
+    assert envelope_subalgebra_span(g, line, H) == _word_span(g, line, H)

@@ -4,8 +4,8 @@ import pytest
 
 from pradical.envelope import dual_hopf, u_env
 from pradical.fields import PrimeField
-from pradical.gallery import (alpha_hopf, mu_hopf, sl2_kernel_char2,
-                             torus_lie)
+from pradical.gallery import (alpha_hopf, mu_hopf, resolve,
+                              sl2_kernel_char2, torus_lie)
 from pradical.hopf import (HopfAlgebra, NonDirectedFamilyError, SCAlgebra,
                            frobenius_kernel, is_normal, is_subgroup_ideal,
                            schematic_union, tensor_intersection_identity,
@@ -284,3 +284,73 @@ def test_validate_hopf_dual_torus_dim32():
     assert H.dim == 32
     assert len(H.algebra_generators()) == 5
     assert H.validate_hopf()
+
+
+# -- the closures against their definition ------------------------------------
+
+HOPF_TARGETS = ("alpha2", "alpha4", "alpha8", "alpha9", "mu2", "mu3", "mu5",
+                "product(alpha2,mu2)", "env(sl2-kernel@2)",
+                "dual(env(sl2-kernel@2))", "env(torus@2^3)",
+                "dual(env(torus@2^3))", "dual(env(alpha@3))",
+                "env(paper-G@p=2)", "dual(env(paper-G@p=2))")
+
+
+def _ideal_closure_fixed_point(A, vectors):
+    """Reference: add e_i·v and v·e_i for the whole basis, rebuilding the
+    span until nothing changes."""
+    F, d = A.field, A.dim
+    cur = Subspace.from_vectors(F, d, list(vectors))
+    for _ in range(d + 1):
+        vecs = list(cur.basis)
+        for i in range(d):
+            ei = basis_vec(F, d, i)
+            vecs.extend(A.mul(ei, v) for v in cur.basis)
+            vecs.extend(A.mul(v, ei) for v in cur.basis)
+        nxt = Subspace.from_vectors(F, d, vecs)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return cur
+
+
+def _algebra_generators_loop(A):
+    """Reference: greedy generators, each span closed by right-multiplying
+    the whole basis by every generator until nothing changes."""
+    F, d = A.field, A.dim
+    gens = []
+    span = Subspace.from_vectors(F, d, [A.unit])
+    for i in range(d):
+        if span.dim == d:
+            break
+        ei = basis_vec(F, d, i)
+        if span.contains_vector(ei):
+            continue
+        gens.append(i)
+        for _ in range(d + 1):
+            vecs = list(span.basis) + [A.mul(v, basis_vec(F, d, g))
+                                       for v in span.basis for g in gens]
+            nxt = Subspace.from_vectors(F, d, vecs)
+            if nxt == span:
+                break
+            span = nxt
+    return tuple(gens)
+
+
+def test_ideal_closure_matches_fixed_point():
+    rng = random.Random(20261019)
+    for name in HOPF_TARGETS:
+        A = resolve(name)
+        F, d = A.field, A.dim
+        seeds = [[basis_vec(F, d, i)] for i in range(d)]
+        seeds += [[tuple(F.random_element(rng) for _ in range(d))
+                   for _ in range(k)] for k in (1, 1, 2)]
+        seeds.append(list(A.augmentation_ideal().basis))
+        for vectors in seeds:
+            assert (A.ideal_closure(vectors)
+                    == _ideal_closure_fixed_point(A, vectors)), name
+
+
+def test_algebra_generators_match_the_fixed_point_loop():
+    for name in HOPF_TARGETS:
+        A = resolve(name)
+        assert A.algebra_generators() == _algebra_generators_loop(A), name

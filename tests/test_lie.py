@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from pradical.envelope import u_env
 from pradical.fields import (ExtensionField, PrimeField,
                              RationalFunctionField, base_change_map)
-from pradical.gallery import paper_g, sl2_kernel_char2
+from pradical.gallery import paper_g, resolve, sl2_kernel_char2
 from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
-from pradical.survey import _restricted_choices, enumerate_algebras
+from pradical.linalg import projective_points
+from pradical.survey import (_jacobi_ok, _restricted_choices,
+                             enumerate_algebras)
 
 
 def _instances():
@@ -266,3 +269,108 @@ def test_characteristic_series_shapes():
     assert series["nilpotent"] and series["solvable"]
     assert [S.dim for S in series["lower_central_series"]] == [3, 1, 0]
     assert series["center"] == g.subspace([g.basis_vector(1)])
+
+
+# -- the spins against their definition ---------------------------------------
+
+
+def _spin_p_ideal_fixed_point(g, S):
+    """Reference: close under all ad(e_i) and the p-powers of the whole
+    basis, rebuilding the span until nothing changes."""
+    cur = S
+    for _ in range(g.dim + 1):
+        vecs = list(cur.basis)
+        for i in range(g.dim):
+            ei = g.basis_vector(i)
+            vecs.extend(g.bracket(ei, v) for v in cur.basis)
+        vecs.extend(g.p_power(v) for v in cur.basis)
+        nxt = g.subspace(vecs)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return cur
+
+
+def _spin_subalgebra_fixed_point(g, S):
+    """Reference: close under all brackets and p-powers of the whole basis,
+    rebuilding the span until nothing changes."""
+    cur = S
+    for _ in range(g.dim + 1):
+        vecs = list(cur.basis)
+        vecs.extend(g.bracket(u, v) for u in cur.basis for v in cur.basis)
+        vecs.extend(g.p_power(v) for v in cur.basis)
+        nxt = g.subspace(vecs)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return cur
+
+
+def _grid_sample(F, n, count, rng):
+    """A seeded sample of non-abelian dim-n grid algebras over F."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    zero = (F.zero,) * n
+    out = []
+    while len(out) < count:
+        upper = {ij: tuple(F.random_element(rng) for _ in range(n))
+                 for ij in pairs}
+        if all(v == zero for v in upper.values()):
+            continue
+        g0 = RLieAlgebra.from_upper(F, n, upper, [zero] * n)
+        if not _jacobi_ok(g0):
+            continue
+        choices = [_restricted_choices(F, g0.ad_basis(), i, n)
+                   for i in range(n)]
+        if all(choices):
+            out.append(RLieAlgebra(F, n, g0.brackets,
+                                   [rng.choice(c) for c in choices]))
+    return out
+
+
+def _spin_cases():
+    """(name, algebra, start vectors): every point of the GF(2) dim-3 grid,
+    a GF(3) dim-3 sample, gallery algebras over GF(9) and GF(p)(t)."""
+    rng = random.Random(20261019)
+    F2, F3 = PrimeField(2), PrimeField(3)
+    F9 = ExtensionField(3, 2)
+    to_f9 = base_change_map(F3, F9)
+    cases = [("GF(2) grid", g, list(projective_points(F2, 3)))
+             for g in enumerate_algebras(F2, 3)]
+    cases += [("GF(3) sample", g, list(projective_points(F3, 3)))
+              for g in _grid_sample(F3, 3, 40, rng)]
+    over_f9 = [_witt(3), resolve("torus@3^2"),
+               resolve("product(alpha@3,alpha@3)")]
+    over_f9 = ([g.base_change(to_f9) for g in over_f9]
+               + _non_abelian_grid(F9, 4, rng))
+    cases += [("GF(9)", g, list(projective_points(F9, g.dim)))
+              for g in over_f9]
+    over_t = [paper_g(p)[0] for p in (2, 3, 5)]
+    over_t.append(direct_sum(paper_g(2)[0], paper_g(2)[0]))
+    for g in over_t:
+        K = g.field
+        basis = [g.basis_vector(i) for i in range(g.dim)]
+        vecs = basis + [tuple(K.add(a, b) for a, b in zip(u, v))
+                        for u, v in itertools.combinations(basis, 2)]
+        vecs += [_random_vec(g, rng) for _ in range(4)]
+        cases.append(("GF(p)(t)", g, vecs))
+    return cases
+
+
+def test_spin_p_ideal_matches_fixed_point():
+    spins = 0
+    for name, g, vecs in _spin_cases():
+        for v in vecs:
+            S = g.subspace([v])
+            assert g.spin_p_ideal(S) == _spin_p_ideal_fixed_point(g, S), name
+            spins += 1
+    assert spins > 6000
+
+
+def test_spin_subalgebra_matches_fixed_point():
+    cases = [case for k, case in enumerate(_spin_cases())
+             if case[0] != "GF(2) grid" or k % 3 == 0]
+    for name, g, vecs in cases:
+        for u, v in itertools.combinations(vecs[:8], 2):
+            for S in (g.subspace([u]), g.subspace([u, v])):
+                assert (g.spin_subalgebra(S)
+                        == _spin_subalgebra_fixed_point(g, S)), name

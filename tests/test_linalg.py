@@ -116,3 +116,31 @@ def test_stable_rank_on_nilpotent_and_invertible():
     ident = ((F.one, F.zero), (F.zero, F.one))
     assert SemilinearMap(F, ident).stable_rank() == 2
     assert SemilinearMap(F, ident).rational_unipotent_part().dim == 0
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_closure_is_the_smallest_invariant_subspace(seed, n):
+    """Under two linear maps A and B the closure of v is the span of all
+    words in A and B of length < n applied to v."""
+    F = PrimeField(3)
+    rng = random.Random(seed)
+    A, B = (_random_matrix(F, rng, n, n) for _ in range(2))
+    v = tuple(F.random_element(rng) for _ in range(n))
+
+    def apply(M, x):
+        return tuple(row[0] for row in mat_mul(F, M, tuple((c,) for c in x)))
+
+    words, level = [v], [v]
+    for _ in range(n - 1):
+        level = [apply(M, x) for x in level for M in (A, B)]
+        words.extend(level)
+    expected = Subspace.from_vectors(F, n, words)
+
+    def images(x, span):
+        return [apply(A, x), apply(B, x)]
+
+    assert Subspace.zero(F, n).closure([v], images) == expected
+    # a closed start is kept and not re-imaged
+    assert expected.closure([], images) == expected
+    assert expected.closure([v], images) == expected

@@ -336,3 +336,30 @@ def test_ladder_certificates_are_pinned(K2t, K3t):
         digest.update(repr((cert.radical.basis, cert.strategy, cert.verdict,
                             cert.trace)).encode())
     assert digest.hexdigest() == LADDER_DIGEST
+
+
+def test_rad_p_quotients_validate_from_their_tables(monkeypatch):
+    """`quotient` records g/I as valid without checking it; every quotient
+    that rad_p takes over the GF(2) dim-3 grid and the gallery targets
+    passes the full check when rebuilt from its own tables."""
+    taken = []
+    quotient = RLieAlgebra.quotient
+
+    def recording(self, I):
+        out = quotient(self, I)
+        taken.append(out[0])
+        return out
+
+    monkeypatch.setattr(RLieAlgebra, "quotient", recording)
+    algebras = list(enumerate_algebras(PrimeField(2), 3))
+    algebras += [resolve(name) for name in GALLERY_P_REDUCTIVE]
+    for g in algebras:
+        rad_p(g)
+    assert len(taken) > 200
+    # the grid's quotients are all abelian (s2 divides by the derived
+    # p-closure); the gallery's s3 descents are not
+    assert any(not q.is_abelian() for q in taken)
+    for q in taken:
+        assert q.validate()
+        rebuilt = RLieAlgebra(q.field, q.dim, q.brackets, q.ppowers, q.labels)
+        assert rebuilt.validate()
