@@ -78,25 +78,26 @@ def _build_parser():
 
 
 def _load_target(name, hopf_cap):
-    """Returns (object, input text for the digest, rep or None)."""
+    """Returns (object, input text for the digest)."""
     if name.startswith("gallery:"):
         name = name[len("gallery:"):]
     if os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
         if name.endswith(".hopf"):
-            return parse_hopf(text), text, None
-        g, rep = parse_algebra(text)
-        return g, text, rep
-    if name.startswith("paper-G@") and name in gallery.FIXTURE_TABLES:
-        p = int(name.split("=")[-1])
-        g, rep = gallery.paper_g(p)
-        return g, name, rep
+            return parse_hopf(text), text
+        return parse_algebra(text)[0], text
     try:
-        return gallery.resolve(name, hopf_cap=hopf_cap), name, None
+        return gallery.resolve(name, hopf_cap=hopf_cap), name
     except gallery.UnknownGalleryName:
         raise CliError("target %r is neither a readable file nor a gallery "
                        "name" % name)
+
+
+def _elements(F, labels, spec):
+    """The elements of a comma-separated list such as 'X, Y + Z'."""
+    return [parse_element(F, labels, piece.strip())
+            for piece in spec.split(",") if piece.strip()]
 
 
 def _need(obj, cls, command):
@@ -123,7 +124,7 @@ def _run_command(args):
         return _cmd_gallery(args)
     if cmd == "oracle-compare":
         return _cmd_oracle_compare(args)
-    obj, input_data, rep = _load_target(args.target, args.hopf_cap)
+    obj, input_data = _load_target(args.target, args.hopf_cap)
     if cmd == "validate":
         if isinstance(obj, HopfAlgebra):
             report = obj.validate_hopf()
@@ -179,9 +180,7 @@ def _run_command(args):
         labels = safe_labels(g.labels)
         chain = [g.zero_subspace()]
         for part in args.chain.split("|"):
-            vecs = [parse_element(g.field, labels, piece.strip())
-                    for piece in part.split(",") if piece.strip()]
-            chain.append(g.subspace(vecs))
+            chain.append(g.subspace(_elements(g.field, labels, part)))
         chain.append(g.full_subspace())
         steps = g.verify_subnormal_series(chain)
         kinds = [step["kind"] for step in steps]
@@ -196,11 +195,9 @@ def _run_command(args):
     if cmd == "hopf-union":
         H = _need(obj, HopfAlgebra, cmd)
         labels = safe_labels(H.labels)
-        ideals = []
-        for spec in args.ideal:
-            vecs = [parse_element(H.field, labels, piece.strip())
-                    for piece in spec.split(",") if piece.strip()]
-            ideals.append(Subspace.from_vectors(H.field, H.dim, vecs))
+        ideals = [Subspace.from_vectors(H.field, H.dim,
+                                        _elements(H.field, labels, spec))
+                  for spec in args.ideal]
         union, ok, witness = schematic_union(
             H, ideals, force=args.force_nondirected)
         payload = {

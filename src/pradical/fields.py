@@ -13,14 +13,7 @@ import itertools
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -31,6 +24,18 @@ def smallest_prime_factor(n: int) -> int:
             return d
         d += 1
     return n
+
+
+def prime_power(n: int):
+    """(p, m) with n = p^m and m >= 1, or None when n is not a prime power."""
+    if n < 2:
+        return None
+    p = smallest_prime_factor(n)
+    m = 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    return (p, m) if n == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +628,6 @@ class FieldHom:
 
     def __repr__(self):
         return "FieldHom(%s)" % self.description
-
-    def compose(self, other):
-        """self after other (other first)."""
-        if other.target != self.source:
-            raise ValueError("homomorphisms do not compose")
-        return FieldHom(other.source, self.target,
-                        lambda x: self(other(x)),
-                        "%s ; %s" % (other.description, self.description))
 
 
 def base_change_map(source, target, m=0):

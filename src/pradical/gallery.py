@@ -16,7 +16,7 @@ Gallery names (CLI-addressable):
 from __future__ import annotations
 
 from .fields import (PrimeField, RationalFunctionField, is_prime,
-                     smallest_prime_factor)
+                     prime_power)
 from .hopf import HopfAlgebra, tensor_product_hopf
 from .lie import RLieAlgebra, direct_sum
 from .linalg import mat_identity, mat_mul, mat_pow, mat_sub, mat_rank
@@ -261,10 +261,12 @@ def resolve(name, hopf_cap=128):
         if head == "mu":
             return mu_lie(_prime(tail))
         if head == "torus":
-            if "^" in tail:
-                ptxt, _, ntxt = tail.partition("^")
-                return torus_lie(_prime(ptxt), int(ntxt))
-            return torus_lie(_prime(tail), 1)
+            ptxt, caret, ntxt = tail.partition("^")
+            p = _prime(ptxt)
+            rank = int(ntxt) if caret else 1
+            if rank < 1:
+                raise UnknownGalleryName("torus rank %d is below 1" % rank)
+            return torus_lie(p, rank)
         raise UnknownGalleryName(name)
     for prefix, builder in (("alpha", _resolve_alpha_hopf), ("mu", _resolve_mu_hopf)):
         if name.startswith(prefix) and name[len(prefix):].isdigit():
@@ -273,19 +275,14 @@ def resolve(name, hopf_cap=128):
 
 
 def _resolve_alpha_hopf(order):
-    p = smallest_prime_factor(order)
-    r = 0
-    n = order
-    while n % p == 0:
-        n //= p
-        r += 1
-    if n != 1:
+    split = prime_power(order)
+    if split is None:
         raise UnknownGalleryName("alpha order %d is not a prime power" % order)
-    return alpha_hopf(p, r)
+    return alpha_hopf(*split)
 
 
 def _resolve_mu_hopf(order):
-    if smallest_prime_factor(order) != order:
+    if prime_power(order) != (order, 1):
         raise UnknownGalleryName("mu order %d is not prime" % order)
     return mu_hopf(order)
 

@@ -52,11 +52,6 @@ def mat_identity(F, n):
                  for i in range(n))
 
 
-def mat_vec(F, M, v):
-    return tuple(F.sum(F.mul(M[i][j], v[j]) for j in range(len(v)))
-                 for i in range(len(M)))
-
-
 def mat_mul(F, A, B):
     n, m, k = len(A), len(B[0]) if B else 0, len(B)
     return tuple(tuple(F.sum(F.mul(A[i][l], B[l][j]) for l in range(k))
@@ -317,14 +312,6 @@ class SemilinearMap:
 
     def __repr__(self):
         return "SemilinearMap(n=%d over %r)" % (self.n, self.field)
-
-    def apply(self, v):
-        F = self.field
-        vp = tuple(F.pow_int(x, F.p) for x in v)
-        return mat_vec(F, self.matrix, vp)
-
-    def kernel(self):
-        return semilinear_kernel(self.field, self.matrix)
 
     def rational_unipotent_part(self):
         """Ascending union of ker(phi^i), i = 1..n; a genuine subspace."""

@@ -1,6 +1,12 @@
 """Line-oriented text formats for algebras (.alg) and coordinate rings
 (.hopf), with canonical printing that round-trips byte-identically.
 
+Both formats share one grammar: a header of FIELD and BASIS lines (plus UNIT
+for .hopf), then sections of `lhs = expr` lines, where expr is a sum of
+terms built from integers, the field generator, basis labels, `*`, `/`,
+`^` and parentheses around scalars.  Every malformed document raises
+ParseError, with the line (and, inside an expression, the column) at fault.
+
 .alg sections:  FIELD, BASIS, BRACKETS ([A,B] = expr), PPOWERS (A^[p] = expr),
 optional REP (A = [[...],[...]]).  Unspecified brackets and p-powers are 0.
 
@@ -11,7 +17,7 @@ optional REP (A = [[...],[...]]).  Unspecified brackets and p-powers are 0.
 from __future__ import annotations
 
 from .fields import (ExtensionField, PrimeField, RationalFunctionField,
-                     is_prime, smallest_prime_factor)
+                     is_prime, prime_power)
 from .hopf import HopfAlgebra
 from .lie import RLieAlgebra
 
@@ -44,25 +50,17 @@ def parse_field(text, line=None):
     if not (text.startswith("GF(") and text.endswith(")")):
         raise ParseError("unrecognized field literal %r" % text, line)
     body = text[3:-1]
-    if "^" in body:
-        ptxt, _, mtxt = body.partition("^")
-        try:
-            p, m = int(ptxt), int(mtxt)
-        except ValueError:
-            raise ParseError("bad field order %r" % body, line)
-    else:
-        try:
-            n = int(body)
-        except ValueError:
-            raise ParseError("bad field order %r" % body, line)
-        p = smallest_prime_factor(n)
-        m = 0
-        while n > 1 and n % p == 0:
-            n //= p
-            m += 1
-        if n != 1:
+    ptxt, caret, mtxt = body.partition("^")
+    try:
+        p, m = int(ptxt), (int(mtxt) if caret else 1)
+    except ValueError:
+        raise ParseError("bad field order %r" % body, line)
+    if not caret:
+        split = prime_power(p)
+        if split is None:
             raise ParseError("field order is not a prime power", line)
-    if not is_prime(p):
+        p, m = split
+    elif not is_prime(p):
         raise ParseError("characteristic %d is not prime" % p, line)
     if rational:
         if m != 1:
@@ -71,11 +69,9 @@ def parse_field(text, line=None):
         return RationalFunctionField(p, var)
     if m == 1:
         return PrimeField(p)
+    if m < 1:
+        raise ParseError("field order is not a prime power", line)
     return ExtensionField(p, m)
-
-
-def field_literal(F):
-    return repr(F)
 
 
 # -- expression parsing --------------------------------------------------------
@@ -141,27 +137,22 @@ class _ExprParser:
         tok = self.tokens[self.pos]
         raise ParseError(msg, self.line, tok[2] + 1)
 
-    def parse_sum(self):
-        """Returns (scalar, coeff-vector, tensor-terms)."""
+    def parse_sum(self, close="end"):
+        """Returns (scalar, coeff-vector, tensor-terms) of a sum that runs to
+        `close`: the end of the text, or ")" for a parenthesized scalar,
+        whose terms may not carry labels."""
         F = self.F
         scalar = F.zero
         vec = [F.zero] * self.n
         tens = []
-        sign = F.one
-        first = True
         while True:
-            kind = self.peek()
-            if kind == "+":
-                self.next()
-            elif kind == "-":
-                self.next()
-                sign = F.mul(sign, F.from_int(-1))
-            elif not first:
-                break
-            first = False
-            c, idx, pair = self.parse_term()
-            c = self.F.mul(sign, c)
             sign = F.one
+            if self.peek() in ("+", "-") and self.next()[0] == "-":
+                sign = F.mul(sign, F.from_int(-1))
+            c, idx, pair = self.parse_term()
+            if close == ")" and (idx is not None or pair is not None):
+                self.fail("parenthesized labels are not supported")
+            c = F.mul(sign, c)
             if pair is not None:
                 tens.append((c,) + pair)
             elif idx is None:
@@ -170,8 +161,9 @@ class _ExprParser:
                 vec[idx] = F.add(vec[idx], c)
             if self.peek() not in ("+", "-"):
                 break
-        if self.peek() != "end":
-            self.fail("trailing input")
+        if self.peek() != close:
+            self.fail("trailing input" if close == "end" else "expected ')'")
+        self.next()
         return scalar, tuple(vec), tens
 
     def parse_term(self):
@@ -228,11 +220,7 @@ class _ExprParser:
             else:
                 out, idx = self._named_scalar(value, col), None
         elif kind == "(":
-            sc, vec, tens = self._sub_sum()
-            if tens or any(not F.is_zero(c) for c in vec):
-                raise ParseError("parenthesized labels are not supported",
-                                 self.line, col + 1)
-            out, idx = sc, None
+            out, idx = self.parse_sum(")")[0], None
         else:
             raise ParseError("unexpected token %r" % (value,),
                              self.line, col + 1)
@@ -249,34 +237,6 @@ class _ExprParser:
         if neg:
             out = F.mul(F.from_int(-1), out)
         return out, idx
-
-    def _sub_sum(self):
-        """Parse a parenthesized scalar subexpression."""
-        F = self.F
-        scalar = F.zero
-        sign = F.one
-        first = True
-        while True:
-            kind = self.peek()
-            if kind == "+":
-                self.next()
-            elif kind == "-":
-                self.next()
-                sign = F.mul(sign, F.from_int(-1))
-            elif not first:
-                break
-            first = False
-            c, i, pair = self.parse_term()
-            if i is not None or pair is not None:
-                self.fail("parenthesized labels are not supported")
-            scalar = F.add(scalar, F.mul(sign, c))
-            sign = F.one
-            if self.peek() not in ("+", "-"):
-                break
-        kind, value, col = self.next()
-        if kind != ")":
-            raise ParseError("expected ')'", self.line, col + 1)
-        return scalar, (), []
 
     def _named_scalar(self, name, col):
         F = self.F
@@ -320,35 +280,26 @@ def parse_tensor(F, labels, text, line=None):
 # -- element printing ----------------------------------------------------------
 
 
+def _coeff_term(F, c, label):
+    """c*label, with c parenthesized when it is a compound expression."""
+    if F.eq(c, F.one):
+        return label
+    cs = F.to_str(c)
+    if "+" in cs or "/" in cs or "*" in cs:
+        cs = "(%s)" % cs
+    return "%s*%s" % (cs, label)
+
+
 def element_str(F, labels, vec):
-    parts = []
-    for i, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        if F.eq(c, F.one):
-            parts.append(labels[i])
-        else:
-            cs = F.to_str(c)
-            if "+" in cs or "/" in cs or "*" in cs:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, labels[i]))
+    parts = [_coeff_term(F, c, labels[i])
+             for i, c in enumerate(vec) if not F.is_zero(c)]
     return " + ".join(parts) if parts else "0"
 
 
 def tensor_str(F, labels, vec):
     d = len(labels)
-    parts = []
-    for idx, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        a, b = divmod(idx, d)
-        term = "%s # %s" % (labels[a], labels[b])
-        if not F.eq(c, F.one):
-            cs = F.to_str(c)
-            if "+" in cs or "/" in cs or "*" in cs:
-                cs = "(%s)" % cs
-            term = "%s*%s" % (cs, term)
-        parts.append(term)
+    parts = [_coeff_term(F, c, "%s # %s" % (labels[k // d], labels[k % d]))
+             for k, c in enumerate(vec) if not F.is_zero(c)]
     return " + ".join(parts) if parts else "0"
 
 
@@ -371,7 +322,7 @@ def safe_labels(labels):
     return tuple(out)
 
 
-# -- .alg documents -------------------------------------------------------------
+# -- document structure --------------------------------------------------------
 
 
 _ALG_SECTIONS = ("BRACKETS", "PPOWERS", "REP")
@@ -398,25 +349,63 @@ def _split_sections(text, section_names):
     return header, sections
 
 
-def parse_algebra(text):
-    """Parse an .alg document; returns (RLieAlgebra, rep matrices or None)."""
-    header, sections = _split_sections(text, _ALG_SECTIONS)
-    F = None
-    labels = None
+def _read_header(header, unit=False):
+    """Reads the FIELD and BASIS lines, and with unit=True the UNIT line.
+
+    Returns (field, labels, unit vector or None).  A repeated line
+    overrides the earlier one; duplicate labels fail at the BASIS line.
+    """
+    F = labels = vec = None
     for lineno, line in header:
         key, _, rest = line.partition(" ")
         if key == "FIELD":
             F = parse_field(rest, lineno)
         elif key == "BASIS":
-            labels = tuple(rest.split())
+            labels, basis_line = tuple(rest.split()), lineno
+        elif key == "UNIT" and unit:
+            if F is None or labels is None:
+                raise ParseError("UNIT must follow FIELD and BASIS", lineno)
+            vec = parse_element(F, labels, rest, lineno)
         else:
             raise ParseError("unexpected header line %r" % line, lineno)
+    if unit and (F is None or not labels or vec is None):
+        raise ParseError("need FIELD, BASIS and UNIT lines")
     if F is None:
         raise ParseError("missing FIELD line")
     if not labels:
         raise ParseError("missing BASIS line")
     if len(set(labels)) != len(labels):
-        raise ParseError("duplicate basis labels")
+        raise ParseError("duplicate basis labels", basis_line)
+    return F, labels, vec
+
+
+def _label_lines(sections, section, index, head="", tail=""):
+    """Yields (lineno, label index, right-hand side) for each line
+    `head A tail = ...` of a section: `A^[p]`, `A` (REP) or `fn(a)`.
+
+    A line that starts with its label fails on a missing '=' first.
+    """
+    shape = "expected '%s%s%s = ...'" % (head, "a" if head else "A", tail)
+    for lineno, line in sections.get(section, ()):
+        lhs, eq, rhs = line.partition("=")
+        lhs = lhs.strip()
+        if not eq and not head:
+            raise ParseError("expected '='", lineno)
+        if not eq or not (lhs.startswith(head) and lhs.endswith(tail)):
+            raise ParseError(shape, lineno)
+        name = lhs[len(head):len(lhs) - len(tail)].strip()
+        if name not in index:
+            raise ParseError("unknown basis label %r" % name, lineno)
+        yield lineno, index[name], rhs.strip()
+
+
+# -- .alg documents -------------------------------------------------------------
+
+
+def parse_algebra(text):
+    """Parse an .alg document; returns (RLieAlgebra, rep matrices or None)."""
+    header, sections = _split_sections(text, _ALG_SECTIONS)
+    F, labels, _ = _read_header(header)
     n = len(labels)
     index = {lb: i for i, lb in enumerate(labels)}
     upper = {}
@@ -445,31 +434,15 @@ def parse_algebra(text):
             raise ParseError("duplicate bracket [%s,%s]" % (a, b), lineno)
         upper[(i, j)] = vec
     ppowers = [(F.zero,) * n] * n
-    ppowers = list(ppowers)
-    for lineno, line in sections.get("PPOWERS", []):
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise ParseError("expected '='", lineno)
-        lhs = lhs.strip()
-        if not lhs.endswith("^[p]"):
-            raise ParseError("expected 'A^[p] = ...'", lineno)
-        name = lhs[:-4].strip()
-        if name not in index:
-            raise ParseError("unknown basis label %r" % name, lineno)
-        ppowers[index[name]] = parse_element(F, labels, rhs.strip(), lineno)
+    for lineno, i, rhs in _label_lines(sections, "PPOWERS", index,
+                                       tail="^[p]"):
+        ppowers[i] = parse_element(F, labels, rhs, lineno)
     g = RLieAlgebra.from_upper(F, n, upper, ppowers, labels=labels)
     rep = None
-    rep_lines = sections.get("REP")
-    if rep_lines:
+    if sections.get("REP"):
         rep_map = {}
-        for lineno, line in rep_lines:
-            lhs, eq, rhs = line.partition("=")
-            if not eq:
-                raise ParseError("expected '='", lineno)
-            name = lhs.strip()
-            if name not in index:
-                raise ParseError("unknown basis label %r" % name, lineno)
-            rep_map[index[name]] = _parse_matrix(F, rhs.strip(), lineno)
+        for lineno, i, rhs in _label_lines(sections, "REP", index):
+            rep_map[i] = _parse_matrix(F, rhs, lineno)
         if sorted(rep_map) != list(range(n)):
             raise ParseError("REP must assign a matrix to every basis label")
         sizes = {len(M) for M in rep_map.values()}
@@ -495,16 +468,13 @@ def _parse_matrix(F, text, lineno):
 def print_algebra(g, rep=None):
     F = g.field
     labels = safe_labels(g.labels)
-    out = ["FIELD %s" % field_literal(F), "BASIS %s" % " ".join(labels)]
-    bracket_lines = []
+    out = ["FIELD %r" % F, "BASIS %s" % " ".join(labels), "BRACKETS"]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             vec = g.brackets[i][j]
             if any(not F.is_zero(c) for c in vec):
-                bracket_lines.append("[%s,%s] = %s" % (
-                    labels[i], labels[j], element_str(F, labels, vec)))
-    out.append("BRACKETS")
-    out.extend(bracket_lines)
+                out.append("[%s,%s] = %s" % (labels[i], labels[j],
+                                             element_str(F, labels, vec)))
     out.append("PPOWERS")
     for i in range(g.dim):
         vec = g.ppowers[i]
@@ -525,23 +495,7 @@ def print_algebra(g, rep=None):
 
 def parse_hopf(text):
     header, sections = _split_sections(text, _HOPF_SECTIONS)
-    F = None
-    labels = None
-    unit = None
-    for lineno, line in header:
-        key, _, rest = line.partition(" ")
-        if key == "FIELD":
-            F = parse_field(rest, lineno)
-        elif key == "BASIS":
-            labels = tuple(rest.split())
-        elif key == "UNIT":
-            if F is None or labels is None:
-                raise ParseError("UNIT must follow FIELD and BASIS", lineno)
-            unit = parse_element(F, labels, rest, lineno)
-        else:
-            raise ParseError("unexpected header line %r" % line, lineno)
-    if F is None or not labels or unit is None:
-        raise ParseError("need FIELD, BASIS and UNIT lines")
+    F, labels, unit = _read_header(header, unit=True)
     d = len(labels)
     index = {lb: i for i, lb in enumerate(labels)}
     zero = (F.zero,) * d
@@ -557,37 +511,22 @@ def parse_hopf(text):
         mult[index[a]][index[b]] = parse_element(F, labels, rhs.strip(),
                                                  lineno)
     comult = [(F.zero,) * (d * d)] * d
-    comult = list(comult)
     counit = [F.zero] * d
     antipode = [zero] * d
-    for lineno, line in sections.get("COMULT", []):
-        name, rhs = _unary_line(line, "delta", index, lineno)
-        comult[name] = parse_tensor(F, labels, rhs, lineno)
-    for lineno, line in sections.get("COUNIT", []):
-        name, rhs = _unary_line(line, "eps", index, lineno)
-        counit[name] = parse_scalar(F, rhs, lineno)
-    for lineno, line in sections.get("ANTIPODE", []):
-        name, rhs = _unary_line(line, "S", index, lineno)
-        antipode[name] = parse_element(F, labels, rhs, lineno)
+    for lineno, i, rhs in _label_lines(sections, "COMULT", index,
+                                       "delta(", ")"):
+        comult[i] = parse_tensor(F, labels, rhs, lineno)
+    for lineno, i, rhs in _label_lines(sections, "COUNIT", index, "eps(", ")"):
+        counit[i] = parse_scalar(F, rhs, lineno)
+    for lineno, i, rhs in _label_lines(sections, "ANTIPODE", index, "S(", ")"):
+        antipode[i] = parse_element(F, labels, rhs, lineno)
     return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
-
-
-def _unary_line(line, fn, index, lineno):
-    lhs, eq, rhs = line.partition("=")
-    lhs = lhs.strip()
-    prefix = fn + "("
-    if not eq or not (lhs.startswith(prefix) and lhs.endswith(")")):
-        raise ParseError("expected '%s(a) = ...'" % fn, lineno)
-    name = lhs[len(prefix):-1].strip()
-    if name not in index:
-        raise ParseError("unknown basis label %r" % name, lineno)
-    return index[name], rhs.strip()
 
 
 def print_hopf(H):
     F = H.field
     labels = safe_labels(H.labels)
-    out = ["FIELD %s" % field_literal(F),
+    out = ["FIELD %r" % F,
            "BASIS %s" % " ".join(labels),
            "UNIT %s" % element_str(F, labels, H.unit),
            "MULT"]

@@ -53,6 +53,13 @@ def test_operational_failures_exit_nonzero(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("name", ["alpha0", "alpha1", "torus@2^0"])
+def test_bad_gallery_orders_are_operational_failures(capsys, name):
+    code, out, err = run(["validate", name], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_certificates_are_deterministic(capsys, tmp_path):
     certs = []
     for name in ("a.json", "b.json"):

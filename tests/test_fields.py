@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pradical.fields import (ExtensionField, PolynomialRing, PrimeField,
                              RationalFunctionField, UnsupportedKindError,
-                             base_change_map, find_irreducible, padd, pmul,
-                             pth_root)
+                             base_change_map, find_irreducible, is_prime,
+                             padd, pmul, prime_power, pth_root)
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
           ExtensionField(3, 2), RationalFunctionField(2),
@@ -154,3 +154,13 @@ def test_base_change_maps_compose(F2, F8, K2t):
     for a in (K2t.one, K2t.add(K2t.t, K2t.one)):
         ap = K2t.mul(a, a)
         assert insep(ap) == insep.target.mul(insep(a), insep(a))
+
+
+def test_prime_power_split():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(1024) == (2, 10)
+    for n in (-4, 0, 1, 6, 12, 100):
+        assert prime_power(n) is None
+    assert [n for n in range(-3, 30) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -67,7 +67,8 @@ def test_resolve_gallery_names():
     assert isinstance(resolve("alpha8"), HopfAlgebra)
     assert isinstance(resolve("env(alpha@2)"), HopfAlgebra)
     assert isinstance(resolve("dual(mu2)"), HopfAlgebra)
-    for bad in ("paper-G@p=4", "alpha6", "mu4", "nonsense"):
+    for bad in ("paper-G@p=4", "alpha6", "mu4", "nonsense", "alpha0",
+                "alpha1", "mu0", "mu1", "torus@2^0", "torus@3^-1"):
         with pytest.raises(UnknownGalleryName):
             resolve(bad)
 

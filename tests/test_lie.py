@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -27,6 +28,33 @@ INSTANCES = _instances()
 
 def _random_vec(g, rng):
     return tuple(g.field.random_element(rng) for _ in range(g.dim))
+
+
+# (p, dim) -> (count, sha256 of the (brackets, ppowers) sequence), as
+# enumerated while enumerate_algebras still validated every variant
+ENUMERATED = {
+    (2, 2): (19, "b7bb4af74320694c3cd5205c5466e7a6"
+                 "4bab58d7db3dc25f95a4f970aa4bcde6"),
+    (2, 3): (911, "4f6a35940e4a522ce1bf2eebf6c4d054"
+                  "97ae4de1f188da8dcc149b671cf5dd4b"),
+    (3, 2): (89, "a76252051564cbf3c8b88104dfc6e858"
+                 "ccecd48b32dbad2e749e62db4c9b9164"),
+    (5, 2): (649, "1f249c5be8cfb392726ff093dfdfad47"
+                  "b7218b6785821be837841d23c7a025d1"),
+}
+
+
+@pytest.mark.parametrize("p,dim", sorted(ENUMERATED))
+def test_enumerated_algebras_validate_from_scratch(p, dim):
+    # enumerate_algebras marks its algebras valid without checking them
+    F = PrimeField(p)
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_algebras(F, dim, cap=10 ** 9):
+        assert RLieAlgebra(F, dim, g.brackets, g.ppowers).validate()
+        digest.update(repr((g.brackets, g.ppowers)).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == ENUMERATED[(p, dim)]
 
 
 def test_validate_rejects_jacobi_violation():
