@@ -16,13 +16,15 @@ import time
 
 from . import certificates, gallery
 from .envelope import EnvelopeTooLargeError, dual_hopf
+from .fields import RationalFunctionField
 from .hopf import (HopfAlgebra, NonDirectedFamilyError, frobenius_kernel,
                    is_subgroup_ideal, schematic_union)
 from .lie import RLieAlgebra
 from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
 from .textio import (ParseError, element_str, parse_algebra, parse_element,
-                     parse_hopf, print_algebra, print_hopf, safe_labels)
+                     parse_field, parse_hopf, print_algebra, print_hopf,
+                     safe_labels)
 
 
 class CliError(Exception):
@@ -71,7 +73,9 @@ def _build_parser():
     p = add("gallery", target=False, help="list or run gallery fixtures")
     p.add_argument("target", nargs="?", default=None)
     p = add("oracle-compare", target=False,
-            help="exhaustive radical oracle comparison over GF(2)")
+            help="exhaustive radical oracle comparison over a finite field")
+    p.add_argument("--field", default="GF(2)",
+                   help="field literal, e.g. GF(4) (default GF(2))")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--cap", type=int, default=10000)
     return parser
@@ -262,10 +266,11 @@ def _cmd_gallery(args):
 
 
 def _cmd_oracle_compare(args):
-    from .fields import PrimeField
     from .survey import enumerate_algebras, oracle_compare
 
-    F = PrimeField(2)
+    F = parse_field(args.field)
+    if isinstance(F, RationalFunctionField):
+        raise CliError("oracle-compare needs a finite field, got %r" % F)
     instances = enumerate_algebras(F, args.dim, cap=args.cap)
     total, mismatches = oracle_compare(instances)
     payload = {"dim": args.dim, "instances": total,

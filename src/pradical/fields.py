@@ -139,24 +139,69 @@ def poly_str(a, var):
     return " + ".join(parts)
 
 
+def _digits(k, p, m):
+    """The m base-p digits of k, least significant first."""
+    out = []
+    for _ in range(m):
+        k, c = divmod(k, p)
+        out.append(c)
+    return tuple(out)
+
+
+def prime_factors(n):
+    """The distinct primes dividing n >= 1, in increasing order."""
+    out = []
+    while n > 1:
+        r = smallest_prime_factor(n)
+        out.append(r)
+        while n % r == 0:
+            n //= r
+    return out
+
+
+def pmulmod(a, b, f, p):
+    """a·b mod f."""
+    return pdivmod(pmul(a, b, p), f, p)[1]
+
+
+def ppowmod(a, e, f, p):
+    """a^e mod f by square-and-multiply, e >= 0, f of degree >= 1."""
+    out = (1,)
+    base = pdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = pmulmod(out, base, f, p)
+        e >>= 1
+        if e:
+            base = pmulmod(base, base, f, p)
+    return out
+
+
 def _irreducible(poly, p):
-    """Brute-force irreducibility for small degree (trial division)."""
-    deg = len(poly) - 1
-    if deg < 1:
+    """Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980): a monic f of
+    degree m >= 1 over GF(p) is irreducible iff x^(p^m) = x mod f and
+    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r dividing m."""
+    m = len(poly) - 1
+    if m < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            f = tail + (1,)
-            _, r = pdivmod(poly, f, p)
-            if not r:
-                return False
-    return True
+    x = pdivmod((0, 1), poly, p)[1]
+    h = x
+    powers = {}           # k -> x^(p^k) mod f
+    for k in range(1, m + 1):
+        h = ppowmod(h, p, poly, p)
+        powers[k] = h
+    if powers[m] != x:
+        return False
+    return all(pgcd(psub(powers[m // r], x, p), poly, p) == (1,)
+               for r in prime_factors(m))
 
 
 def find_irreducible(p, m):
-    """Lexicographically-first monic irreducible of degree m over GF(p)."""
-    for tail in itertools.product(range(p), repeat=m):
-        f = tail + (1,)
+    """Lexicographically-first monic irreducible of degree m over GF(p),
+    ordered by its coefficient tuple, constant term first.  For m >= 2 a
+    zero constant term means x divides f, so those tails are skipped."""
+    for code in range(p ** (m - 1) if m >= 2 else 0, p ** m):
+        f = _digits(code, p, m)[::-1] + (1,)
         if _irreducible(f, p):
             return f
     raise ValueError("no irreducible found (degree %d over GF(%d))" % (m, p))
@@ -399,8 +444,73 @@ def _ppow(a, e, p):
     return out
 
 
+# GF(q) with q at most this reads log/antilog and Zech tables; above it the
+# polynomial product mod the modulus is the only path.
+TABLE_MAX_ORDER = 1 << 14
+
+_EXTENSION_DATA = {}
+
+
+def _extension_data(p, m):
+    """(modulus, tables) of GF(p^m), built once per (p, m) and shared by
+    its descriptors (they are a function of (p, m) alone, and a document's
+    FIELD line builds a new descriptor); tables is None above
+    TABLE_MAX_ORDER."""
+    key = (p, m)
+    if key not in _EXTENSION_DATA:
+        modulus = find_irreducible(p, m)
+        tables = (_log_tables(p, m, modulus) if p ** m <= TABLE_MAX_ORDER
+                  else None)
+        _EXTENSION_DATA[key] = modulus, tables
+    return _EXTENSION_DATA[key]
+
+
+def _primitive_element(p, m, modulus):
+    """The first g, as a coefficient tuple in base-p order, of
+    multiplicative order q - 1: g^((q-1)/r) != 1 for each prime r | q-1.
+    For m >= 2 a constant has order dividing p - 1 and is skipped."""
+    n = p ** m - 1
+    exponents = [n // r for r in prime_factors(n)]
+    for k in range(p if m > 1 else 1, n + 1):
+        g = ptrim(_digits(k, p, m))
+        if all(ppowmod(g, e, modulus, p) != (1,) for e in exponents):
+            return g
+    raise ValueError("no primitive element of GF(%d^%d)" % (p, m))
+
+
+def _log_tables(p, m, modulus):
+    """Log/antilog and Zech-logarithm tables of GF(p)[u]/(modulus) over a
+    primitive element g (K. Huber, IEEE Trans. IT 36, 1990), from one pass
+    of q - 1 polynomial products.  With n = q - 1:
+
+    * log maps each element tuple to its exponent in [0, n), and 0 to 2n;
+    * exp[i] = g^i for 0 <= i < 2n and 0 for 2n <= i <= 4n, so a sum of
+      two logs indexes the product, 0 included;
+    * zech[d] = log(1 + g^d) for 0 <= d < n, which is 2n where 1 + g^d = 0.
+    """
+    n = p ** m - 1
+    zero = (0,) * m
+    g = _primitive_element(p, m, modulus)
+    powers = []
+    power = (1,)
+    for _ in range(n):
+        powers.append(power + (0,) * (m - len(power)))
+        power = pmulmod(power, g, modulus, p)
+    log = {x: i for i, x in enumerate(powers)}
+    log[zero] = 2 * n
+    zech = [log[((power[0] + 1) % p,) + power[1:]] for power in powers]
+    return log, powers + powers + [zero] * (2 * n + 1), zech
+
+
 class ExtensionField(Ring):
-    """GF(p^m) = GF(p)[u]/(f); elements are length-m coefficient tuples."""
+    """GF(p^m) = GF(p)[u]/(f); elements are length-m coefficient tuples.
+
+    Up to TABLE_MAX_ORDER every operation is a lookup in the log/antilog and
+    Zech tables of `_log_tables`, shared by all descriptors of one (p, m):
+    mul, div, inv and neg add logs, add and sub add a Zech logarithm, and
+    pow_int, frobenius and pth_root multiply a log mod q - 1.  Above it,
+    mul is the polynomial product mod f and inv the extended Euclid.
+    """
 
     kind = "extension"
     is_field = True
@@ -413,7 +523,11 @@ class ExtensionField(Ring):
         self.p = p
         self.m = m
         self.var = var
-        self.modulus = find_irreducible(p, m) if m > 1 else (0, 1)
+        self.modulus, tables = _extension_data(p, m)
+        self._log, self._exp, self._zech = tables or (None, None, None)
+        self._n = p ** m - 1
+        self._zero_log = 2 * self._n
+        self._neg_log = 0 if p == 2 else self._n // 2      # log(-1)
         self.zero = (0,) * m
         self.one = tuple([1 % p] + [0] * (m - 1))
 
@@ -431,20 +545,10 @@ class ExtensionField(Ring):
         c = list(ptrim(c))
         return tuple(c + [0] * (self.m - len(c)))
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def _poly_mul(self, a, b):
+        return self._pad(pmulmod(ptrim(a), ptrim(b), self.modulus, self.p))
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        prod = pmul(ptrim(a), ptrim(b), self.p)
-        _, r = pdivmod(prod, self.modulus, self.p)
-        return self._pad(r)
-
-    def inv(self, a):
-        if not ptrim(a):
-            raise ZeroDivisionError("inverse of 0 in %r" % self)
+    def _poly_inv(self, a):
         # extended Euclid on (a, modulus)
         p = self.p
         r0, r1 = ptrim(a), self.modulus
@@ -458,8 +562,64 @@ class ExtensionField(Ring):
         _, s0 = pdivmod(s0, self.modulus, p)
         return self._pad(s0)
 
+    def add(self, a, b):
+        log = self._log
+        if log is None:
+            return tuple((x + y) % self.p for x, y in zip(a, b))
+        la = log[a]
+        if la == self._zero_log:
+            return b
+        lb = log[b]
+        if lb == self._zero_log:
+            return a
+        # a + b = g^la (1 + g^(lb-la)); a negative index wraps mod q - 1
+        return self._exp[la + self._zech[lb - la]]
+
+    def sub(self, a, b):
+        log = self._log
+        if log is None:
+            return tuple((x - y) % self.p for x, y in zip(a, b))
+        lb = log[b]
+        if lb == self._zero_log:
+            return a
+        lb = (lb + self._neg_log) % self._n            # log(-b)
+        la = log[a]
+        if la == self._zero_log:
+            return self._exp[lb]
+        return self._exp[la + self._zech[lb - la]]
+
+    def neg(self, a):
+        log = self._log
+        if log is None:
+            return tuple((-x) % self.p for x in a)
+        return self._exp[log[a] + self._neg_log]
+
+    def mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._poly_mul(a, b)
+        return self._exp[log[a] + log[b]]
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of 0 in %r" % self)
+        if self._log is None:
+            return self._poly_inv(a)
+        return self._exp[self._n - self._log[a]]
+
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        if self._log is None or b == self.zero:
+            return self.mul(a, self.inv(b))
+        return self._exp[self._log[a] + self._n - self._log[b]]
+
+    def pow_int(self, a, e):
+        log = self._log
+        if log is None or e < 0:
+            return super().pow_int(a, e)
+        la = log[a]
+        if la == self._zero_log:
+            return self.one if e == 0 else self.zero
+        return self._exp[la * e % self._n]
 
     def from_int(self, n):
         return self._pad(((n % self.p),))
@@ -468,10 +628,7 @@ class ExtensionField(Ring):
         return self.pow_int(a, self.p)
 
     def pth_root(self, a):
-        out = a
-        for _ in range(self.m - 1):
-            out = self.frobenius(out)
-        return out
+        return self.pow_int(a, self.p ** (self.m - 1))
 
     def pth_components(self, a):
         return [self.pth_root(a)]

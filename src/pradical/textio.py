@@ -77,6 +77,9 @@ def parse_field(text, line=None):
 # -- expression parsing --------------------------------------------------------
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text, line):
     tokens = []
     i = 0
@@ -85,11 +88,16 @@ def _tokenize(text, line):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:      # longer than sys.get_int_max_str_digits()
+                raise ParseError("integer of %d digits is too long" % (j - i),
+                                 line, i + 1)
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -127,3 +127,15 @@ def test_hopf_union_of_non_subgroup_intersection_is_operational(capsys):
 def test_oracle_compare_dim2(capsys):
     code, out, err = run(["oracle-compare", "--dim", "2"], capsys)
     assert code == 0 and "verdict: agree" in out
+
+
+def test_oracle_compare_dim2_over_gf4(capsys, tmp_path):
+    cert = str(tmp_path / "oracle.json")
+    code, out, err = run(["oracle-compare", "--field", "GF(4)", "--dim", "2",
+                          "--json", cert], capsys)
+    assert code == 0 and "271 instances, 0 mismatches" in out
+    assert "verdict: agree" in out
+    with open(cert, encoding="utf-8") as fh:
+        assert json.load(fh)["options"]["field"] == "GF(4)"
+    code, out, err = run(["oracle-compare", "--field", "GF(2)(t)"], capsys)
+    assert code == 1 and "needs a finite field" in err

@@ -1,15 +1,20 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pradical.fields import (ExtensionField, PolynomialRing, PrimeField,
-                             RationalFunctionField, UnsupportedKindError,
-                             base_change_map, find_irreducible, is_prime,
-                             padd, pmul, prime_power, pth_root)
+from pradical import fields
+from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
+                             PrimeField, RationalFunctionField,
+                             UnsupportedKindError, base_change_map,
+                             find_irreducible, is_prime, padd, pdivmod, pmul,
+                             prime_power, pth_root, ptrim)
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
-          ExtensionField(3, 2), RationalFunctionField(2),
+          ExtensionField(3, 2), ExtensionField(2, 3), ExtensionField(2, 8),
+          ExtensionField(257, 2), RationalFunctionField(2),
           RationalFunctionField(3)]
 
 
@@ -82,6 +87,26 @@ def test_pth_root_unsupported_on_polynomial_rings(F2):
         pth_root(R, R.var(0))
 
 
+def _brute_force_irreducible(p, m):
+    """The first monic irreducible of degree m in coefficient-tuple order,
+    constant term first, by trial division by every monic polynomial of
+    degree at most m/2."""
+    for tail in itertools.product(range(p), repeat=m):
+        f = tail + (1,)
+        if all(pdivmod(f, g + (1,), p)[1]
+               for d in range(1, m // 2 + 1)
+               for g in itertools.product(range(p), repeat=d)):
+            return f
+
+
+def test_find_irreducible_matches_trial_division():
+    orders = [(p, m) for p in range(2, 65) if is_prime(p)
+              for m in range(1, 13) if p ** m <= 4096]
+    assert len(orders) == 58
+    for p, m in orders:
+        assert find_irreducible(p, m) == _brute_force_irreducible(p, m), (p, m)
+
+
 def test_find_irreducible_is_deterministic_and_irreducible():
     assert find_irreducible(2, 2) == (1, 1, 1)
     assert find_irreducible(2, 3) == (1, 0, 1, 1)
@@ -90,6 +115,108 @@ def test_find_irreducible_is_deterministic_and_irreducible():
     for a in range(3):
         val = sum(c * a ** i for i, c in enumerate(f)) % 3
         assert val != 0
+
+
+# -- GF(p^m) tables against the polynomial product ----------------------------
+
+def _product(F, a, b):
+    """a·b in GF(p^m) from pmul and pdivmod by the modulus."""
+    r = pdivmod(pmul(ptrim(a), ptrim(b), F.p), F.modulus, F.p)[1]
+    return r + (0,) * (F.m - len(r))
+
+
+def _power(F, a, e):
+    out = F.one
+    while e:
+        if e & 1:
+            out = _product(F, out, a)
+        a = _product(F, a, a)
+        e >>= 1
+    return out
+
+
+def _check_against_the_product(F, elements, pairs):
+    p, q = F.p, F.order()
+    for a, b in pairs:
+        prod = F.mul(a, b)
+        assert prod == _product(F, a, b), (a, b)
+        assert F.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+        assert F.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+        if any(b):
+            # mul is checked, and x -> x·b is injective
+            assert F.mul(F.div(a, b), b) == a
+            assert F.div(prod, b) == a
+    for a in elements:
+        assert F.neg(a) == tuple((-x) % p for x in a)
+        if any(a):
+            assert F.inv(a) == _power(F, a, q - 2)
+        for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 3):
+            assert F.pow_int(a, e) == _power(F, a, e), (a, e)
+        frob = _power(F, a, p)
+        assert F.frobenius(a) == frob
+        root = a
+        for _ in range(F.m - 1):
+            root = _power(F, root, p)
+        assert F.pth_root(a) == root and F.pth_components(a) == [root]
+        assert F.pth_root(frob) == a
+    message = r"^inverse of 0 in GF\(%d\^%d\)$" % (p, F.m)
+    with pytest.raises(ZeroDivisionError, match=message):
+        F.inv(F.zero)
+    with pytest.raises(ZeroDivisionError, match=message):
+        F.div(F.one, F.zero)
+    with pytest.raises(ValueError, match="negative exponent"):
+        F.pow_int(F.one, -1)
+
+
+# every GF(p^m) with p^m <= 256 and m >= 2, and the prime fields p <= 13
+SMALL_EXTENSIONS = [(p, m) for p in range(2, 257) if is_prime(p)
+                    for m in range(1, 9)
+                    if p ** m <= 256 and (m > 1 or p <= 13)]
+
+
+@pytest.mark.parametrize("p, m", SMALL_EXTENSIONS)
+def test_tables_match_the_polynomial_product_on_all_pairs(p, m):
+    F = ExtensionField(p, m)
+    assert F._log is not None
+    elements = list(F.elements())
+    _check_against_the_product(F, elements,
+                               itertools.product(elements, repeat=2))
+
+
+def _largest_tabled_order():
+    """(p, m) of the largest p^m <= TABLE_MAX_ORDER with m >= 2."""
+    for q in range(TABLE_MAX_ORDER, 3, -1):
+        split = prime_power(q)
+        if split and split[1] > 1:
+            return split
+
+
+def test_largest_table_builds_in_under_a_second():
+    p, m = _largest_tabled_order()
+    fields._EXTENSION_DATA.pop((p, m), None)
+    started = time.perf_counter()
+    F = ExtensionField(p, m)
+    assert time.perf_counter() - started < 1.0
+    assert F._log is not None and len(F._log) == p ** m
+
+
+def test_tables_match_the_polynomial_product_at_the_largest_order():
+    p, m = _largest_tabled_order()
+    F = ExtensionField(p, m)
+    rng = random.Random(20261019)
+    elements = [F.random_element(rng) for _ in range(100)] + [F.zero, F.one]
+    pairs = [(rng.choice(elements), rng.choice(elements))
+             for _ in range(2000)]
+    _check_against_the_product(F, elements, pairs)
+
+
+def test_above_the_table_order_the_product_is_the_only_path():
+    F = ExtensionField(257, 2)
+    assert F.order() > TABLE_MAX_ORDER and F._log is None
+    rng = random.Random(7)
+    elements = [F.random_element(rng) for _ in range(40)] + [F.zero, F.one]
+    _check_against_the_product(F, elements,
+                               itertools.product(elements, repeat=2))
 
 
 def test_extension_field_structure(F8):

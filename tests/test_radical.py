@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
 from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
     sl2_kernel_char2, torus_lie
 from pradical.lie import RLieAlgebra, direct_sum
+from pradical.linalg import rref
 from pradical.radical import (_ProbeNeeded, _rad_search, is_mult_type,
                               is_p_reductive, one_dim_p_ideals, rad_p,
                               weight_decomposition)
@@ -336,6 +338,94 @@ def test_ladder_certificates_are_pinned(K2t, K3t):
         digest.update(repr((cert.radical.basis, cert.strategy, cert.verdict,
                             cert.trace)).encode())
     assert digest.hexdigest() == LADDER_DIGEST
+
+
+# GF(2) dim-3 grid positions whose GF(4) and GF(8) base changes the default
+# ladder walks into s3 (the same 112 positions over both fields)
+S3_GRID_OVER_GF4 = (
+    517, 519, 526, 527, 533, 534, 540, 541, 542, 543, 548, 550, 556, 557,
+    565, 566, 571, 575, 579, 581, 586, 587, 590, 591, 594, 595, 602, 606,
+    611, 612, 622, 623, 629, 630, 636, 639, 644, 645, 651, 652, 659, 660,
+    661, 662, 668, 671, 675, 677, 682, 684, 686, 688, 690, 692, 698, 702,
+    708, 710, 716, 720, 724, 727, 732, 736, 740, 745, 748, 752, 758, 759,
+    764, 765, 768, 769, 771, 774, 784, 786, 792, 794, 801, 802, 809, 812,
+    814, 816, 822, 824, 825, 827, 831, 834, 837, 842, 848, 850, 856, 857,
+    865, 868, 873, 875, 882, 884, 888, 891, 896, 897, 903, 906, 908, 909)
+# every second of the GF(3) dim-3 grid positions 0, 97, 194, ... whose GF(9)
+# base change the default ladder walks into s3 or s4
+S3_GRID_OVER_GF9 = (
+    19788, 20079, 20370, 20661, 21049, 21534, 21922, 22407, 23183, 24153,
+    24444, 24929, 25220, 25414, 25899, 26384, 27548, 28033, 28615, 28906,
+    29197)
+
+# sha256 of rad_p (basis, strategy, verdict, trace) and is_p_reductive over
+# the GF(p^m) base changes below
+EXTENSION_DIGEST = (
+    "256da39f7d62a1551e66f9caea8533ed1be9f3ce4d78cfc4724c61392da0bbbc")
+
+
+def _witt(p):
+    """W(1) over GF(p): [e_a, e_b] = (b - a) e_(a+b), e_0^[p] = e_0."""
+    F = PrimeField(p)
+    upper = {}
+    for a in range(p):
+        for b in range(a + 1, p):
+            k = a + b - 1          # position a holds e_(a-1)
+            if k < p and (b - a) % p:
+                upper[(a, b)] = tuple(F.from_int(b - a) if m == k else F.zero
+                                      for m in range(p))
+    ppowers = [(F.zero,) * p] * p
+    ppowers[1] = tuple(F.one if m == 1 else F.zero for m in range(p))
+    return RLieAlgebra.from_upper(F, p, upper, ppowers)
+
+
+def _seeded_basis(g, rng):
+    """g in the basis f_a = sum_k P[a][k] e_k of a seeded invertible P."""
+    F, n = g.field, g.dim
+    elements = list(F.elements())
+    unit = [tuple(F.one if j == i else F.zero for j in range(n))
+            for i in range(n)]
+    while True:
+        P = [tuple(rng.choice(elements) for _ in range(n)) for _ in range(n)]
+        rows, pivots = rref(F, [P[i] + unit[i] for i in range(n)])
+        if pivots == tuple(range(n)):
+            inverse = [row[n:] for row in rows]
+            break
+
+    def coords(v):
+        return tuple(F.sum(F.mul(v[k], inverse[k][a]) for k in range(n))
+                     for a in range(n))
+
+    table = [[coords(g.bracket(P[a], P[b])) for b in range(n)]
+             for a in range(n)]
+    ppowers = [coords(g.p_power(P[a])) for a in range(n)]
+    return RLieAlgebra(F, n, table, ppowers)
+
+
+def test_radicals_over_extension_fields_are_pinned():
+    F2, F3 = PrimeField(2), PrimeField(3)
+    F9 = ExtensionField(3, 2)
+    grid2 = list(enumerate_algebras(F2, 3))
+    grid3 = list(itertools.islice(enumerate_algebras(F3, 3, cap=50000),
+                                  S3_GRID_OVER_GF9[-1] + 1))
+    algebras = []
+    for K, positions in ((ExtensionField(2, 2), S3_GRID_OVER_GF4),
+                         (ExtensionField(2, 3), S3_GRID_OVER_GF4[::4])):
+        hom = base_change_map(F2, K)
+        algebras += [grid2[i].base_change(hom) for i in positions]
+    hom = base_change_map(F3, F9)
+    algebras += [grid3[i].base_change(hom) for i in S3_GRID_OVER_GF9]
+    witt_alpha = direct_sum(_witt(3), alpha_lie(3)).base_change(hom)
+    algebras += [_seeded_basis(witt_alpha, random.Random(seed))
+                 for seed in (1, 2, 3)]
+    digest = hashlib.sha256()
+    for g in algebras:
+        cert = rad_p(g)
+        assert any(step["step"].startswith(("s3", "s4"))
+                   for step in cert.trace)
+        digest.update(repr((cert.radical.basis, cert.strategy, cert.verdict,
+                            cert.trace, is_p_reductive(g))).encode())
+    assert digest.hexdigest() == EXTENSION_DIGEST
 
 
 def test_rad_p_quotients_validate_from_their_tables(monkeypatch):

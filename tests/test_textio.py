@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +48,12 @@ def test_parse_field_literals():
     for bad in ("GF(1)", "GF(0)", "GF(-4)", "GF(2^0)", "GF(2^-1)"):
         with pytest.raises(ParseError, match="not a prime power"):
             parse_field(bad)
+    # the modulus search skips multiples of x and runs Rabin's test
+    for literal, name in (("GF(2^21)", "GF(2^21)"),
+                          ("GF(1000000007^2)", "GF(1000000007^2)")):
+        started = time.perf_counter()
+        assert repr(parse_field(literal)) == name
+        assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("literal", ["GF(2^0)", "GF(2^-1)"])
@@ -87,6 +94,14 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 4
     with pytest.raises(ParseError):
         parse_algebra("BASIS X\nPPOWERS\n")
+    # integers are ASCII digits, and no longer than Python converts
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_algebra("FIELD GF(2)\nBASIS X\nPPOWERS\nX^[p] = X^\u00b2\n")
+    assert (err.value.line, err.value.column) == (4, 3)
+    with pytest.raises(ParseError, match="5000 digits is too long") as err:
+        parse_algebra("FIELD GF(2)\nBASIS X\nPPOWERS\nX^[p] = X + %s*X\n"
+                      % ("1" * 5000))
+    assert (err.value.line, err.value.column) == (4, 5)
 
 
 def test_alg_roundtrip_is_byte_identical():
@@ -205,8 +220,8 @@ def mutated_documents(draw):
 
 def _small(text):
     """Field orders and exponents stay small: GF(n) for a large prime n
-    (trial division), GF(p^m) for a large m (brute-force search for an
-    irreducible polynomial) and t^n for a large n do not finish."""
+    (trial division), GF(p^m) for a large m (the search for an irreducible
+    polynomial) and t^n for a large n do not finish."""
     if any(len(n) > 3 for n in re.findall(r"\d+", text)):
         return False
     return all(math.prod(int(n) for n in re.findall(r"\d+", line)) <= 32
