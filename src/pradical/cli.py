@@ -10,6 +10,7 @@ operational failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -31,7 +32,10 @@ class CliError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; `parse_args` returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="pradical",
         description="Analyze restricted Lie algebras and finite "
@@ -277,12 +281,13 @@ def _cmd_oracle_compare(args):
                "mismatches": len(mismatches)}
     verdict = "agree" if not mismatches else "disagree"
     lines = ["%d instances, %d mismatches" % (total, len(mismatches))]
-    return verdict, payload, "oracle-compare:dim=%d" % args.dim, lines
+    input_data = "oracle-compare:field=%r,dim=%d,cap=%d" % (F, args.dim,
+                                                            args.cap)
+    return verdict, payload, input_data, lines
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         verdict, payload, input_data, lines = _run_command(args)

@@ -178,22 +178,20 @@ def ppowmod(a, e, f, p):
 
 
 def _irreducible(poly, p):
-    """Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980): a monic f of
-    degree m >= 1 over GF(p) is irreducible iff x^(p^m) = x mod f and
-    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r dividing m."""
+    """Ben-Or's test (M. Ben-Or, FOCS 1981): a monic f of degree m >= 1
+    over GF(p) is irreducible iff gcd(x^(p^k) - x, f) = 1 for every
+    k <= m/2.  A reducible f is rejected at the degree of its smallest
+    factor, so most candidates cost a few Frobenius steps, not m."""
     m = len(poly) - 1
     if m < 1:
         return False
     x = pdivmod((0, 1), poly, p)[1]
-    h = x
-    powers = {}           # k -> x^(p^k) mod f
-    for k in range(1, m + 1):
+    h = x                 # x^(p^k) mod f
+    for _ in range(m // 2):
         h = ppowmod(h, p, poly, p)
-        powers[k] = h
-    if powers[m] != x:
-        return False
-    return all(pgcd(psub(powers[m // r], x, p), poly, p) == (1,)
-               for r in prime_factors(m))
+        if pgcd(psub(h, x, p), poly, p) != (1,):
+            return False
+    return True
 
 
 def find_irreducible(p, m):

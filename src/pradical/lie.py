@@ -112,18 +112,13 @@ class RLieAlgebra:
         return tuple(out)
 
     def ad_matrix(self, x):
+        """ad(x) = Σ x_i·ad(e_i) over the nonzero x_i: column j is [x, e_j]."""
         F = self.field
-        n = self.dim
-        ads = self.ad_basis()
-        out = [[F.zero] * n for _ in range(n)]
-        for i in range(n):
-            if F.is_zero(x[i]):
-                continue
-            A = ads[i]
-            for k in range(n):
-                for j in range(n):
-                    out[k][j] = F.add(out[k][j], F.mul(x[i], A[k][j]))
-        return tuple(tuple(r) for r in out)
+        cols = [[F.zero] * self.dim for _ in range(self.dim)]
+        for i, a in vec_terms(F, x):
+            for col, terms in zip(cols, self._terms[i]):
+                vec_accumulate(F, col, terms, a)
+        return tuple(zip(*cols))
 
     def basis_vector(self, i):
         F = self.field

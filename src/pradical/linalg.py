@@ -53,9 +53,17 @@ def mat_identity(F, n):
 
 
 def mat_mul(F, A, B):
-    n, m, k = len(A), len(B[0]) if B else 0, len(B)
-    return tuple(tuple(F.sum(F.mul(A[i][l], B[l][j]) for l in range(k))
-                       for j in range(m)) for i in range(n))
+    """A·B from the nonzero entries only: row i is Σ c·(row l of B) over
+    the nonzero (l, c) of row i of A."""
+    m = len(B[0]) if B else 0
+    rows = [vec_terms(F, row) for row in B]
+    out = []
+    for row in A:
+        acc = [F.zero] * m
+        for l, c in vec_terms(F, row):
+            vec_accumulate(F, acc, rows[l], c)
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_sub(F, A, B):

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (
-    Subspace, SemilinearMap, nullspace, projective_points, semilinear_kernel,
-    vec_is_zero,
+    Subspace, SemilinearMap, mat_mul, mat_pow, nullspace, projective_points,
+    semilinear_kernel, vec_is_zero,
 )
 
 EXACT = "exact"
@@ -153,14 +153,17 @@ def weight_decomposition(g):
     """First basis element whose ad is split semisimple over the prime field.
 
     Returns (index, {scalar c: eigenspace}) with the eigenspaces spanning g,
-    or None.
+    or None.  x^p - x = ∏ (x - c) over c in GF(p) is separable, so ad(e_i)
+    is split semisimple with weights in GF(p) iff ad(e_i)^p = ad(e_i), and
+    some weight is nonzero iff ad(e_i) != 0; only such a pivot pays for
+    the p eigenspaces.
     """
     F = g.field
     n = g.dim
-    for i in range(n):
-        A = g.ad_basis()[i]
+    for i, A in enumerate(g.ad_basis()):
+        if all(vec_is_zero(F, row) for row in A) or mat_pow(F, A, F.p) != A:
+            continue
         spaces = {}
-        total = 0
         for c in range(F.p):
             ce = F.from_int(c)
             shifted = tuple(
@@ -169,9 +172,7 @@ def weight_decomposition(g):
             E = nullspace(F, shifted, n)
             if E.dim:
                 spaces[c] = E
-                total += E.dim
-        if total == n and any(c != 0 for c in spaces):
-            return i, spaces
+        return i, spaces
     return None
 
 
@@ -286,11 +287,7 @@ def _semilinear_preimage_in_subspace(g, space, B_local, constraint_rows):
     lifted_cols = [space.lift(tuple(B_local[k][j] for k in range(d)))
                    for j in range(d)]
     # matrix M with M . x_local^(p) = constraint_rows . p_power(x): rows x d
-    rows = []
-    for r in constraint_rows:
-        rows.append(tuple(F.sum(F.mul(r[a], lifted_cols[j][a])
-                                for a in range(g.dim))
-                          for j in range(d)))
+    rows = mat_mul(F, constraint_rows, tuple(zip(*lifted_cols)))
     local = semilinear_kernel(F, rows) if rows else Subspace.full(F, d)
     return g.subspace([space.lift(lv) for lv in local.basis])
 

@@ -16,6 +16,8 @@ optional REP (A = [[...],[...]]).  Unspecified brackets and p-powers are 0.
 
 from __future__ import annotations
 
+import re
+
 from .fields import (ExtensionField, PrimeField, RationalFunctionField,
                      is_prime, prime_power)
 from .hopf import HopfAlgebra
@@ -36,6 +38,8 @@ class ParseError(ValueError):
 
 # -- field literals -----------------------------------------------------------
 
+_FIELD_ORDER = re.compile(r"[+-]?[0-9]+(\^[+-]?[0-9]+)?")
+
 
 def parse_field(text, line=None):
     text = text.strip().replace(" ", "")
@@ -50,10 +54,13 @@ def parse_field(text, line=None):
     if not (text.startswith("GF(") and text.endswith(")")):
         raise ParseError("unrecognized field literal %r" % text, line)
     body = text[3:-1]
+    # ASCII digits only, as in `_tokenize`: int() alone also reads "٣", "1_1"
+    if not _FIELD_ORDER.fullmatch(body):
+        raise ParseError("bad field order %r" % body, line)
     ptxt, caret, mtxt = body.partition("^")
     try:
         p, m = int(ptxt), (int(mtxt) if caret else 1)
-    except ValueError:
+    except ValueError:      # longer than sys.get_int_max_str_digits()
         raise ParseError("bad field order %r" % body, line)
     if not caret:
         split = prime_power(p)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pradical import cli
 from pradical.certificates import comparable
 from pradical.cli import main
 
@@ -75,6 +76,42 @@ def test_certificates_are_deterministic(capsys, tmp_path):
     assert cert["payload"]["strategy"] == "s4"
 
 
+# calls whose flags must not reach the next call in the same process
+REENTRANT_SEQUENCE = [
+    ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"],
+    ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"],
+    ["radical", "gallery:torus@2^2", "--strategy", "s3"],
+    ["radical", "gallery:torus@2^2"],
+    ["p-reductive", PAPER_G, "--max-inseparable-exponent", "1"],
+    ["p-reductive", PAPER_G],
+]
+
+
+def _run_certificate(argv, path, capsys):
+    code, out, err = run(argv + ["--json", str(path)], capsys)
+    assert code == 0, err
+    return out, comparable(json.loads(path.read_text()))
+
+
+def test_main_is_reentrant(capsys, tmp_path):
+    """The parser is built once per process; each call still parses into a
+    fresh namespace, so it prints and certifies what a fresh parser gives."""
+    assert cli._build_parser() is cli._build_parser()
+    shared = [_run_certificate(argv, tmp_path / "shared.json", capsys)
+              for argv in REENTRANT_SEQUENCE]
+    for argv, seen in zip(REENTRANT_SEQUENCE, shared):
+        cli._build_parser.cache_clear()
+        assert _run_certificate(argv, tmp_path / "fresh.json", capsys) == seen
+    certs = [cert for _, cert in shared]
+    assert certs[0] == certs[1]
+    assert certs[0]["options"]["ideal"] == ["x_2,x_3", "x,x_2,x_3"]
+    assert certs[2]["payload"]["strategy"] == "s3"
+    assert certs[3]["payload"]["strategy"] == "s1"
+    assert "strategy" not in certs[3]["options"]
+    assert certs[4]["options"]["max_inseparable_exponent"] == 1
+    assert certs[5]["options"]["max_inseparable_exponent"] == 4
+
+
 def test_series_verify_and_p_reductive(capsys):
     code, out, err = run(["series-verify", PAPER_G, "--chain", "X | X,Y"],
                          capsys)
@@ -136,6 +173,16 @@ def test_oracle_compare_dim2_over_gf4(capsys, tmp_path):
     assert code == 0 and "271 instances, 0 mismatches" in out
     assert "verdict: agree" in out
     with open(cert, encoding="utf-8") as fh:
-        assert json.load(fh)["options"]["field"] == "GF(4)"
+        gf4 = json.load(fh)
+    assert gf4["options"]["field"] == "GF(4)"
+    # the input digest binds field, dim and cap
+    digests = {gf4["input_digest"]}
+    for extra in (["--field", "GF(2)"], ["--field", "GF(4)", "--cap", "300"]):
+        code, out, err = run(["oracle-compare", "--dim", "2", "--json", cert]
+                             + extra, capsys)
+        assert code == 0
+        with open(cert, encoding="utf-8") as fh:
+            digests.add(json.load(fh)["input_digest"])
+    assert len(digests) == 3
     code, out, err = run(["oracle-compare", "--field", "GF(2)(t)"], capsys)
     assert code == 1 and "needs a finite field" in err

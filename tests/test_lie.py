@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pradical.envelope import u_env
-from pradical.fields import (ExtensionField, PrimeField,
-                             RationalFunctionField, base_change_map)
+from pradical.fields import (ExtensionField, FieldHom, PolynomialRing,
+                             PrimeField, RationalFunctionField,
+                             base_change_map)
 from pradical.gallery import paper_g, resolve, sl2_kernel_char2
 from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
-from pradical.linalg import projective_points
+from pradical.linalg import mat_identity, projective_points
 from pradical.survey import (_jacobi_ok, _restricted_choices,
                              enumerate_algebras)
 
@@ -270,6 +271,119 @@ def test_base_change_keeps_the_source_validation():
             g.base_change(hom)
         assert str(raised.value) == str(expected.value)
     assert invalid > 0
+
+
+# -- sparse products against dense references ---------------------------------
+
+def _dense_ad(g, x):
+    """ad(x) entry by entry: row k, column j is Σ_i x_i·c[i][j][k]."""
+    F, n = g.field, g.dim
+    return tuple(tuple(F.sum(F.mul(x[i], g.brackets[i][j][k])
+                             for i in range(n))
+                       for j in range(n)) for k in range(n))
+
+
+def _dense_pow(F, A, e):
+    out = mat_identity(F, len(A))
+    for _ in range(e):
+        out = tuple(tuple(F.sum(F.mul(out[i][l], A[l][j])
+                                for l in range(len(A)))
+                          for j in range(len(A))) for i in range(len(A)))
+    return out
+
+
+def _dense_bracket(g, x, y):
+    F, n = g.field, g.dim
+    return tuple(F.sum(F.mul(F.mul(x[i], y[j]), g.brackets[i][j][k])
+                       for i in range(n) for j in range(n))
+                 for k in range(n))
+
+
+def _dense_validate(g):
+    """`validate`'s failure list from dense products and full sums only."""
+    F, n, c, lab = g.field, g.dim, g.brackets, g.labels
+    e = [g.basis_vector(i) for i in range(n)]
+    out = [("alternating", (i, i), "[%s,%s] != 0" % (lab[i], lab[i]))
+           for i in range(n) if any(not F.is_zero(v) for v in c[i][i])]
+    out += [("antisymmetry", (i, j), "c_ij != -c_ji")
+            for i, j in itertools.combinations(range(n), 2)
+            if c[i][j] != tuple(F.neg(v) for v in c[j][i])]
+    if not out:
+        out = [("jacobi", (i, j, k), "Jacobi fails on (%s,%s,%s)"
+                % (lab[i], lab[j], lab[k]))
+               for i, j, k in itertools.combinations(range(n), 3)
+               if any(not F.is_zero(F.sum(terms)) for terms in zip(
+                   _dense_bracket(g, c[i][j], e[k]),
+                   _dense_bracket(g, c[j][k], e[i]),
+                   _dense_bracket(g, c[k][i], e[j])))]
+    if not out:
+        out = [("restricted", (i,), "ad(%s^[p]) != ad(%s)^p"
+                % (lab[i], lab[i]))
+               for i in range(n)
+               if _dense_ad(g, g.ppowers[i])
+               != _dense_pow(F, _dense_ad(g, e[i]), F.p)]
+    return out
+
+
+def _perturbed(g, rng):
+    """g with one structure constant or p-power coordinate shifted: kind 0
+    keeps the table antisymmetric, kind 1 shifts one entry, kind 2 one
+    p-power coordinate."""
+    F, n = g.field, g.dim
+    table = [[list(v) for v in row] for row in g.brackets]
+    pp = [list(v) for v in g.ppowers]
+    c = F.zero
+    while F.is_zero(c):
+        c = F.random_element(rng)
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    kind = rng.randrange(3)
+    if kind == 0 and i != j:
+        table[i][j][k] = F.add(table[i][j][k], c)
+        table[j][i][k] = F.neg(table[i][j][k])
+    elif kind == 1:
+        table[i][j][k] = F.add(table[i][j][k], c)
+    else:
+        pp[i][k] = F.add(pp[i][k], c)
+    return RLieAlgebra(F, n, table, pp, g.labels)
+
+
+def _product_cases():
+    F2, F3 = PrimeField(2), PrimeField(3)
+    grid2 = list(enumerate_algebras(F2, 3))[::24]
+    grid3 = list(enumerate_algebras(F3, 3, cap=400))[::20]
+    R = PolynomialRing(F2, ("x", "y"))
+    homs = [base_change_map(F2, ExtensionField(2, 3)),
+            base_change_map(F2, ExtensionField(2, 15)),
+            FieldHom(F2, R, R.embed, "GF(2) -> GF(2)[x,y]")]
+    cases = grid2 + grid3 + [sl2_kernel_char2()]
+    cases += [paper_g(p)[0] for p in (2, 3, 5)]
+    cases += [_transported(g, base_change_map(F3, RationalFunctionField(3)))
+              for g in grid3[::3]]
+    cases += [_transported(g, hom) for g in grid2[::3] for hom in homs]
+    return cases
+
+
+def test_ad_matrix_matches_dense_sum():
+    rng = random.Random(20260826)
+    for g in _product_cases():
+        for x in [g.basis_vector(i) for i in range(g.dim)] + [
+                _random_vec(g, rng) for _ in range(3)]:
+            assert g.ad_matrix(x) == _dense_ad(g, x)
+    empty = RLieAlgebra(PrimeField(2), 0, (), ())
+    assert empty.ad_matrix(()) == ()
+
+
+def test_validate_reports_match_dense_check_on_perturbed_tables():
+    rng = random.Random(7)
+    kinds = set()
+    for g in _product_cases():
+        assert g.validate().failures == _dense_validate(g) == []
+        for _ in range(4):
+            h = _perturbed(g, rng)
+            report = h.validate()
+            assert report.failures == _dense_validate(h)
+            kinds.update(name for name, *_ in report.failures)
+    assert kinds == {"alternating", "antisymmetry", "jacobi", "restricted"}
 
 
 def test_direct_sum_structure():

@@ -1,17 +1,70 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pradical.fields import ExtensionField, PrimeField, RationalFunctionField
+from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
+                             PrimeField, RationalFunctionField)
 from pradical.linalg import (SemilinearMap, Subspace, all_subspaces,
-                             mat_mul, mat_rank, nullspace, projective_points,
-                             rref, semilinear_kernel, vec_is_zero)
+                             mat_identity, mat_mul, mat_pow, mat_rank,
+                             nullspace, projective_points, rref,
+                             semilinear_kernel, vec_is_zero)
 
 
 def _random_matrix(F, rng, rows, cols):
     return tuple(tuple(F.random_element(rng) for _ in range(cols))
                  for _ in range(rows))
+
+
+def _dense_mul(F, A, B):
+    """Every entry as the full sum over l of A[i][l]·B[l][j]."""
+    return tuple(tuple(F.sum(F.mul(A[i][l], B[l][j]) for l in range(len(B)))
+                       for j in range(len(B[0]) if B else 0))
+                 for i in range(len(A)))
+
+
+def _dense_pow(F, A, e):
+    out = mat_identity(F, len(A))
+    for _ in range(e):
+        out = _dense_mul(F, out, A)
+    return out
+
+
+def _sparse_matrix(F, rng, rows, cols):
+    """About half the entries zero, so rows of every density occur."""
+    return tuple(tuple(F.random_element(rng) if rng.random() < 0.5 else F.zero
+                       for _ in range(cols)) for _ in range(rows))
+
+
+SCALAR_DOMAINS = {
+    "GF(5)": PrimeField(5),
+    "GF(2^3) tabled": ExtensionField(2, 3),
+    "GF(2^15) untabled": ExtensionField(2, 15),
+    "GF(3)(t)": RationalFunctionField(3),
+    "GF(3)[x,y]": PolynomialRing(PrimeField(3), ("x", "y")),
+}
+
+
+def test_untabled_domain_is_above_the_table_cap():
+    assert 2 ** 15 > TABLE_MAX_ORDER >= 2 ** 3
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DOMAINS))
+def test_sparse_mat_mul_and_pow_match_dense(name):
+    F = SCALAR_DOMAINS[name]
+    rng = random.Random(name)
+    for _ in range(12):
+        n, m, k = (rng.randint(1, 4) for _ in range(3))
+        A = _sparse_matrix(F, rng, n, k)
+        B = _sparse_matrix(F, rng, k, m)
+        assert mat_mul(F, A, B) == _dense_mul(F, A, B)
+        S = _sparse_matrix(F, rng, n, n)
+        e = rng.randint(0, 7)
+        assert mat_pow(F, S, e) == _dense_pow(F, S, e)
+    # empty shapes: no rows, and rows of length zero
+    assert mat_mul(F, (), ()) == _dense_mul(F, (), ()) == ()
+    assert mat_mul(F, ((),), ()) == _dense_mul(F, ((),), ()) == ((),)
 
 
 @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4))

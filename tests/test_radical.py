@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -10,13 +11,16 @@ from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
 from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
     sl2_kernel_char2, torus_lie
 from pradical.lie import RLieAlgebra, direct_sum
-from pradical.linalg import rref
+from pradical.linalg import nullspace, rref
 from pradical.radical import (_ProbeNeeded, _rad_search, is_mult_type,
                               is_p_reductive, one_dim_p_ideals, rad_p,
                               weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent,
                              unipotent_restricted_subalgebras)
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 INSTANCES = (list(enumerate_algebras(PrimeField(2), 2))
              + list(enumerate_algebras(PrimeField(2), 3, cap=200)))
@@ -107,6 +111,53 @@ def test_weight_decomposition_on_solvable_family():
     assert g.labels[idx] == "Z"
     assert spaces[1] == g.subspace([g.basis_vector(1)])
     assert spaces[0].dim == 2
+
+
+def _weight_decomposition_by_nullspaces(g):
+    """The p eigenspaces of every ad(e_i) until they span g with a nonzero
+    weight: `weight_decomposition` before its ad(e_i)^p = ad(e_i) test."""
+    F = g.field
+    n = g.dim
+    for i in range(n):
+        A = g.ad_basis()[i]
+        spaces = {}
+        total = 0
+        for c in range(F.p):
+            ce = F.from_int(c)
+            shifted = tuple(
+                tuple(F.sub(A[r][s], ce if r == s else F.zero)
+                      for s in range(n)) for r in range(n))
+            E = nullspace(F, shifted, n)
+            if E.dim:
+                spaces[c] = E
+                total += E.dim
+        if total == n and any(c != 0 for c in spaces):
+            return i, spaces
+    return None
+
+
+def _certify_algebras(tmp_path, monkeypatch):
+    """The algebras of the certify benchmark documents at seed 7."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    wl = workloads.Certify()
+    wl.setup(7, str(tmp_path))
+    return list(wl.algebras.values())
+
+
+def test_weight_decomposition_matches_the_nullspace_loop(tmp_path,
+                                                         monkeypatch):
+    algebras = (list(enumerate_algebras(PrimeField(2), 3))
+                + list(enumerate_algebras(PrimeField(3), 3))
+                + [resolve(name) for name in GALLERY_P_REDUCTIVE]
+                + _certify_algebras(tmp_path, monkeypatch))
+    split = 0
+    for g in algebras:
+        dec = weight_decomposition(g)
+        assert dec == _weight_decomposition_by_nullspaces(g)
+        split += dec is not None
+    assert 0 < split < len(algebras)
 
 
 def test_one_dim_p_ideals_exact_cases():

@@ -48,9 +48,14 @@ def test_parse_field_literals():
     for bad in ("GF(1)", "GF(0)", "GF(-4)", "GF(2^0)", "GF(2^-1)"):
         with pytest.raises(ParseError, match="not a prime power"):
             parse_field(bad)
-    # the modulus search skips multiples of x and runs Rabin's test
+    # int() reads these; the literal grammar takes ASCII digits only
+    for bad in ("GF(٣)", "GF(3^٢)", "GF(²)", "GF(1_1)", "GF(٣)(t)"):
+        with pytest.raises(ParseError, match="bad field order"):
+            parse_field(bad)
+    # the modulus search skips multiples of x and runs Ben-Or's test
     for literal, name in (("GF(2^21)", "GF(2^21)"),
-                          ("GF(1000000007^2)", "GF(1000000007^2)")):
+                          ("GF(1000000007^2)", "GF(1000000007^2)"),
+                          ("GF(2^100)", "GF(2^100)")):
         started = time.perf_counter()
         assert repr(parse_field(literal)) == name
         assert time.perf_counter() - started < 1.0
