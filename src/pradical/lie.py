@@ -8,9 +8,10 @@ unique extension by Jacobson's formula.
 `brackets` and `ppowers` stay the dense public tables, but every product
 reads one sparse table derived from them once: the nonzero (k, c) terms of
 each [e_i, e_j] and each e_i^[p].  The spins are worklist closures
-(`Subspace.closure`) that bracket and p-power only the vectors new to the
-span.  Symbolic computation goes by base change: `generic_p_power` runs
-`p_power` on g over the polynomial coordinate ring.
+(`Subspace.closure`): each vector new to the span is inserted once into a
+semi-echelon basis and bracketed and p-powered once, and the spin stops as
+soon as it spans g.  Symbolic computation goes by base change:
+`generic_p_power` runs `p_power` on g over the polynomial coordinate ring.
 """
 
 from __future__ import annotations
@@ -287,21 +288,20 @@ class RLieAlgebra:
         self.require_valid()
         basis = [self.basis_vector(i) for i in range(self.dim)]
 
-        def images(v, span):
+        def images(v, _):
             return [self.bracket(e, v) for e in basis] + [self.p_power(v)]
 
         return self.zero_subspace().closure(S.basis, images)
 
     def spin_subalgebra(self, S):
         """Smallest restricted subalgebra containing S: the closure of S
-        under v -> [v, u] for u in the span and v -> v^[p], taken of the
-        vectors new to the span; p-powers of a spanning set suffice as in
-        `spin_p_ideal`, now with the Lie words in [J, J] ⊆ J."""
+        under v -> [v, u] for u among the rows found so far and v -> v^[p],
+        taken of the vectors new to the span; p-powers of a spanning set
+        suffice as in `spin_p_ideal`, now with the Lie words in [J, J] ⊆ J."""
         self.require_valid()
 
-        def images(v, span):
-            return ([self.bracket(v, u) for u in span.basis]
-                    + [self.p_power(v)])
+        def images(v, rows):
+            return [self.bracket(v, u) for u in rows] + [self.p_power(v)]
 
         return self.zero_subspace().closure(S.basis, images)
 

@@ -2,7 +2,8 @@
 
 Vectors are tuples of field elements, matrices are tuples of row tuples.
 Subspaces are stored as reduced-row-echelon bases, which makes equality
-syntactic and all set operations canonical.
+syntactic and all set operations canonical.  Reduction modulo a subspace
+needs only a semi-echelon basis (`reduce_in_place`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ def vec_accumulate(F, out, terms, c):
     """out += c·Σ t·e_k over the (k, t) pairs of terms, in place."""
     for k, t in terms:
         out[k] = F.add(out[k], F.mul(c, t))
+
+
+def reduce_in_place(F, v, rows, pivots):
+    """Subtract v[pc]·row from the list v for each row of a semi-echelon
+    basis and its pivot pc, in basis order.  Each row is one at its pivot
+    and zero at the pivots of the rows before it, so v ends zero at every
+    pivot, and it is zero exactly when it was in the span.  Only the
+    nonzero entries of a row cost a product and a sum."""
+    zero, add, mul = F.zero, F.add, F.mul
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c != zero:
+            c = F.neg(c)
+            for k, t in enumerate(row):
+                if t != zero:
+                    v[k] = add(v[k], mul(c, t))
 
 
 def mat_identity(F, n):
@@ -186,12 +203,8 @@ class Subspace:
 
     def reduce(self, v):
         """Reduce v modulo the basis (kill pivot coordinates)."""
-        F = self.field
         v = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            if not F.is_zero(v[pc]):
-                c = v[pc]
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+        reduce_in_place(self.field, v, self.basis, self.pivots)
         return tuple(v)
 
     def lift(self, coords):
@@ -250,25 +263,53 @@ class Subspace:
         closed under `images`, by spinning (R. A. Parker, "The computer
         calculation of modular characters", 1984).
 
-        images(v, span) lists the vectors that must lie in the span with v.
-        It is taken only of the vectors new to the span: after each round,
-        the rows at the new pivots, which are independent modulo the old span
-        and with it span the new one.  So the result is spanned by this
-        subspace, which must already be closed, and the vectors whose images
-        were taken.  That suffices when the closure condition on a spanning
-        set gives it everywhere: a linear map, or a bilinear one taken as
-        images(v, span) = [(v, u) for u in span.basis], since of two spanning
-        vectors the one new later sees the other in its span.
+        The rows found so far form a semi-echelon basis: this subspace's
+        RREF rows, then one row per vector new to the span, reduced by
+        `reduce_in_place` against the rows before it and scaled to one at
+        its first nonzero entry.  images(v, rows) lists the vectors that
+        must lie in the span with v; it is taken once of each new row, in
+        the order the rows were found, and `rows` is the list found so far,
+        v included.  So the result is spanned by this subspace, which must
+        already be closed, and rows whose images were taken.  That suffices
+        when the closure condition on a spanning set gives it everywhere: a
+        linear map, or a bilinear one taken as images(v, rows) =
+        [(v, u) for u in rows], since of two rows the one found later has
+        the other among its `rows`.  Once the rows span F^n the images still
+        pending are skipped; otherwise one `rref` makes the basis canonical.
         """
-        span, todo = self, list(vectors)
-        while todo:
-            new = Subspace.from_vectors(self.field, self.ambient,
-                                        list(span.basis) + todo)
-            fresh = [row for row, pc in zip(new.basis, new.pivots)
-                     if pc not in span.pivots]
-            span = new
-            todo = [w for v in fresh for w in images(v, span)]
-        return span
+        F = self.field
+        n = self.ambient
+        zero, one, mul = F.zero, F.one, F.mul
+        rows, pivots = list(self.basis), list(self.pivots)
+        done = start = len(rows)
+        todo = vectors
+        while True:
+            for w in todo:
+                if len(w) != n:
+                    raise ValueError("vector length %d != ambient %d"
+                                     % (len(w), n))
+                v = list(w)
+                reduce_in_place(F, v, rows, pivots)
+                for pc, c in enumerate(v):
+                    if c != zero:
+                        break
+                else:
+                    continue
+                if c != one:
+                    inv = F.inv(c)
+                    v = [x if x == zero else mul(inv, x) for x in v]
+                rows.append(tuple(v))
+                pivots.append(pc)
+                if len(rows) == n:
+                    return Subspace.full(F, n)
+            if done == len(rows):
+                break
+            todo = images(rows[done], rows)
+            done += 1
+        if len(rows) == start:
+            return self
+        basis, pivots = rref(F, rows)
+        return Subspace(F, n, basis, pivots)
 
     def constraint_matrix(self):
         """A matrix whose nullspace is exactly this subspace."""

@@ -38,7 +38,7 @@ class ParseError(ValueError):
 
 # -- field literals -----------------------------------------------------------
 
-_FIELD_ORDER = re.compile(r"[+-]?[0-9]+(\^[+-]?[0-9]+)?")
+_FIELD_ORDER = re.compile(r"[0-9]+(\^[0-9]+)?")
 
 
 def parse_field(text, line=None):
@@ -54,9 +54,11 @@ def parse_field(text, line=None):
     if not (text.startswith("GF(") and text.endswith(")")):
         raise ParseError("unrecognized field literal %r" % text, line)
     body = text[3:-1]
-    # ASCII digits only, as in `_tokenize`: int() alone also reads "٣", "1_1"
+    # unsigned ASCII digits only, as in `_tokenize`: int() alone also reads
+    # "٣", "1_1", "+3" and "-4"
     if not _FIELD_ORDER.fullmatch(body):
-        raise ParseError("bad field order %r" % body, line)
+        raise ParseError("bad field order %r: not a prime power p or p^m"
+                         % body, line)
     ptxt, caret, mtxt = body.partition("^")
     try:
         p, m = int(ptxt), (int(mtxt) if caret else 1)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pradical import linalg
 from pradical.envelope import u_env
 from pradical.fields import (ExtensionField, FieldHom, PolynomialRing,
                              PrimeField, RationalFunctionField,
@@ -516,3 +517,26 @@ def test_spin_subalgebra_matches_fixed_point():
             for S in (g.subspace([u]), g.subspace([u, v])):
                 assert (g.spin_subalgebra(S)
                         == _spin_subalgebra_fixed_point(g, S)), name
+
+
+def test_spin_p_ideal_of_a_line_runs_at_most_one_rref(monkeypatch):
+    """The spin inserts each new vector into a semi-echelon basis; only a
+    proper result is put in RREF, once, and a full one needs no rref."""
+    g = direct_sum(_witt(3), resolve("alpha@3"))
+    g.require_valid()
+    lines = [g.subspace([v]) for v in projective_points(g.field, g.dim)]
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(F, rows):
+        calls.append(len(rows))
+        return real_rref(F, rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    dims = set()
+    for S in lines:
+        del calls[:]
+        J = g.spin_p_ideal(S)
+        assert len(calls) == (0 if J.dim == g.dim else 1), S.basis
+        dims.add(J.dim)
+    assert {1, g.dim} < dims      # both a proper spin and a full one

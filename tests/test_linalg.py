@@ -31,9 +31,11 @@ def _dense_pow(F, A, e):
     return out
 
 
-def _sparse_matrix(F, rng, rows, cols):
-    """About half the entries zero, so rows of every density occur."""
-    return tuple(tuple(F.random_element(rng) if rng.random() < 0.5 else F.zero
+def _sparse_matrix(F, rng, rows, cols, density=0.5):
+    """Each entry nonzero with chance `density`, so rows of every density
+    occur."""
+    return tuple(tuple(F.random_element(rng) if rng.random() < density
+                       else F.zero
                        for _ in range(cols)) for _ in range(rows))
 
 
@@ -197,3 +199,164 @@ def test_closure_is_the_smallest_invariant_subspace(seed, n):
     # a closed start is kept and not re-imaged
     assert expected.closure([], images) == expected
     assert expected.closure([v], images) == expected
+
+
+# -- semi-echelon reduction and the spinning closure, against dense references
+
+def _dense_reduce(F, S, v):
+    """Subtract v[pc]·row over the whole vector for each basis row."""
+    for row, pc in zip(S.basis, S.pivots):
+        c = v[pc]
+        if not F.is_zero(c):
+            v = tuple(F.sub(x, F.mul(c, y)) for x, y in zip(v, row))
+    return v
+
+
+def _dense_closure(F, n, vectors, maps):
+    """The span of vectors under the linear and bilinear maps, by the
+    fixed-point loop: image every basis vector (pair) until nothing new."""
+    span = Subspace.from_vectors(F, n, list(vectors))
+    while True:
+        vecs = list(span.basis)
+        for kind, f in maps:
+            if kind == "linear":
+                vecs += [f(v) for v in span.basis]
+            else:
+                vecs += [f(u, v) for u in span.basis for v in span.basis]
+        bigger = Subspace.from_vectors(F, n, vecs)
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def _rref_subspace(F, rng, n):
+    """A random subspace in RREF built without division, so any ring will
+    do: one at each pivot, zero at the other pivots and left of its own."""
+    pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    basis = []
+    for pc in pivots:
+        row = [F.zero] * n
+        row[pc] = F.one
+        for k in range(pc + 1, n):
+            if k not in pivots and rng.random() < 0.6:
+                row[k] = F.random_element(rng)
+        basis.append(tuple(row))
+    return Subspace(F, n, tuple(basis), tuple(pivots))
+
+
+def _linear_map(F, rng, n):
+    M = _sparse_matrix(F, rng, n, n, density=0.25)
+    return lambda v: tuple(F.sum(F.mul(M[i][j], v[j]) for j in range(n))
+                           for i in range(n))
+
+
+def _bilinear_map(F, rng, n):
+    """A sparse product with no symmetry, so both orders are images."""
+    table = [[_sparse_matrix(F, rng, 1, n, density=0.3)[0]
+              if rng.random() < 0.2
+              else (F.zero,) * n for _ in range(n)] for _ in range(n)]
+
+    def product(u, v):
+        out = [F.zero] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            c = F.mul(u[i], v[j])
+            if not F.is_zero(c):
+                out = [F.add(x, F.mul(c, y)) for x, y in zip(out, table[i][j])]
+        return tuple(out)
+    return product
+
+
+def _images(maps):
+    """images(v, rows) for `Subspace.closure`: a bilinear map is taken
+    against every row found so far, in both orders."""
+    def images(v, rows):
+        out = []
+        for kind, f in maps:
+            if kind == "linear":
+                out.append(f(v))
+            else:
+                out += [f(v, u) for u in rows] + [f(u, v) for u in rows]
+        return out
+    return images
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DOMAINS))
+def test_reduce_matches_dense_reference(name):
+    F = SCALAR_DOMAINS[name]
+    rng = random.Random(name)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        S = _rref_subspace(F, rng, n)
+        v = _sparse_matrix(F, rng, 1, n)[0]
+        assert S.reduce(v) == _dense_reduce(F, S, v)
+        # a vector of the span reduces to zero
+        w = S.lift(tuple(F.random_element(rng) for _ in S.basis))
+        assert vec_is_zero(F, S.reduce(w)) and S.contains_vector(w)
+    if F.is_field:
+        for _ in range(10):
+            S = Subspace.from_vectors(F, 4, _sparse_matrix(F, rng, 2, 4))
+            v = _sparse_matrix(F, rng, 1, 4)[0]
+            assert S.reduce(v) == _dense_reduce(F, S, v)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DOMAINS))
+def test_closure_matches_dense_reference(name):
+    F = SCALAR_DOMAINS[name]
+    rng = random.Random("closure " + name)
+    if not F.is_field:
+        # no division: only a closed start that absorbs every vector, with
+        # no images to take
+        def images(v, rows):
+            raise AssertionError("images taken of a vector in the span")
+
+        for _ in range(10):
+            S = _rref_subspace(F, rng, rng.randint(1, 5))
+            vecs = [S.lift(tuple(F.random_element(rng) for _ in S.basis))
+                    for _ in range(3)]
+            assert S.closure(vecs, images) is S
+        return
+    for trial in range(24):
+        n = rng.randint(2, 6)
+        maps = [("linear", _linear_map(F, rng, n))]
+        if trial % 2:
+            maps.append(("bilinear", _bilinear_map(F, rng, n)))
+        images = _images(maps)
+        vecs = _sparse_matrix(F, rng, rng.randint(1, 2), n)
+        expected = _dense_closure(F, n, vecs, maps)
+        assert Subspace.zero(F, n).closure(vecs, images) == expected
+        # a closed non-zero start takes images only of the vectors new to it
+        start = _dense_closure(F, n, vecs[:1], maps)
+        assert start.closure(vecs[1:], images) == expected
+        assert expected.closure(vecs, images) == expected
+
+
+def test_closure_of_a_spanning_start_takes_no_images():
+    F = PrimeField(5)
+
+    def images(v, rows):
+        raise AssertionError("images taken of a spanning start")
+
+    vecs = [(1, 2, 0), (0, 1, 3), (4, 0, 2)]
+    assert Subspace.zero(F, 3).closure(vecs, images) == Subspace.full(F, 3)
+    line = Subspace.from_vectors(F, 3, vecs[:1])
+    assert line.closure(vecs[1:], images) == Subspace.full(F, 3)
+
+
+def test_closure_stops_at_the_full_span_with_images_pending():
+    """Under v -> shift(v), shift²(v) the rows of e_0 are e_0, e_1, e_2,
+    ...: F^n is spanned by the images of e_0, ..., e_(n-3), and e_(n-2)
+    and e_(n-1) are never imaged."""
+    F = PrimeField(3)
+    n = 6
+    imaged = []
+
+    def shift(v):
+        return (F.zero,) + v[:-1]
+
+    def images(v, rows):
+        imaged.append(v)
+        return [shift(v), shift(shift(v))]
+
+    e0 = (F.one,) + (F.zero,) * (n - 1)
+    assert Subspace.zero(F, n).closure([e0], images) == Subspace.full(F, n)
+    assert len(imaged) == n - 2
