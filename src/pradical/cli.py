@@ -19,13 +19,12 @@ from . import certificates, gallery
 from .envelope import EnvelopeTooLargeError, dual_hopf
 from .fields import RationalFunctionField
 from .hopf import (HopfAlgebra, NonDirectedFamilyError, frobenius_kernel,
-                   is_subgroup_ideal, schematic_union)
+                   schematic_union)
 from .lie import RLieAlgebra
 from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
 from .textio import (ParseError, element_str, parse_algebra, parse_element,
-                     parse_field, parse_hopf, print_algebra, print_hopf,
-                     safe_labels)
+                     parse_field, parse_hopf, print_hopf, safe_labels)
 
 
 class CliError(Exception):

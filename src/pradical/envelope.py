@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .hopf import HopfAlgebra, SubgroupIdeal
-from .linalg import Subspace, rref, vec_terms
+from .linalg import Subspace, vec_terms
 
 
 class EnvelopeTooLargeError(ValueError):

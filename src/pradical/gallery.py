@@ -19,7 +19,8 @@ from .fields import (PrimeField, RationalFunctionField, is_prime,
                      prime_power)
 from .hopf import HopfAlgebra, tensor_product_hopf
 from .lie import RLieAlgebra, direct_sum
-from .linalg import mat_identity, mat_mul, mat_pow, mat_sub, mat_rank
+from .linalg import (lin_comb, mat_identity, mat_mul, mat_pow, mat_sub,
+                     mat_rank, vec_terms)
 from .radical import rad_p, is_p_reductive
 
 
@@ -107,15 +108,11 @@ def verify_restricted_rep(g, matrices):
 
 
 def _rep_of(F, matrices, coords):
+    """Σ c_i·M_i, each matrix M_i a sparse row of its m² entries."""
     m = len(matrices[0])
-    out = [[F.zero] * m for _ in range(m)]
-    for i, c in enumerate(coords):
-        if F.is_zero(c):
-            continue
-        for r in range(m):
-            for s in range(m):
-                out[r][s] = F.add(out[r][s], F.mul(c, matrices[i][r][s]))
-    return tuple(tuple(row) for row in out)
+    rows = [vec_terms(F, [x for row in M for x in row]) for M in matrices]
+    flat = lin_comb(F, rows, vec_terms(F, coords), m * m)
+    return tuple(flat[r * m:(r + 1) * m] for r in range(m))
 
 
 def rep_of_element(g, matrices, x):
@@ -367,22 +364,8 @@ def _subalgebra_N(g):
     F = g.field
     sub = g.subspace([g.basis_vector(0), g.basis_vector(1)])
     brackets = (((F.zero,) * 2,) * 2,) * 2
-    ppowers = [tuple(_coords_in(g, sub, g.p_power(v))) for v in sub.basis]
+    ppowers = [sub.coordinates(g.p_power(v)) for v in sub.basis]
     return RLieAlgebra(F, 2, brackets, ppowers, labels=("X", "Y"))
-
-
-def _coords_in(g, sub, v):
-    F = g.field
-    coords = []
-    rem = v
-    for i, b in enumerate(sub.basis):
-        piv = sub.pivots[i]
-        c = rem[piv]
-        coords.append(c)
-        rem = tuple(F.sub(rem[k], F.mul(c, b[k])) for k in range(g.dim))
-    if any(not F.is_zero(x) for x in rem):
-        raise ValueError("vector not in subspace")
-    return coords
 
 
 def _n_radical(g):

@@ -5,11 +5,16 @@ commutative; closed subgroup schemes are represented by their defining
 ideals.
 
 Elements of A are coordinate tuples and elements of A⊗A are d²-tuples, with
-e_a⊗e_b at index a·d + b.  `mult` and `comult` stay the dense public tables,
-but every product reads one sparse table built from `mult` once: e_i·e_j as
-its nonzero (k, c) pairs.  Δ(e_i) is kept likewise as its nonzero (a, b, c)
-triples, c·e_a⊗e_b.  Membership in A⊗I and in A⊗I + I⊗A goes through the
-quotient map π: A → A/I, so no subspace of the d²-space is built.
+e_a⊗e_b at index a·d + b, as `linalg.kron` lays them out.  `mult`, `comult`
+and `antipode` stay the dense public tables.  The algebra is a
+`linalg.StructureConstants` on `mult`, so `mul` is the one sparse
+structure-constant product that the Lie side uses too.  Δ and S act as
+`linalg` linear combinations of their sparse rows, e_i·y and x·e_j as
+combinations of a row or a column of the table, and a product in A⊗A is
+`linalg.kron_product` over the Kronecker square of the table.  Δ(e_i) is
+also kept as its nonzero (a, b, c) triples, c·e_a⊗e_b.  Membership in A⊗I
+and in A⊗I + I⊗A goes through the quotient map π: A → A/I, so no subspace
+of the d²-space is built.
 `validate_hopf` checks associativity, coassociativity, the counit laws and
 the multiplicativity of Δ and ε on a few algebra generators, and reruns the
 full basis scan only when one of those checks fails.
@@ -17,9 +22,11 @@ full basis scan only when one of those checks fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import (Subspace, nullspace, vec_accumulate, vec_is_zero,
+from .linalg import (StructureConstants, Subspace, kron, kron_product,
+                     lin_comb, nullspace, sc_accumulate, vec_is_zero,
                      vec_scale, vec_terms)
 
 
@@ -35,59 +42,36 @@ class HopfValidationReport:
         return self.failures[0] if self.failures else None
 
 
-class SCAlgebra:
+class SCAlgebra(StructureConstants):
     """Associative unital algebra by structure constants."""
 
+    mul = StructureConstants.product
+
     def __init__(self, field, dim, mult, unit, labels=None):
-        self.field = field
-        self.dim = dim
         self.mult = tuple(tuple(tuple(v) for v in row) for row in mult)
+        super().__init__(field, dim, self.mult)
         self.unit = tuple(unit)
         self.labels = tuple(labels) if labels else tuple(
             "b%d" % i for i in range(dim))
-        # e_i·e_j as its nonzero (k, c) pairs: every product reads this
-        self._terms = tuple(tuple(vec_terms(field, v) for v in row)
-                            for row in self.mult)
+        # the table by columns: e_i·y = Σ y_j·(e_i·e_j) combines row i of
+        # the table and x·e_j = Σ x_i·(e_i·e_j) column j
+        self._cols = tuple(zip(*self._terms))
 
     def __repr__(self):
         return "%s(dim=%d over %r)" % (type(self).__name__, self.dim, self.field)
 
-    def mul(self, x, y):
-        F = self.field
-        out = [F.zero] * self.dim
-        ys = vec_terms(F, y)
-        for i, a in vec_terms(F, x):
-            row = self._terms[i]
-            for j, b in ys:
-                vec_accumulate(F, out, row[j], F.mul(a, b))
-        return tuple(out)
-
-    def _basis_times(self, i, ys):
-        """e_i·y, for y given by its nonzero (j, c) pairs."""
-        F = self.field
-        out = [F.zero] * self.dim
-        row = self._terms[i]
-        for j, c in ys:
-            vec_accumulate(F, out, row[j], c)
-        return tuple(out)
-
-    def _times_basis(self, xs, j):
-        """x·e_j, for x given by its nonzero (i, c) pairs."""
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, c in xs:
-            vec_accumulate(F, out, self._terms[i][j], c)
-        return tuple(out)
-
     def power(self, x, e):
-        out = self.unit
-        for _ in range(e):
-            out = self.mul(out, x)
-        return out
-
-    def basis_vector(self, i):
-        F = self.field
-        return tuple(F.one if j == i else F.zero for j in range(self.dim))
+        """x^e by square-and-multiply, as `linalg.mat_pow`."""
+        if e < 0:
+            raise ValueError("negative exponent %d" % e)
+        out = None
+        while e:
+            if e & 1:
+                out = x if out is None else self.mul(out, x)
+            e >>= 1
+            if e:
+                x = self.mul(x, x)
+        return self.unit if out is None else out
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]
@@ -96,22 +80,23 @@ class SCAlgebra:
     def check_associative(self, right=None):
         """The first (i, j, k) with (e_i·e_j)·e_k ≠ e_i·(e_j·e_k), k taken
         from `right` (default: every basis index); None if there is none."""
-        T = self._terms
-        right = range(self.dim) if right is None else right
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = T[i][j]
+        F, d, T, C = self.field, self.dim, self._terms, self._cols
+        right = range(d) if right is None else right
+        for i in range(d):
+            for j in range(d):
                 for k in right:
-                    if (self._times_basis(ij, k)
-                            != self._basis_times(i, T[j][k])):
+                    if (lin_comb(F, C[k], T[i][j], d)
+                            != lin_comb(F, T[i], T[j][k], d)):
                         return (i, j, k)
         return None
 
     def check_unit(self):
-        us = vec_terms(self.field, self.unit)
-        for i in range(self.dim):
+        F, d = self.field, self.dim
+        us = vec_terms(F, self.unit)
+        for i in range(d):
             ei = self.basis_vector(i)
-            if self._times_basis(us, i) != ei or self._basis_times(i, us) != ei:
+            if (lin_comb(F, self._cols[i], us, d) != ei
+                    or lin_comb(F, self._terms[i], us, d) != ei):
                 return i
         return None
 
@@ -119,23 +104,23 @@ class SCAlgebra:
         """Greedy basis generators, as indices: e_i joins when it is not in
         the unital subalgebra spanned by the earlier ones.  That span is
         closed by right-multiplying by the generators."""
-        F = self.field
+        F, d, C = self.field, self.dim, self._cols
         gens = []
-        span = Subspace.from_vectors(F, self.dim, [self.unit])
+        span = Subspace.from_vectors(F, d, [self.unit])
 
         def images(v, _):
             vs = vec_terms(F, v)
-            return [self._times_basis(vs, g) for g in gens]
+            return [lin_comb(F, C[g], vs, d) for g in gens]
 
-        for i in range(self.dim):
-            if span.dim == self.dim:
+        for i in range(d):
+            if span.dim == d:
                 break
             ei = self.basis_vector(i)
             if span.contains_vector(ei):
                 continue
             gens.append(i)
             # the old span is closed under the old generators
-            span = span.closure([ei] + [self._times_basis(vec_terms(F, v), i)
+            span = span.closure([ei] + [lin_comb(F, C[i], vec_terms(F, v), d)
                                         for v in span.basis], images)
         return tuple(gens)
 
@@ -143,23 +128,24 @@ class SCAlgebra:
 
     def ideal_closure(self, vectors):
         """Smallest two-sided ideal containing the given elements."""
-        F = self.field
+        F, d = self.field, self.dim
 
         def images(v, _):
             vs = vec_terms(F, v)
-            return ([self._basis_times(i, vs) for i in range(self.dim)]
-                    + [self._times_basis(vs, i) for i in range(self.dim)])
+            return ([lin_comb(F, row, vs, d) for row in self._terms]
+                    + [lin_comb(F, col, vs, d) for col in self._cols])
 
-        return Subspace.zero(F, self.dim).closure(vectors, images)
+        return Subspace.zero(F, d).closure(vectors, images)
 
     def _ideal_escape(self, S):
         """The first (v, i), v in S.basis, with e_i·v or v·e_i outside S;
         None when S is a two-sided ideal."""
+        F, d, T, C = self.field, self.dim, self._terms, self._cols
         for v in S.basis:
-            vs = vec_terms(self.field, v)
-            for i in range(self.dim):
-                if not (S.contains_vector(self._basis_times(i, vs))
-                        and S.contains_vector(self._times_basis(vs, i))):
+            vs = vec_terms(F, v)
+            for i in range(d):
+                if not (S.contains_vector(lin_comb(F, T[i], vs, d))
+                        and S.contains_vector(lin_comb(F, C[i], vs, d))):
                     return v, i
         return None
 
@@ -167,17 +153,6 @@ class SCAlgebra:
         return self._ideal_escape(S) is None
 
     # -- tensor square helpers ----------------------------------------------
-
-    def tensor_of(self, x, y):
-        """x ⊗ y as a d²-vector."""
-        F = self.field
-        d = self.dim
-        out = [F.zero] * (d * d)
-        ys = vec_terms(F, y)
-        for a, xa in vec_terms(F, x):
-            for b, yb in ys:
-                out[a * d + b] = F.mul(xa, yb)
-        return tuple(out)
 
     def _tensor_terms(self, u):
         """A d²-vector as its nonzero (a, b, c) triples, c·e_a⊗e_b."""
@@ -187,29 +162,8 @@ class SCAlgebra:
 
     def tensor_mul(self, u, v):
         """Product in A ⊗ A of two d²-vectors."""
-        return self._tensor_product(self._tensor_terms(u),
-                                    self._tensor_terms(v))
-
-    def _tensor_product(self, us, vs):
-        """Product in A ⊗ A of two elements given as (a, b, c) triples, as a
-        d²-vector."""
-        F = self.field
-        d = self.dim
-        T = self._terms
-        out = [F.zero] * (d * d)
-        for a1, b1, c1 in us:
-            left, right = T[a1], T[b1]
-            for a2, b2, c2 in vs:
-                rb = right[b2]
-                if not rb:
-                    continue
-                c = F.mul(c1, c2)
-                for a, la in left[a2]:
-                    ca = F.mul(c, la)
-                    base = a * d
-                    for b, r in rb:
-                        out[base + b] = F.add(out[base + b], F.mul(ca, r))
-        return tuple(out)
+        return kron_product(self.field, self._terms, self.dim,
+                            self._tensor_terms(u), self._tensor_terms(v))
 
     def in_right_tensor(self, I, x):
         """x ∈ A⊗I for a d²-vector x: every slice x[a·d:(a+1)·d] lies in
@@ -229,33 +183,17 @@ class SCAlgebra:
     def mixed_tensor_subspace(self, I):
         """A ⊗ I + I ⊗ A inside the tensor square."""
         F = self.field
-        d = self.dim
-        vecs = []
-        for v in I.basis:
-            for i in range(d):
-                left = [F.zero] * (d * d)
-                right = [F.zero] * (d * d)
-                for k in range(d):
-                    if not F.is_zero(v[k]):
-                        left[i * d + k] = v[k]     # e_i ⊗ v
-                        right[k * d + i] = v[k]    # v ⊗ e_i
-                vecs.append(tuple(left))
-                vecs.append(tuple(right))
-        return Subspace.from_vectors(F, d * d, vecs)
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        vecs = [w for v in I.basis for e in basis
+                for w in (kron(F, e, v), kron(F, v, e))]
+        return Subspace.from_vectors(F, self.dim ** 2, vecs)
 
     def right_tensor_subspace(self, I):
         """A ⊗ I inside the tensor square."""
         F = self.field
-        d = self.dim
-        vecs = []
-        for v in I.basis:
-            for i in range(d):
-                w = [F.zero] * (d * d)
-                for k in range(d):
-                    if not F.is_zero(v[k]):
-                        w[i * d + k] = v[k]
-                vecs.append(tuple(w))
-        return Subspace.from_vectors(F, d * d, vecs)
+        vecs = [kron(F, self.basis_vector(i), v)
+                for v in I.basis for i in range(self.dim)]
+        return Subspace.from_vectors(F, self.dim ** 2, vecs)
 
 
 class HopfAlgebra(SCAlgebra):
@@ -266,19 +204,17 @@ class HopfAlgebra(SCAlgebra):
         self.comult = tuple(tuple(v) for v in comult)      # Δ(e_i) as d²-vector
         self.counit = tuple(counit)                        # ε(e_i) scalars
         self.antipode = tuple(tuple(v) for v in antipode)  # S(e_i) as d-vector
-        # Δ(e_i) as its nonzero (a, b, c) triples, S(e_i) as (k, c) pairs
-        self._coterms = tuple(self._tensor_terms(v) for v in self.comult)
+        # Δ(e_i) and S(e_i) as their nonzero terms, and Δ(e_i) as its
+        # nonzero (a, b, c) triples
+        self._coflat = tuple(vec_terms(field, v) for v in self.comult)
+        self._coterms = tuple(tuple(divmod(k, dim) + (c,) for k, c in terms)
+                              for terms in self._coflat)
         self._antipode_terms = tuple(vec_terms(field, v)
                                      for v in self.antipode)
 
     def delta(self, x):
         F = self.field
-        d = self.dim
-        out = [F.zero] * (d * d)
-        for i, xi in vec_terms(F, x):
-            for a, b, c in self._coterms[i]:
-                out[a * d + b] = F.add(out[a * d + b], F.mul(xi, c))
-        return tuple(out)
+        return lin_comb(F, self._coflat, vec_terms(F, x), self.dim ** 2)
 
     def counit_of(self, x):
         F = self.field
@@ -286,10 +222,7 @@ class HopfAlgebra(SCAlgebra):
 
     def antipode_of(self, x):
         F = self.field
-        out = [F.zero] * self.dim
-        for i, xi in vec_terms(F, x):
-            vec_accumulate(F, out, self._antipode_terms[i], xi)
-        return tuple(out)
+        return lin_comb(F, self._antipode_terms, vec_terms(F, x), self.dim)
 
     def _comult_leg(self, terms, first):
         """(Δ⊗id) when `first`, else (id⊗Δ), of Σ c·e_a⊗e_b given as
@@ -352,7 +285,7 @@ class HopfAlgebra(SCAlgebra):
             if tuple(left) != ei or tuple(right) != ei:
                 return [("counit", i)]
         failures = []
-        if self.delta(self.unit) != self.tensor_of(self.unit, self.unit):
+        if self.delta(self.unit) != kron(F, self.unit, self.unit):
             failures.append(("comult-unit", None))
         if not F.eq(self.counit_of(self.unit), F.one):
             failures.append(("counit-unit", None))
@@ -361,8 +294,9 @@ class HopfAlgebra(SCAlgebra):
         for i in range(d):
             for j in gens:
                 prod = self.mult[i][j]
-                if self.delta(prod) != self._tensor_product(self._coterms[i],
-                                                            self._coterms[j]):
+                if self.delta(prod) != kron_product(F, self._terms, d,
+                                                   self._coterms[i],
+                                                   self._coterms[j]):
                     return [("comult-multiplicative", (i, j))]
                 if not F.eq(self.counit_of(prod),
                             F.mul(self.counit[i], self.counit[j])):
@@ -385,10 +319,8 @@ class HopfAlgebra(SCAlgebra):
                 conv_l = [F.zero] * d
                 conv_r = [F.zero] * d
                 for a, b, c in self._coterms[i]:
-                    for k, s in S[a]:
-                        vec_accumulate(F, conv_l, T[k][b], F.mul(c, s))
-                    for k, s in S[b]:
-                        vec_accumulate(F, conv_r, T[a][k], F.mul(c, s))
+                    sc_accumulate(F, conv_l, T, S[a], ((b, c),))
+                    sc_accumulate(F, conv_r, T, ((a, c),), S[b])
                 target = vec_scale(F, self.unit, self.counit[i])
                 if tuple(conv_l) != target or tuple(conv_r) != target:
                     failures.append(("antipode-convolution", i))
@@ -502,20 +434,16 @@ def is_normal(A, I, both_legs=False):
     if not A.is_commutative():
         raise ValueError("is_normal needs a commutative coordinate ring")
     F = A.field
-    d = A.dim
     inside = A.in_mixed_tensor if both_legs else A.in_right_tensor
     T = A._terms
     S = A._antipode_terms
     for v in I.basis:
-        gamma = [F.zero] * (d * d)
+        # column b of γ(v): Σ c·e_a·S(e_k) over the terms c·e_a⊗e_b⊗e_k of
+        # (Δ⊗id)Δ(v)
+        cols = [[F.zero] * A.dim for _ in range(A.dim)]
         for (a, b, k), c in A.delta2(v).items():
-            # c·e_a·S(e_k) ⊗ e_b
-            for m, s in S[k]:
-                cs = F.mul(c, s)
-                for n, t in T[a][m]:
-                    pos = n * d + b
-                    gamma[pos] = F.add(gamma[pos], F.mul(cs, t))
-        if not inside(I, tuple(gamma)):
+            sc_accumulate(F, cols[b], T, ((a, c),), S[k])
+        if not inside(I, tuple(itertools.chain.from_iterable(zip(*cols)))):
             return False
     return True
 
@@ -523,6 +451,8 @@ def is_normal(A, I, both_legs=False):
 def frobenius_kernel(A, r):
     """Defining ideal of the r-th Frobenius kernel: the ideal generated by
     p^r-th powers of the augmentation ideal."""
+    if r < 0:
+        raise ValueError("Frobenius kernel exponent r=%d is negative" % r)
     if not A.is_commutative():
         raise ValueError("Frobenius kernels need a commutative coordinate ring")
     q = A.field.p ** r
@@ -541,63 +471,28 @@ def frobenius_kernel(A, r):
 
 
 def tensor_product_hopf(A, B):
-    """A ⊗ B with componentwise structure (product of group schemes)."""
+    """A ⊗ B with componentwise structure (product of group schemes): every
+    structure map is the Kronecker product of the factors' maps, with
+    e_a⊗e_b at index a·dim B + b."""
     if A.field != B.field:
         raise ValueError("tensor product needs a common field")
     F = A.field
     da, db = A.dim, B.dim
-    d = da * db
 
-    def idx(a, b):
-        return a * db + b
+    def comult(a, b):
+        # Δ(e_a⊗e_b) = Σ (x⊗y) ⊗ (Δ(e_a)_x ⊗ Δ(e_b)_y) over the slices
+        # Δ(e_a)_x = Σ_x' c·e_x' of Δ(e_a) = Σ c·e_x⊗e_x'
+        return tuple(itertools.chain.from_iterable(
+            kron(F, A.comult[a][x * da:(x + 1) * da],
+                 B.comult[b][y * db:(y + 1) * db])
+            for x in range(da) for y in range(db)))
 
-    mult = [[None] * d for _ in range(d)]
-    for a1 in range(da):
-        for b1 in range(db):
-            for a2 in range(da):
-                for b2 in range(db):
-                    pa = A.mult[a1][a2]
-                    pb = B.mult[b1][b2]
-                    v = [F.zero] * d
-                    for a in range(da):
-                        if F.is_zero(pa[a]):
-                            continue
-                        for b in range(db):
-                            if not F.is_zero(pb[b]):
-                                v[idx(a, b)] = F.mul(pa[a], pb[b])
-                    mult[idx(a1, b1)][idx(a2, b2)] = tuple(v)
-    unit = [F.zero] * d
-    for a in range(da):
-        for b in range(db):
-            unit[idx(a, b)] = F.mul(A.unit[a], B.unit[b])
-    comult = []
-    counit = []
-    antipode = []
-    for a in range(da):
-        for b in range(db):
-            dv = [F.zero] * (d * d)
-            for i1 in range(da * da):
-                ca = A.comult[a][i1]
-                if F.is_zero(ca):
-                    continue
-                x1, x2 = divmod(i1, da)
-                for i2 in range(db * db):
-                    cb = B.comult[b][i2]
-                    if F.is_zero(cb):
-                        continue
-                    y1, y2 = divmod(i2, db)
-                    dv[idx(x1, y1) * d + idx(x2, y2)] = F.mul(ca, cb)
-            comult.append(tuple(dv))
-            counit.append(F.mul(A.counit[a], B.counit[b]))
-            sv = [F.zero] * d
-            sa = A.antipode[a]
-            sb = B.antipode[b]
-            for x in range(da):
-                if F.is_zero(sa[x]):
-                    continue
-                for y in range(db):
-                    if not F.is_zero(sb[y]):
-                        sv[idx(x, y)] = F.mul(sa[x], sb[y])
-            antipode.append(tuple(sv))
+    pairs = [(a, b) for a in range(da) for b in range(db)]
+    mult = [[kron(F, A.mult[a1][a2], B.mult[b1][b2]) for a2, b2 in pairs]
+            for a1, b1 in pairs]
     labels = tuple("%s*%s" % (la, lb) for la in A.labels for lb in B.labels)
-    return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
+    return HopfAlgebra(F, da * db, mult, kron(F, A.unit, B.unit),
+                       [comult(a, b) for a, b in pairs],
+                       kron(F, A.counit, B.counit),
+                       [kron(F, A.antipode[a], B.antipode[b])
+                        for a, b in pairs], labels)

@@ -5,9 +5,11 @@ c[i][j] (the coordinate vector of [e_i, e_j]) and the images e_i^[p] of the
 basis under the p-operation.  The p-operation on arbitrary elements is the
 unique extension by Jacobson's formula.
 
-`brackets` and `ppowers` stay the dense public tables, but every product
-reads one sparse table derived from them once: the nonzero (k, c) terms of
-each [e_i, e_j] and each e_i^[p].  The spins are worklist closures
+`brackets` and `ppowers` stay the dense public tables.  The algebra is a
+`linalg.StructureConstants` on `brackets`, so `bracket` is the one sparse
+structure-constant product that the associative side uses too, and `ad`,
+the p-powers of basis vectors and every matrix product are `linalg`
+linear combinations of sparse rows.  The spins are worklist closures
 (`Subspace.closure`): each vector new to the span is inserted once into a
 semi-echelon basis and bracketed and p-powered once, and the spin stops as
 soon as it spans g.  Symbolic computation goes by base change:
@@ -16,11 +18,12 @@ soon as it spans g.  Symbolic computation goes by base change:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldHom, PolynomialRing, UnsupportedKindError
-from .linalg import (Subspace, mat_pow, nullspace, vec_accumulate, vec_add,
-                     vec_is_zero, vec_terms, vec_zero)
+from .linalg import (StructureConstants, Subspace, lin_comb, mat_pow,
+                     nullspace, vec_add, vec_is_zero, vec_terms, vec_zero)
 
 
 class NotPIdealError(ValueError):
@@ -46,27 +49,25 @@ def _nested_tuples(x, depth):
     return depth == 1 or all(_nested_tuples(v, depth - 1) for v in x)
 
 
-class RLieAlgebra:
+class RLieAlgebra(StructureConstants):
+
+    bracket = StructureConstants.product
 
     def __init__(self, field, dim, brackets, ppowers, labels=None):
         """brackets: full antisymmetric table c[i][j] -> coordinate tuple;
         ppowers: tuple of coordinate tuples e_i^[p]."""
-        self.field = field
-        self.dim = dim
         # A table that is already nested tuples is kept, not copied, so
         # algebras built from one table (p-power variants) share it.
         self.brackets = brackets if _nested_tuples(brackets, 3) else tuple(
             tuple(tuple(v) for v in row) for row in brackets)
+        super().__init__(field, dim, self.brackets)
         self.ppowers = ppowers if _nested_tuples(ppowers, 2) else tuple(
             tuple(v) for v in ppowers)
         self.labels = tuple(labels) if labels else tuple(
             "e%d" % (i + 1) for i in range(dim))
-        # [e_i, e_j] and e_i^[p] as their nonzero (k, c) pairs: every Lie
-        # product reads these
-        self._terms = tuple(tuple(vec_terms(field, v) for v in row)
-                            for row in self.brackets)
         self._pterms = tuple(vec_terms(field, v) for v in self.ppowers)
         self._ad_basis = None
+        self._ad_terms = None
         self._validated = None
 
     @classmethod
@@ -101,29 +102,17 @@ class RLieAlgebra:
                 for i in range(n))
         return self._ad_basis
 
-    def bracket(self, x, y):
-        F = self.field
-        out = [F.zero] * self.dim
-        ys = vec_terms(F, y)
-        for i, a in vec_terms(F, x):
-            row = self._terms[i]
-            for j, b in ys:
-                if row[j]:
-                    vec_accumulate(F, out, row[j], F.mul(a, b))
-        return tuple(out)
-
     def ad_matrix(self, x):
-        """ad(x) = Σ x_i·ad(e_i) over the nonzero x_i: column j is [x, e_j]."""
+        """ad(x) = Σ x_i·ad(e_i), each ad(e_i) a sparse row of its n² entries
+        (the coefficient c of e_k in [e_i, e_j] at index k·n + j): column j
+        is [x, e_j]."""
         F = self.field
-        cols = [[F.zero] * self.dim for _ in range(self.dim)]
-        for i, a in vec_terms(F, x):
-            for col, terms in zip(cols, self._terms[i]):
-                vec_accumulate(F, col, terms, a)
-        return tuple(zip(*cols))
-
-    def basis_vector(self, i):
-        F = self.field
-        return tuple(F.one if j == i else F.zero for j in range(self.dim))
+        n = self.dim
+        if self._ad_terms is None:
+            self._ad_terms = [[(k * n + j, c) for j, terms in enumerate(row)
+                               for k, c in terms] for row in self._terms]
+        flat = lin_comb(F, self._ad_terms, vec_terms(F, x), n * n)
+        return tuple(flat[k * n:(k + 1) * n] for k in range(n))
 
     # -- validation ----------------------------------------------------------
 
@@ -145,21 +134,9 @@ class RLieAlgebra:
                 if self.brackets[i][j] != neg:
                     failures.append(("antisymmetry", (i, j), "c_ij != -c_ji"))
         if not failures:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        ei, ej, ek = (self.basis_vector(a) for a in (i, j, k))
-                        c = self.brackets
-                        s = vec_add(F, vec_add(
-                            F,
-                            self.bracket(c[i][j], ek),
-                            self.bracket(c[j][k], ei)),
-                            self.bracket(c[k][i], ej))
-                        if not vec_is_zero(F, s):
-                            failures.append(("jacobi", (i, j, k),
-                                             "Jacobi fails on (%s,%s,%s)" %
-                                             (self.labels[i], self.labels[j],
-                                              self.labels[k])))
+            failures = [("jacobi", (i, j, k), "Jacobi fails on (%s,%s,%s)"
+                         % (self.labels[i], self.labels[j], self.labels[k]))
+                        for i, j, k in self._jacobi_failures()]
         if not failures:
             ads = self.ad_basis()
             for i in range(n):
@@ -171,6 +148,20 @@ class RLieAlgebra:
                                      (self.labels[i], self.labels[i])))
         self._validated = ValidationReport(not failures, failures)
         return self._validated
+
+    def _jacobi_failures(self):
+        """The triples i < j < k, in lexicographic order and produced
+        lazily, on which [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+        + [[e_k, e_i], e_j] is not zero."""
+        F = self.field
+        c = self.brackets
+        e = [self.basis_vector(a) for a in range(self.dim)]
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            s = vec_add(F, vec_add(F, self.bracket(c[i][j], e[k]),
+                                   self.bracket(c[j][k], e[i])),
+                        self.bracket(c[k][i], e[j]))
+            if not vec_is_zero(F, s):
+                yield i, j, k
 
     def require_valid(self):
         rep = self.validate()
@@ -184,18 +175,18 @@ class RLieAlgebra:
         self.require_valid()
         F = self.field
         n = self.dim
-        total = [F.zero] * n
-        acc = None
-        for i, c in vec_terms(F, x):
-            vec_accumulate(F, total, self._pterms[i], F.pow_int(c, self.p))
-            term = tuple(c if j == i else F.zero for j in range(n))
-            if acc is None:
-                acc = [F.zero] * n
-            else:
-                cross = self._jacobson_cross(term, tuple(acc))
-                total = list(vec_add(F, total, cross))
+        xs = vec_terms(F, x)
+        total = lin_comb(F, self._pterms,
+                         [(i, F.pow_int(c, self.p)) for i, c in xs], n)
+        acc = [F.zero] * n
+        for step, (i, c) in enumerate(xs):
+            # (acc + c·e_i)^[p] = acc^[p] + (c·e_i)^[p] + cross terms
+            if step:
+                term = tuple(c if j == i else F.zero for j in range(n))
+                total = vec_add(F, total, self._jacobson_cross(term,
+                                                               tuple(acc)))
             acc[i] = c
-        return tuple(total)
+        return total
 
     def _jacobson_cross(self, a, b):
         """sum_{i=1}^{p-1} s_i(a, b) with i*s_i = [lambda^(i-1)] ad(la+b)^(p-1)(a).
@@ -380,21 +371,13 @@ class RLieAlgebra:
         S = S if S is not None else self.full_subspace()
         if not self.is_abelian(S):
             raise ValueError("p-power matrix needs an abelian (sub)algebra")
-        F = self.field
         cols = []
         for v in S.basis:
-            pv = self.p_power(v)
-            if not S.contains_vector(pv):
+            coords = S.coordinates(self.p_power(v))
+            if coords is None:
                 raise ValueError("p-operation does not preserve the subspace")
-            rem = pv
-            # coordinates of pv in S's basis (pivot-read off the RREF basis)
-            coords = []
-            for row, pc in zip(S.basis, S.pivots):
-                coords.append(rem[pc])
-                rem = tuple(F.sub(a, F.mul(rem[pc], b)) for a, b in zip(rem, row))
             cols.append(coords)
-        d = S.dim
-        return tuple(tuple(cols[j][k] for j in range(d)) for k in range(d))
+        return tuple(zip(*cols))
 
     # -- quotients --------------------------------------------------------------
 

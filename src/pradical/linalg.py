@@ -4,6 +4,15 @@ Vectors are tuples of field elements, matrices are tuples of row tuples.
 Subspaces are stored as reduced-row-echelon bases, which makes equality
 syntactic and all set operations canonical.  Reduction modulo a subspace
 needs only a semi-echelon basis (`reduce_in_place`).
+
+Sparse vectors are their nonzero (k, c) terms (`vec_terms`), and a
+structure-constant table is one such vector per basis product e_i·e_j.
+The Lie and Hopf sides share four sparse pieces here: the linear
+combination `lin_comb` (e_i·y and x·e_j combine a row or a column of a
+table), the bilinear product `sc_accumulate` (the `product` of
+`StructureConstants`, which is both the Lie bracket and the associative
+product), the Kronecker product `kron` (with `kron_product`, the product in
+a tensor square), and `Subspace.coordinates`.
 """
 
 from __future__ import annotations
@@ -42,12 +51,6 @@ def vec_terms(F, v):
     return tuple([(k, c) for k, c in enumerate(v) if c != zero])
 
 
-def vec_accumulate(F, out, terms, c):
-    """out += c·Σ t·e_k over the (k, t) pairs of terms, in place."""
-    for k, t in terms:
-        out[k] = F.add(out[k], F.mul(c, t))
-
-
 def reduce_in_place(F, v, rows, pivots):
     """Subtract v[pc]·row from the list v for each row of a semi-echelon
     basis and its pivot pc, in basis order.  Each row is one at its pivot
@@ -69,18 +72,89 @@ def mat_identity(F, n):
                  for i in range(n))
 
 
+def lin_comb(F, rows, xs, n):
+    """Σ c·rows[i] over the (i, c) terms of xs, as an n-tuple; each row is
+    given by its nonzero terms."""
+    out = [F.zero] * n
+    for i, c in xs:
+        for k, t in rows[i]:
+            out[k] = F.add(out[k], F.mul(c, t))
+    return tuple(out)
+
+
+def sc_accumulate(F, out, table, xs, ys):
+    """out += Σ a·b·(e_i·e_j) in place, over the (i, a) terms of xs and the
+    (j, b) terms of ys, with e_i·e_j read as its nonzero terms from the
+    structure-constant table entry table[i][j]."""
+    for i, a in xs:
+        row = table[i]
+        for j, b in ys:
+            if row[j]:
+                ab = F.mul(a, b)
+                for k, t in row[j]:
+                    out[k] = F.add(out[k], F.mul(ab, t))
+
+
+def kron(F, u, v):
+    """u ⊗ v, with e_a⊗e_b at index a·len(v) + b."""
+    m = len(v)
+    out = [F.zero] * (len(u) * m)
+    vs = vec_terms(F, v)
+    for a, x in vec_terms(F, u):
+        for b, y in vs:
+            out[a * m + b] = F.mul(x, y)
+    return tuple(out)
+
+
+def kron_product(F, table, d, us, vs):
+    """u·v in A ⊗ A, for u and v given by their (a, b, c) terms c·e_a⊗e_b
+    and A by its d-dimensional structure-constant table: the bilinear
+    product over the Kronecker square of the table,
+    (e_a⊗e_b)·(e_a'⊗e_b') = e_a·e_a' ⊗ e_b·e_b', laid out as `kron`."""
+    out = [F.zero] * (d * d)
+    for a1, b1, c1 in us:
+        left, right = table[a1], table[b1]
+        for a2, b2, c2 in vs:
+            rb = right[b2]
+            if rb:
+                c = F.mul(c1, c2)
+                for a, x in left[a2]:
+                    cx = F.mul(c, x)
+                    base = a * d
+                    for b, y in rb:
+                        out[base + b] = F.add(out[base + b], F.mul(cx, y))
+    return tuple(out)
+
+
+class StructureConstants:
+    """F^dim with the bilinear product read from a structure-constant
+    table: `product` is the Lie bracket of `lie.RLieAlgebra` and the
+    associative product of `hopf.SCAlgebra`.  The dense table, entry [i][j]
+    the coordinates of e_i·e_j, is kept as its nonzero terms."""
+
+    def __init__(self, field, dim, table):
+        self.field = field
+        self.dim = dim
+        self._terms = tuple(tuple(vec_terms(field, v) for v in row)
+                            for row in table)
+
+    def product(self, x, y):
+        F = self.field
+        out = [F.zero] * self.dim
+        sc_accumulate(F, out, self._terms, vec_terms(F, x), vec_terms(F, y))
+        return tuple(out)
+
+    def basis_vector(self, i):
+        F = self.field
+        return tuple(F.one if j == i else F.zero for j in range(self.dim))
+
+
 def mat_mul(F, A, B):
     """A·B from the nonzero entries only: row i is Σ c·(row l of B) over
     the nonzero (l, c) of row i of A."""
     m = len(B[0]) if B else 0
     rows = [vec_terms(F, row) for row in B]
-    out = []
-    for row in A:
-        acc = [F.zero] * m
-        for l, c in vec_terms(F, row):
-            vec_accumulate(F, acc, rows[l], c)
-        out.append(tuple(acc))
-    return tuple(out)
+    return tuple([lin_comb(F, rows, vec_terms(F, row), m) for row in A])
 
 
 def mat_sub(F, A, B):
@@ -210,10 +284,15 @@ class Subspace:
     def lift(self, coords):
         """The ambient vector with coordinates `coords` along the basis."""
         F = self.field
-        acc = vec_zero(F, self.ambient)
-        for coeff, bvec in zip(coords, self.basis):
-            acc = vec_add(F, acc, vec_scale(F, bvec, coeff))
-        return acc
+        return lin_comb(F, [vec_terms(F, b) for b in self.basis],
+                        vec_terms(F, coords), self.ambient)
+
+    def coordinates(self, v):
+        """The coordinates of v along the basis, or None when v is not in
+        the subspace.  An RREF row is one at its pivot and zero at the other
+        pivots, so they are v's entries at the pivots."""
+        coords = tuple(v[pc] for pc in self.pivots)
+        return coords if self.lift(coords) == tuple(v) else None
 
     def contains_vector(self, v):
         return vec_is_zero(self.field, self.reduce(v))

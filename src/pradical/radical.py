@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .fields import RationalFunctionField, base_change_map
 from .linalg import (
     Subspace, SemilinearMap, mat_mul, mat_pow, nullspace, projective_points,
     semilinear_kernel, vec_is_zero,
@@ -349,16 +350,13 @@ def is_p_reductive(g, max_inseparable_exponent=4):
         return None if radical is None else True
 
     if g.is_abelian():
-        B = g.p_power_matrix()
-        return SemilinearMap(g.field, B).stable_rank() == g.dim
+        return is_mult_type(g)
 
     verdict = _geometric_s4(g)
     if verdict is not None:
         return verdict
 
     # falsifier: bounded purely inseparable base change t -> s^(p^m)
-    from .fields import RationalFunctionField, base_change_map
-
     if g.field.kind == "rational-function":
         for m in range(1, max_inseparable_exponent + 1):
             target = RationalFunctionField(g.field.p, "@s")

@@ -186,3 +186,16 @@ def test_oracle_compare_dim2_over_gf4(capsys, tmp_path):
     assert len(digests) == 3
     code, out, err = run(["oracle-compare", "--field", "GF(2)(t)"], capsys)
     assert code == 1 and "needs a finite field" in err
+
+
+def test_hopf_frobenius_negative_exponent_is_an_operational_failure(capsys):
+    code, out, err = run(["hopf-frobenius", "alpha4", "r=-1"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "negative" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_hopf_frobenius_large_exponent_answers(capsys):
+    code, out, err = run(["hopf-frobenius", "alpha4", "r=40"], capsys)
+    assert code == 0
+    assert "Frobenius kernel ideal dim 0, kernel order 4" in out

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,8 @@ from pradical.hopf import (HopfAlgebra, NonDirectedFamilyError, SCAlgebra,
                            frobenius_kernel, is_normal, is_subgroup_ideal,
                            schematic_union, tensor_intersection_identity,
                            tensor_product_hopf)
-from pradical.linalg import Subspace
+from pradical.linalg import Subspace, vec_terms
+from pradical.textio import print_hopf
 
 
 def basis_vec(F, d, i):
@@ -354,3 +356,183 @@ def test_algebra_generators_match_the_fixed_point_loop():
     for name in HOPF_TARGETS:
         A = resolve(name)
         assert A.algebra_generators() == _algebra_generators_loop(A), name
+
+
+# -- the sparse structure-constant kernel against the per-side loops it
+# replaced ---------------------------------------------------------------
+
+
+def _dense_tensor_product_hopf(A, B):
+    """tensor_product_hopf as it was before the Kronecker kernel: every
+    structure map built by loops over the dense coordinates."""
+    F = A.field
+    da, db = A.dim, B.dim
+    d = da * db
+
+    def idx(a, b):
+        return a * db + b
+
+    mult = [[None] * d for _ in range(d)]
+    for a1 in range(da):
+        for b1 in range(db):
+            for a2 in range(da):
+                for b2 in range(db):
+                    pa = A.mult[a1][a2]
+                    pb = B.mult[b1][b2]
+                    v = [F.zero] * d
+                    for a in range(da):
+                        if F.is_zero(pa[a]):
+                            continue
+                        for b in range(db):
+                            if not F.is_zero(pb[b]):
+                                v[idx(a, b)] = F.mul(pa[a], pb[b])
+                    mult[idx(a1, b1)][idx(a2, b2)] = tuple(v)
+    unit = [F.zero] * d
+    for a in range(da):
+        for b in range(db):
+            unit[idx(a, b)] = F.mul(A.unit[a], B.unit[b])
+    comult = []
+    counit = []
+    antipode = []
+    for a in range(da):
+        for b in range(db):
+            dv = [F.zero] * (d * d)
+            for i1 in range(da * da):
+                ca = A.comult[a][i1]
+                if F.is_zero(ca):
+                    continue
+                x1, x2 = divmod(i1, da)
+                for i2 in range(db * db):
+                    cb = B.comult[b][i2]
+                    if F.is_zero(cb):
+                        continue
+                    y1, y2 = divmod(i2, db)
+                    dv[idx(x1, y1) * d + idx(x2, y2)] = F.mul(ca, cb)
+            comult.append(tuple(dv))
+            counit.append(F.mul(A.counit[a], B.counit[b]))
+            sv = [F.zero] * d
+            sa = A.antipode[a]
+            sb = B.antipode[b]
+            for x in range(da):
+                if F.is_zero(sa[x]):
+                    continue
+                for y in range(db):
+                    if not F.is_zero(sb[y]):
+                        sv[idx(x, y)] = F.mul(sa[x], sb[y])
+            antipode.append(tuple(sv))
+    labels = tuple("%s*%s" % (la, lb) for la in A.labels for lb in B.labels)
+    return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
+
+
+_FACTORS = {"alpha2": alpha_hopf(2, 1), "alpha4": alpha_hopf(2, 2),
+            "alpha8": alpha_hopf(2, 3), "mu2": mu_hopf(2),
+            "alpha9": alpha_hopf(3, 2), "mu3": mu_hopf(3)}
+_PAIRS = [(a, b) for a in _FACTORS for b in _FACTORS
+          if _FACTORS[a].field == _FACTORS[b].field]
+
+
+@pytest.mark.parametrize("left, right", _PAIRS)
+def test_tensor_product_hopf_matches_the_dense_loops(left, right):
+    A, B = _FACTORS[left], _FACTORS[right]
+    got = tensor_product_hopf(A, B)
+    want = _dense_tensor_product_hopf(A, B)
+    for table in ("mult", "unit", "comult", "counit", "antipode", "labels"):
+        assert getattr(got, table) == getattr(want, table), table
+    assert print_hopf(got) == print_hopf(want)
+
+
+def test_tensor_product_hopf_of_three_factors_matches():
+    A, B, C = alpha_hopf(2, 1), alpha_hopf(2, 2), mu_hopf(2)
+    got = tensor_product_hopf(tensor_product_hopf(A, B), C)
+    want = _dense_tensor_product_hopf(_dense_tensor_product_hopf(A, B), C)
+    assert print_hopf(got) == print_hopf(want)
+    assert got.validate_hopf()
+
+
+def _loop_bracket(g, x, y):
+    """RLieAlgebra.bracket before the shared kernel, on its own sparse
+    table of the dense `brackets`."""
+    F = g.field
+    table = [[vec_terms(F, v) for v in row] for row in g.brackets]
+    out = [F.zero] * g.dim
+    ys = vec_terms(F, y)
+    for i, a in vec_terms(F, x):
+        for j, b in ys:
+            for k, c in table[i][j]:
+                out[k] = F.add(out[k], F.mul(F.mul(a, b), c))
+    return tuple(out)
+
+
+def _loop_mul(A, x, y):
+    """SCAlgebra.mul before the shared kernel, on its own sparse table of
+    the dense `mult`."""
+    F = A.field
+    table = [[vec_terms(F, v) for v in row] for row in A.mult]
+    out = [F.zero] * A.dim
+    ys = vec_terms(F, y)
+    for i, a in vec_terms(F, x):
+        for j, b in ys:
+            for k, c in table[i][j]:
+                out[k] = F.add(out[k], F.mul(F.mul(a, b), c))
+    return tuple(out)
+
+
+def _loop_tensor_mul(A, u, v):
+    """The product in A ⊗ A from the dense tables:
+    (e_a⊗e_b)(e_c⊗e_e) = e_a·e_c ⊗ e_b·e_e."""
+    F, d = A.field, A.dim
+    out = [F.zero] * (d * d)
+    for i, x in vec_terms(F, u):
+        a, b = divmod(i, d)
+        for j, y in vec_terms(F, v):
+            c, e = divmod(j, d)
+            for k, s in vec_terms(F, A.mult[a][c]):
+                for m, t in vec_terms(F, A.mult[b][e]):
+                    pos = k * d + m
+                    out[pos] = F.add(out[pos],
+                                     F.mul(F.mul(x, y), F.mul(s, t)))
+    return tuple(out)
+
+
+def test_bracket_and_mul_match_the_per_side_loops(rng):
+    lie = [sl2_kernel_char2(), torus_lie(3, 2), resolve("paper-G@p=2"),
+           resolve("paper-G@p=3"), resolve("product(sl2-kernel@p=2,alpha@2)")]
+    for g in lie:
+        F = g.field
+        for _ in range(20):
+            x, y = (tuple(F.random_element(rng) for _ in range(g.dim))
+                    for _ in range(2))
+            assert g.bracket(x, y) == _loop_bracket(g, x, y)
+    for A in _hopf_samples():
+        F = A.field
+        for _ in range(20):
+            x, y = (_random_vector(F, A.dim, rng) for _ in range(2))
+            assert A.mul(x, y) == _loop_mul(A, x, y)
+        if A.dim <= 8:
+            u, v = (_random_vector(F, A.dim ** 2, rng) for _ in range(2))
+            assert A.tensor_mul(u, v) == _loop_tensor_mul(A, u, v)
+
+
+def test_power_squares_and_multiplies(rng):
+    for A in _hopf_samples():
+        F = A.field
+        x = _random_vector(F, A.dim, rng)
+        out = A.unit
+        for e in range(9):
+            assert A.power(x, e) == out
+            out = A.mul(out, x)
+        with pytest.raises(ValueError, match="negative"):
+            A.power(x, -1)
+
+
+def test_frobenius_kernel_at_a_large_exponent_is_quick():
+    H = alpha_hopf(2, 2)
+    started = time.perf_counter()
+    k40 = frobenius_kernel(H, 40)
+    assert time.perf_counter() - started < 1.0
+    assert k40.ideal == frobenius_kernel(H, 2).ideal
+
+
+def test_frobenius_kernel_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative"):
+        frobenius_kernel(alpha_hopf(2, 2), -1)

@@ -540,3 +540,25 @@ def test_spin_p_ideal_of_a_line_runs_at_most_one_rref(monkeypatch):
         assert len(calls) == (0 if J.dim == g.dim else 1), S.basis
         dims.add(J.dim)
     assert {1, g.dim} < dims      # both a proper spin and a full one
+
+
+def test_jacobi_scan_is_shared_and_stops_at_the_first_failure():
+    F = PrimeField(2)
+    one, zero = F.one, F.zero
+    # [e1,e2]=e2, [e2,e3]=e1 fails Jacobi on (e1,e2,e3); e4 is central
+    g = RLieAlgebra.from_upper(
+        F, 4, {(0, 1): (zero, one, zero, zero),
+               (1, 2): (one, zero, zero, zero)}, [(zero,) * 4] * 4)
+    report = g.validate()
+    assert [f[1] for f in report.failures if f[0] == "jacobi"] == list(
+        g._jacobi_failures()) == [(0, 1, 2)]
+    calls = []
+    bracket = g.bracket
+
+    def counted(x, y):
+        calls.append((x, y))
+        return bracket(x, y)
+
+    g.bracket = counted
+    assert not _jacobi_ok(g)
+    assert len(calls) == 3      # one triple, not all four

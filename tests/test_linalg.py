@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
                              PrimeField, RationalFunctionField)
-from pradical.linalg import (SemilinearMap, Subspace, all_subspaces,
-                             mat_identity, mat_mul, mat_pow, mat_rank,
-                             nullspace, projective_points, rref,
-                             semilinear_kernel, vec_is_zero)
+from pradical.linalg import (SemilinearMap, Subspace, all_subspaces, kron,
+                             lin_comb, mat_identity, mat_mul, mat_pow,
+                             mat_rank, nullspace, projective_points, rref,
+                             semilinear_kernel, vec_is_zero, vec_terms)
 
 
 def _random_matrix(F, rng, rows, cols):
@@ -360,3 +360,57 @@ def test_closure_stops_at_the_full_span_with_images_pending():
     e0 = (F.one,) + (F.zero,) * (n - 1)
     assert Subspace.zero(F, n).closure([e0], images) == Subspace.full(F, n)
     assert len(imaged) == n - 2
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DOMAINS))
+def test_coordinates_read_the_pivots_or_return_none(name):
+    F = SCALAR_DOMAINS[name]
+    rng = random.Random("coordinates " + name)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        S = _rref_subspace(F, rng, n)
+        coords = tuple(F.random_element(rng) for _ in S.basis)
+        v = S.lift(coords)
+        assert S.coordinates(v) == coords
+        assert S.coordinates(list(v)) == coords
+        outside = _sparse_matrix(F, rng, 1, n)[0]
+        if S.contains_vector(outside):
+            assert S.lift(S.coordinates(outside)) == outside
+        else:
+            assert S.coordinates(outside) is None
+    zero = Subspace.zero(F, 3)
+    assert zero.coordinates((F.zero,) * 3) == ()
+    assert zero.coordinates((F.one, F.zero, F.zero)) is None
+    full = Subspace.full(F, 3)
+    v = (F.one, F.zero, F.from_int(2))
+    assert full.coordinates(v) == v
+
+
+def test_coordinates_outside_a_line():
+    F = PrimeField(3)
+    S = Subspace.from_vectors(F, 3, [(F.one, F.one, F.zero)])
+    assert S.coordinates((F.from_int(2), F.from_int(2), F.zero)) == (
+        F.from_int(2),)
+    # the pivot entry alone would read 1; the other entries rule it out
+    assert S.coordinates((F.one, F.zero, F.zero)) is None
+    assert S.coordinates((F.one, F.one, F.one)) is None
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DOMAINS))
+def test_lin_comb_and_kron_match_dense_sums(name):
+    F = SCALAR_DOMAINS[name]
+    rng = random.Random("kernel " + name)
+    for _ in range(10):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = _sparse_matrix(F, rng, k, n)
+        coeffs = _sparse_matrix(F, rng, 1, k)[0]
+        assert lin_comb(F, [vec_terms(F, r) for r in rows],
+                        vec_terms(F, coeffs), n) == tuple(
+            F.sum(F.mul(coeffs[i], rows[i][j]) for i in range(k))
+            for j in range(n))
+        u, v = _sparse_matrix(F, rng, 2, n)
+        w = _sparse_matrix(F, rng, 1, k)[0]
+        # e_a⊗e_b at index a·len(w) + b
+        assert kron(F, u, w) == tuple(F.mul(u[a], w[b]) for a in range(n)
+                                      for b in range(k))
+        assert kron(F, u, ()) == () and kron(F, (), w) == ()
