@@ -18,8 +18,8 @@ import time
 from . import certificates, gallery
 from .envelope import EnvelopeTooLargeError, dual_hopf
 from .fields import RationalFunctionField
-from .hopf import (HopfAlgebra, NonDirectedFamilyError, frobenius_kernel,
-                   schematic_union)
+from .hopf import (HopfAlgebra, NonDirectedFamilyError, NotSubgroupIdealError,
+                   frobenius_kernel, schematic_union)
 from .lie import RLieAlgebra
 from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
@@ -114,6 +114,17 @@ def _need(obj, cls, command):
     return obj
 
 
+def _valid_hopf(obj, command):
+    """The Hopf target of a subgroup-ideal command.  The subgroup-ideal
+    tests presume the Hopf axioms, so a table that fails them is refused."""
+    H = _need(obj, HopfAlgebra, command)
+    report = H.validate_hopf()
+    if not report:
+        raise CliError("%s needs a valid Hopf algebra; validate fails: %r"
+                       % (command, report.first()))
+    return H
+
+
 def _flag_verdict(value):
     if value is None:
         return "undecided"
@@ -200,13 +211,20 @@ def _run_command(args):
         text = print_hopf(dual_hopf(H))
         return "ok", {"document": text}, input_data, [text.rstrip()]
     if cmd == "hopf-union":
-        H = _need(obj, HopfAlgebra, cmd)
+        H = _valid_hopf(obj, cmd)
         labels = safe_labels(H.labels)
         ideals = [Subspace.from_vectors(H.field, H.dim,
                                         _elements(H.field, labels, spec))
                   for spec in args.ideal]
-        union, ok, witness = schematic_union(
-            H, ideals, force=args.force_nondirected)
+        try:
+            union, ok, witness = schematic_union(
+                H, ideals, force=args.force_nondirected)
+        except NotSubgroupIdealError as exc:
+            strings = _witness_strings(H, labels, exc.witness)
+            raise CliError(
+                "the intersection of the directed family is not a subgroup "
+                "ideal; witness {%s}" % ", ".join(
+                    "%r: %s" % item for item in strings.items())) from exc
         payload = {
             "ideal_basis": certificates.subspace_payload(
                 H.field, labels, union.ideal),
@@ -217,7 +235,7 @@ def _run_command(args):
                  % (union.ideal.dim, ok)]
         return _flag_verdict(ok), payload, input_data, lines
     if cmd == "hopf-frobenius":
-        H = _need(obj, HopfAlgebra, cmd)
+        H = _valid_hopf(obj, cmd)
         rtxt = args.r
         r = int(rtxt.split("=", 1)[1] if "=" in rtxt else rtxt)
         kernel = frobenius_kernel(H, r)

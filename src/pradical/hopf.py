@@ -17,7 +17,12 @@ and in A⊗I + I⊗A goes through the quotient map π: A → A/I, so no subspace
 of the d²-space is built.
 `validate_hopf` checks associativity, coassociativity, the counit laws and
 the multiplicativity of Δ and ε on a few algebra generators, and reruns the
-full basis scan only when one of those checks fails.
+full basis scan only when one of those checks fails.  In the same way
+`ideal_generators` closes greedy generators of I under multiplication by
+the algebra generators, which also decides whether I is an ideal, and
+`is_subgroup_ideal` and `is_normal` test their maps on those generators
+only; a failure reruns the scan over the basis of I, so the witnesses are
+those of the full scan.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class SCAlgebra(StructureConstants):
         # the table by columns: e_i·y = Σ y_j·(e_i·e_j) combines row i of
         # the table and x·e_j = Σ x_i·(e_i·e_j) column j
         self._cols = tuple(zip(*self._terms))
+        self._generators = None
+        self._last_ideal_generators = (None, None)
 
     def __repr__(self):
         return "%s(dim=%d over %r)" % (type(self).__name__, self.dim, self.field)
@@ -103,7 +110,10 @@ class SCAlgebra(StructureConstants):
     def algebra_generators(self):
         """Greedy basis generators, as indices: e_i joins when it is not in
         the unital subalgebra spanned by the earlier ones.  That span is
-        closed by right-multiplying by the generators."""
+        closed by right-multiplying by the generators.  Found once per
+        algebra: the tables do not change."""
+        if self._generators is not None:
+            return self._generators
         F, d, C = self.field, self.dim, self._cols
         gens = []
         span = Subspace.from_vectors(F, d, [self.unit])
@@ -122,7 +132,8 @@ class SCAlgebra(StructureConstants):
             # the old span is closed under the old generators
             span = span.closure([ei] + [lin_comb(F, C[i], vec_terms(F, v), d)
                                         for v in span.basis], images)
-        return tuple(gens)
+        self._generators = tuple(gens)
+        return self._generators
 
     # -- ideals ------------------------------------------------------------
 
@@ -136,6 +147,38 @@ class SCAlgebra(StructureConstants):
                     + [lin_comb(F, col, vs, d) for col in self._cols])
 
         return Subspace.zero(F, d).closure(vectors, images)
+
+    def ideal_generators(self, I):
+        """Greedy ideal generators of I, as vectors: v ∈ I.basis joins when
+        it is not in the two-sided ideal spanned by the earlier ones.  That
+        ideal is closed under e_g·x and x·e_g for the algebra generators
+        e_g, which by associativity makes it closed under all of A.  None
+        when I is not an ideal, that is when the generators span more.  The
+        last answer is kept: a subgroup test and a normality test of one
+        ideal ask twice."""
+        last, answer = self._last_ideal_generators
+        if I == last:
+            return answer
+        F, d, T, C = self.field, self.dim, self._terms, self._cols
+        alg = self.algebra_generators()
+
+        def images(v, _):
+            vs = vec_terms(F, v)
+            return ([lin_comb(F, T[g], vs, d) for g in alg]
+                    + [lin_comb(F, C[g], vs, d) for g in alg])
+
+        gens = []
+        span = Subspace.zero(F, d)
+        for v in I.basis:
+            if span.dim > I.dim:
+                break
+            if span.contains_vector(v):
+                continue
+            gens.append(v)
+            span = span.closure([v], images)
+        answer = tuple(gens) if span.dim == I.dim else None
+        self._last_ideal_generators = (I, answer)
+        return answer
 
     def _ideal_escape(self, S):
         """The first (v, i), v in S.basis, with e_i·v or v·e_i outside S;
@@ -343,25 +386,48 @@ class SubgroupIdeal:
         return self.algebra.dim - self.ideal.dim
 
 
-def is_subgroup_ideal(A, I):
-    """Check the four Hopf-ideal conditions; returns (ok, witness)."""
+def _coideal_failure(A, I, elements):
+    """The first failed condition of ε(v) = 0, Δ(v) ∈ A⊗I + I⊗A and
+    S(v) ∈ I, each tried over every v in `elements`, as (condition, v);
+    None when all hold."""
     F = A.field
+    for v in elements:
+        if not F.is_zero(A.counit_of(v)):
+            return "counit", v
+    for v in elements:
+        if not A.in_mixed_tensor(I, A.delta(v)):
+            return "comultiplication", v
+    for v in elements:
+        if not I.contains_vector(A.antipode_of(v)):
+            return "antipode", v
+    return None
+
+
+def is_subgroup_ideal(A, I):
+    """Check the four Hopf-ideal conditions; returns (ok, witness).
+
+    For a Hopf algebra A (one that passes validate_hopf) the conditions
+    need only generators: I is an ideal when `ideal_generators` spans just
+    I, and then ε and Δ, algebra maps, and S, an anti-map, take I where
+    they take its ideal generators, as A⊗I + I⊗A is an ideal of A⊗A.  Any
+    failure reruns the scan over the whole basis of I, which names the
+    witness.
+    """
+    gens = A.ideal_generators(I)
+    if gens is not None and _coideal_failure(A, I, gens) is None:
+        return True, None
     bad = A._ideal_escape(I)
     if bad is not None:
         v, i = bad
         return False, {"condition": "ideal", "element": v, "factor": i}
-    for v in I.basis:
-        if not F.is_zero(A.counit_of(v)):
-            return False, {"condition": "counit", "element": v}
-    for v in I.basis:
-        dv = A.delta(v)
-        if not A.in_mixed_tensor(I, dv):
-            return False, {"condition": "comultiplication", "element": v,
-                           "escape": A.mixed_tensor_subspace(I).reduce(dv)}
-    for v in I.basis:
-        if not I.contains_vector(A.antipode_of(v)):
-            return False, {"condition": "antipode", "element": v}
-    return True, None
+    bad = _coideal_failure(A, I, I.basis)
+    if bad is None:
+        return True, None
+    condition, v = bad
+    witness = {"condition": condition, "element": v}
+    if condition == "comultiplication":
+        witness["escape"] = A.mixed_tensor_subspace(I).reduce(A.delta(v))
+    return False, witness
 
 
 def tensor_intersection_identity(A, ideals):
@@ -430,6 +496,9 @@ def is_normal(A, I, both_legs=False):
 
     Checks γ(I) ⊆ A⊗I, the co-module condition on the subgroup leg; with
     both_legs the weaker mixed containment γ(I) ⊆ A⊗I + I⊗A is used.
+    A commutative Hopf algebra makes γ an algebra map, and for an ideal I
+    both targets are ideals of A⊗A, so γ is tested on `ideal_generators`
+    only; when I is not an ideal every basis vector of I is tested.
     """
     if not A.is_commutative():
         raise ValueError("is_normal needs a commutative coordinate ring")
@@ -437,7 +506,8 @@ def is_normal(A, I, both_legs=False):
     inside = A.in_mixed_tensor if both_legs else A.in_right_tensor
     T = A._terms
     S = A._antipode_terms
-    for v in I.basis:
+    gens = A.ideal_generators(I)
+    for v in I.basis if gens is None else gens:
         # column b of γ(v): Σ c·e_a·S(e_k) over the terms c·e_a⊗e_b⊗e_k of
         # (Δ⊗id)Δ(v)
         cols = [[F.zero] * A.dim for _ in range(A.dim)]
@@ -449,20 +519,25 @@ def is_normal(A, I, both_legs=False):
 
 
 def frobenius_kernel(A, r):
-    """Defining ideal of the r-th Frobenius kernel: the ideal generated by
-    p^r-th powers of the augmentation ideal."""
+    """Defining ideal of the r-th Frobenius kernel: the ideal I_r generated
+    by p^r-th powers of the augmentation ideal.
+
+    I_0 = ker ε and I_{k+1} = A·F(I_k), the ideal generated by the p-th
+    powers of a basis of I_k, as the Frobenius F is additive and
+    semilinear.  So the chain is constant from the first k with
+    I_{k+1} = I_k, which comes within dim A steps, whatever r is."""
     if r < 0:
         raise ValueError("Frobenius kernel exponent r=%d is negative" % r)
     if not A.is_commutative():
         raise ValueError("Frobenius kernels need a commutative coordinate ring")
-    q = A.field.p ** r
-    aug = A.augmentation_ideal()
-    gens = [A.power(v, q) for v in aug.basis]
-    gens = [v for v in gens if not vec_is_zero(A.field, v)]
-    if not gens:
-        ideal = Subspace.zero(A.field, A.dim)
-    else:
-        ideal = A.ideal_closure(gens)
+    F = A.field
+    ideal = A.augmentation_ideal()
+    for _ in range(r):
+        powers = [A.power(v, F.p) for v in ideal.basis]
+        nxt = A.ideal_closure([v for v in powers if not vec_is_zero(F, v)])
+        if nxt == ideal:
+            break
+        ideal = nxt
     ok, witness = is_subgroup_ideal(A, ideal)
     if not ok:
         raise AssertionError("Frobenius kernel ideal failed verification: %r"

@@ -159,6 +159,37 @@ def test_hopf_union_of_non_subgroup_intersection_is_operational(capsys):
     assert "not a subgroup ideal" in err and "witness" in err
     assert "'condition': 'ideal'" in err
     assert "Traceback" not in err
+    # the witness names its element by label, as the forced verdict does
+    assert "'element': x_x, 'factor': 1}" in err
+    code, out, err = run(["hopf-union", ALPHA4, "--ideal", "x_2,x_3",
+                          "--ideal", "x_3"], capsys)
+    assert code == 1 and out == ""
+    assert "'condition': 'comultiplication', 'element': x_3," in err
+    assert "(0, 0, 0, 1)" not in err
+
+
+def test_subgroup_commands_refuse_an_invalid_hopf_table(capsys, tmp_path):
+    """The subgroup-ideal tests presume the Hopf axioms: the algebra of
+    alpha2 x alpha2 with the coalgebra of mu2 x mu2 fails validate, and on
+    it the generator tests would call span{1*x + x*1, x*x} a subgroup
+    ideal, which the counit condition refutes."""
+    from pradical.gallery import alpha_hopf, mu_hopf
+    from pradical.hopf import HopfAlgebra, tensor_product_hopf
+    from pradical.textio import print_hopf
+    X = tensor_product_hopf(alpha_hopf(2, 1), alpha_hopf(2, 1))
+    Y = tensor_product_hopf(mu_hopf(2), mu_hopf(2))
+    mixed = HopfAlgebra(X.field, X.dim, X.mult, X.unit, Y.comult, Y.counit,
+                        Y.antipode, X.labels)
+    path = tmp_path / "mixed.hopf"
+    path.write_text(print_hopf(mixed))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 0 and "verdict: fail" in out
+    for args in (["hopf-union", str(path), "--ideal", "b1_x + x_1, x_x"],
+                 ["hopf-frobenius", str(path), "1"]):
+        code, out, err = run(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s needs a valid Hopf algebra"
+                              % args[0])
 
 
 def test_oracle_compare_dim2(capsys):

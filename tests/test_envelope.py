@@ -1,15 +1,19 @@
 import itertools
+import random
 
 import pytest
 
+from pradical import envelope
 from pradical.envelope import (EnvelopeTooLargeError, dual_hopf,
                                envelope_subalgebra_span,
                                subgroup_ideal_from_p_subalgebra, u_env)
 from pradical.fields import PrimeField, RationalFunctionField
-from pradical.gallery import alpha_lie, paper_g, sl2_kernel_char2, torus_lie
-from pradical.hopf import is_normal, is_subgroup_ideal
+from pradical.gallery import (alpha_lie, paper_g, resolve, sl2_kernel_char2,
+                              torus_lie)
+from pradical.hopf import HopfAlgebra, is_normal, is_subgroup_ideal
 from pradical.lie import RLieAlgebra
 from pradical.linalg import Subspace, all_subspaces
+from pradical.survey import enumerate_algebras
 
 
 def test_u_env_dimension_and_hopf_axioms():
@@ -196,3 +200,134 @@ def test_subalgebra_span_of_the_whole_dim125_torus():
     assert span == Subspace.full(g.field, 125)
     line = g.subspace([(1, 2, 3)])
     assert envelope_subalgebra_span(g, line, H) == _word_span(g, line, H)
+
+
+# -- the PBW recursion against the word-by-word tables it replaced ------------
+
+
+def _word_u_env(g):
+    """u_env before the PBW recursion: e^a·e^b straightens e^a by every
+    generator of e^b, Δ(e^a) multiplies out every (e_i⊗1 + 1⊗e_i) and
+    S(e^a) straightens e_n^{a_n} ⋯ e_1^{a_1} from the unit."""
+    F = g.field
+    p, n = F.p, g.dim
+    d = p ** n
+    monos = list(itertools.product(range(p), repeat=n))
+    index = {m: i for i, m in enumerate(monos)}
+    st = envelope._Straightener(g)
+
+    def to_vec(elem):
+        v = [F.zero] * d
+        for m, c in elem.items():
+            v[index[m]] = c
+        return tuple(v)
+
+    def mono_mul(a, b):
+        elem = {a: F.one}
+        for j in range(n):
+            for _ in range(b[j]):
+                elem = st.elem_times_gen(elem, j)
+        return elem
+
+    mult = [[to_vec(mono_mul(a, b)) for b in monos] for a in monos]
+    comult = []
+    for a in monos:
+        tensor = {(monos[0], monos[0]): F.one}
+        for i in range(n):
+            for _ in range(a[i]):
+                nxt = {}
+                for (ma, mb), c in tensor.items():
+                    for m2, c2 in st.mono_times_gen(ma, i).items():
+                        st._add_into(nxt, (m2, mb), F.mul(c, c2))
+                    for m2, c2 in st.mono_times_gen(mb, i).items():
+                        st._add_into(nxt, (ma, m2), F.mul(c, c2))
+                tensor = nxt
+        dv = [F.zero] * (d * d)
+        for (ma, mb), c in tensor.items():
+            dv[index[ma] * d + index[mb]] = c
+        comult.append(tuple(dv))
+    minus_one = F.from_int(-1)
+    antipode = []
+    for a in monos:
+        elem = {monos[0]: F.one}
+        for j in range(n - 1, -1, -1):
+            for _ in range(a[j]):
+                elem = st.elem_times_gen(elem, j)
+        sign = F.one
+        for _ in range(sum(a) % 2):
+            sign = F.mul(sign, minus_one)
+        antipode.append(to_vec({m: F.mul(sign, c) for m, c in elem.items()}))
+    labels = tuple(
+        "1" if sum(a) == 0 else
+        "*".join("%s%s" % (g.labels[i], "" if a[i] == 1 else "^%d" % a[i])
+                 for i in range(n) if a[i] > 0)
+        for a in monos)
+    counit = tuple(F.one if i == 0 else F.zero for i in range(d))
+    return HopfAlgebra(F, d, mult, to_vec({monos[0]: F.one}), comult, counit,
+                       antipode, labels)
+
+
+def _index_dual_hopf(H):
+    """dual_hopf before the transposes by zip: every entry read by index."""
+    d = H.dim
+    mult = [[tuple(H.comult[k][a * d + b] for k in range(d))
+             for b in range(d)] for a in range(d)]
+    comult = [tuple(H.mult[a][b][k] for a in range(d) for b in range(d))
+              for k in range(d)]
+    antipode = [tuple(H.antipode[k][i] for k in range(d)) for i in range(d)]
+    return HopfAlgebra(H.field, d, mult, H.counit, comult, H.unit, antipode,
+                       tuple("%s'" % lb for lb in H.labels))
+
+
+_TABLES = ("mult", "unit", "comult", "counit", "antipode", "labels")
+
+
+def _grid_sample(p, dim, count, seed):
+    grid = list(enumerate_algebras(PrimeField(p), dim, cap=10 ** 9))
+    return random.Random(seed).sample(grid, count)
+
+
+def test_u_env_and_dual_match_the_word_by_word_tables():
+    lie = [torus_lie(2, 3), torus_lie(3, 2), torus_lie(2, 4), torus_lie(5, 2),
+           sl2_kernel_char2(), resolve("product(sl2-kernel@p=2,alpha@2)"),
+           paper_g(2)[0], paper_g(3)[0]]
+    lie += _grid_sample(2, 3, 20, 1) + _grid_sample(3, 2, 20, 2)
+    for g in lie:
+        got, want = u_env(g), _word_u_env(g)
+        dual = dual_hopf(got)
+        for table in _TABLES:
+            assert getattr(got, table) == getattr(want, table), (g, table)
+            assert (getattr(dual, table)
+                    == getattr(_index_dual_hopf(want), table)), (g, table)
+        assert got._monomials == list(itertools.product(range(g.p),
+                                                        repeat=g.dim))
+
+
+def test_u_env_takes_one_straightening_step_per_table_entry(monkeypatch):
+    """On torus 2^4 (d = 16) u_env's own loops take d(d−1) steps for the
+    product table and d−1 each for Δ and S; steps taken inside a step, while
+    straightening, are not counted."""
+    steps = {"elem": 0, "tensor": 0}
+    depth = [0]
+
+    def counted(kind, method):
+        def step(self, *args):
+            if depth[0] == 0:
+                steps[kind] += 1
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+        return step
+
+    st = envelope._Straightener
+    monkeypatch.setattr(st, "elem_times_gen",
+                        counted("elem", st.elem_times_gen))
+    monkeypatch.setattr(st, "tensor_times_gen",
+                        counted("tensor", st.tensor_times_gen))
+    H = u_env(torus_lie(2, 4))
+    d = H.dim
+    assert d == 16
+    # the product table and S share elem_times_gen
+    assert steps == {"elem": d * (d - 1) + (d - 1), "tensor": d - 1}

@@ -3,15 +3,16 @@ import time
 
 import pytest
 
-from pradical.envelope import dual_hopf, u_env
+from pradical.envelope import dual_hopf, envelope_subalgebra_span, u_env
 from pradical.fields import PrimeField
-from pradical.gallery import (alpha_hopf, mu_hopf, resolve,
-                              sl2_kernel_char2, torus_lie)
+from pradical.gallery import (alpha_hopf, alpha_lie, mu_hopf, paper_g,
+                              resolve, sl2_kernel_char2, torus_lie)
 from pradical.hopf import (HopfAlgebra, NonDirectedFamilyError, SCAlgebra,
                            frobenius_kernel, is_normal, is_subgroup_ideal,
                            schematic_union, tensor_intersection_identity,
                            tensor_product_hopf)
-from pradical.linalg import Subspace, vec_terms
+from pradical.linalg import (Subspace, all_subspaces, sc_accumulate,
+                             vec_is_zero, vec_terms)
 from pradical.textio import print_hopf
 
 
@@ -531,8 +532,141 @@ def test_frobenius_kernel_at_a_large_exponent_is_quick():
     k40 = frobenius_kernel(H, 40)
     assert time.perf_counter() - started < 1.0
     assert k40.ideal == frobenius_kernel(H, 2).ideal
+    # the chain of kernels is stable from r = 2 on
+    started = time.perf_counter()
+    k_million = frobenius_kernel(H, 10 ** 6)
+    assert time.perf_counter() - started < 1.0
+    assert k_million.ideal == k40.ideal
+
+
+def _powers_frobenius_ideal(A, r):
+    """frobenius_kernel's ideal before the stable chain: the ideal generated
+    by the p^r-th powers of a basis of ker ε."""
+    q = A.field.p ** r
+    gens = [A.power(v, q) for v in A.augmentation_ideal().basis]
+    gens = [v for v in gens if not vec_is_zero(A.field, v)]
+    return A.ideal_closure(gens) if gens else Subspace.zero(A.field, A.dim)
+
+
+def test_frobenius_kernel_chain_matches_the_powers():
+    for name in ("alpha4", "alpha8", "alpha9", "mu3",
+                 "dual(env(sl2-kernel@2))", "product(alpha4,mu2)"):
+        A = resolve(name)
+        for r in range(5):
+            assert (frobenius_kernel(A, r).ideal
+                    == _powers_frobenius_ideal(A, r)), (name, r)
 
 
 def test_frobenius_kernel_rejects_a_negative_exponent():
     with pytest.raises(ValueError, match="negative"):
         frobenius_kernel(alpha_hopf(2, 2), -1)
+
+
+# -- subgroup and normality tests on generators against the full scans -------
+
+
+def _scan_is_subgroup_ideal(A, I):
+    """is_subgroup_ideal before the generator tests: each condition on
+    every basis vector of I."""
+    F = A.field
+    bad = A._ideal_escape(I)
+    if bad is not None:
+        v, i = bad
+        return False, {"condition": "ideal", "element": v, "factor": i}
+    for v in I.basis:
+        if not F.is_zero(A.counit_of(v)):
+            return False, {"condition": "counit", "element": v}
+    for v in I.basis:
+        dv = A.delta(v)
+        if not A.in_mixed_tensor(I, dv):
+            return False, {"condition": "comultiplication", "element": v,
+                           "escape": A.mixed_tensor_subspace(I).reduce(dv)}
+    for v in I.basis:
+        if not I.contains_vector(A.antipode_of(v)):
+            return False, {"condition": "antipode", "element": v}
+    return True, None
+
+
+def _scan_is_normal(A, I, both_legs=False):
+    """is_normal before the generator tests: γ on every basis vector."""
+    F = A.field
+    inside = A.in_mixed_tensor if both_legs else A.in_right_tensor
+    for v in I.basis:
+        cols = [[F.zero] * A.dim for _ in range(A.dim)]
+        for (a, b, k), c in A.delta2(v).items():
+            sc_accumulate(F, cols[b], A._terms, ((a, c),),
+                          A._antipode_terms[k])
+        flat = tuple(x for row in zip(*cols) for x in row)
+        if not inside(I, flat):
+            return False
+    return True
+
+
+def _subgroup_ideal_cases():
+    """(A, I): the ideal of every p-subalgebra of a few small Lie algebras
+    in the dual of its envelope, GF(2)-rational ones for paper-G."""
+    cases = []
+    for g in (sl2_kernel_char2(), torus_lie(2, 3), torus_lie(3, 2),
+              alpha_lie(5), resolve("product(sl2-kernel@p=2,alpha@2)"),
+              paper_g(2)[0]):
+        H = u_env(g)
+        A = dual_hopf(H)
+        F2 = PrimeField(g.p)
+        for S2 in all_subspaces(F2, g.dim):
+            S = g.subspace([tuple(g.field.from_int(c) for c in v)
+                            for v in S2.basis])
+            if g.is_restricted_subalgebra(S):
+                cases.append((A, envelope_subalgebra_span(g, S, H)
+                              .annihilator()))
+    return cases
+
+
+def _other_subspace_cases(rng):
+    """(A, I): subspaces that are not ideals and ideals that are not Hopf
+    ideals, with the zero, whole and augmentation ideals."""
+    cases = []
+    for name in ("alpha8", "alpha9", "mu3", "product(alpha2,mu2)",
+                 "dual(env(sl2-kernel@2))", "dual(env(torus@2^3))",
+                 "env(sl2-kernel@2)"):
+        A = resolve(name)
+        F, d = A.field, A.dim
+        cases += [(A, Subspace.zero(F, d)), (A, Subspace.full(F, d)),
+                  (A, A.augmentation_ideal())]
+        for k in (1, 1, 2, 3):
+            vecs = [_random_vector(F, d, rng) for _ in range(k)]
+            cases.append((A, Subspace.from_vectors(F, d, vecs)))
+            cases.append((A, A.ideal_closure(vecs)))
+            cases.append((A, A.ideal_closure(
+                [v for v in A.augmentation_ideal().basis[:k]])))
+    return cases
+
+
+def test_ideal_generators_generate_greedily(rng):
+    seen_none = seen_ideal = 0
+    for A, I in _subgroup_ideal_cases() + _other_subspace_cases(rng):
+        gens = A.ideal_generators(I)
+        if not A.is_ideal(I):
+            assert gens is None
+            seen_none += 1
+            continue
+        seen_ideal += 1
+        assert A.ideal_closure(gens) == I
+        for n, v in enumerate(gens):
+            assert not A.ideal_closure(gens[:n]).contains_vector(v)
+    assert seen_none >= 20 and seen_ideal >= 100
+
+
+def test_subgroup_and_normality_tests_match_the_full_scans(rng):
+    conditions = set()
+    normal = set()
+    for A, I in _subgroup_ideal_cases() + _other_subspace_cases(rng):
+        got = is_subgroup_ideal(A, I)
+        assert got == _scan_is_subgroup_ideal(A, I)
+        conditions.add(got[1]["condition"] if got[1] else None)
+        if A.is_commutative():
+            for both in (False, True):
+                verdict = is_normal(A, I, both_legs=both)
+                assert verdict == _scan_is_normal(A, I, both_legs=both)
+                normal.add(verdict)
+    assert conditions == {None, "ideal", "counit", "comultiplication"}
+    assert normal == {True, False}
