@@ -24,7 +24,8 @@ from .lie import RLieAlgebra
 from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
 from .textio import (ParseError, element_str, parse_algebra, parse_element,
-                     parse_field, parse_hopf, print_hopf, safe_labels)
+                     parse_field, parse_hopf, print_hopf, safe_labels,
+                     tensor_str)
 
 
 class CliError(Exception):
@@ -221,10 +222,13 @@ def _run_command(args):
                 H, ideals, force=args.force_nondirected)
         except NotSubgroupIdealError as exc:
             strings = _witness_strings(H, labels, exc.witness)
+            # a dict display: names quoted, elements as rendered
             raise CliError(
                 "the intersection of the directed family is not a subgroup "
                 "ideal; witness {%s}" % ", ".join(
-                    "%r: %s" % item for item in strings.items())) from exc
+                    "%r: %s" % (k, repr(s) if isinstance(exc.witness[k], str)
+                                else s)
+                    for k, s in strings.items())) from exc
         payload = {
             "ideal_basis": certificates.subspace_payload(
                 H.field, labels, union.ideal),
@@ -254,12 +258,19 @@ def _run_command(args):
 
 
 def _witness_strings(H, labels, witness):
+    """A witness as strings: names as they are, elements of A by their
+    labels, elements of A⊗A as sums of c·a # b label pairs, and anything
+    else (a basis index) by repr."""
     if witness is None:
         return None
     out = {}
     for k, v in witness.items():
-        if isinstance(v, tuple) and len(v) == H.dim:
+        if isinstance(v, str):
+            out[k] = v
+        elif isinstance(v, tuple) and len(v) == H.dim:
             out[k] = element_str(H.field, labels, v)
+        elif isinstance(v, tuple) and len(v) == H.dim ** 2:
+            out[k] = tensor_str(H.field, labels, v)
         else:
             out[k] = repr(v)
     return out
@@ -286,12 +297,19 @@ def _cmd_gallery(args):
                                  % (kind, obj.dim, payload["field"])]
 
 
+_ORACLE_MAX_VECTORS = 1 << 16
+
+
 def _cmd_oracle_compare(args):
     from .survey import enumerate_algebras, oracle_compare
 
     F = parse_field(args.field)
     if isinstance(F, RationalFunctionField):
         raise CliError("oracle-compare needs a finite field, got %r" % F)
+    if F.order() ** args.dim > _ORACLE_MAX_VECTORS:
+        # enumerate_algebras lists every vector of F^dim before the cap
+        raise CliError("oracle-compare enumerates all of %r^%d, more than %d "
+                       "vectors" % (F, args.dim, _ORACLE_MAX_VECTORS))
     instances = enumerate_algebras(F, args.dim, cap=args.cap)
     total, mismatches = oracle_compare(instances)
     payload = {"dim": args.dim, "instances": total,

@@ -10,10 +10,53 @@ is canonical: two elements are equal iff their representations are equal.
 from __future__ import annotations
 
 import itertools
+import math
+
+
+# Below _TRIAL_LIMIT, primality and prime powers are decided by trial
+# division, at most 2^16 steps.  Above it, by Miller–Rabin with the first 13
+# primes as bases, which no composite below _MR_LIMIT passes (J. Sorenson
+# and J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+# 86, 2017); from _MR_LIMIT on, a number with no prime factor among those
+# bases is left undecided rather than guessed.
+_TRIAL_LIMIT = 1 << 32
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+class PrimalityUndecided(ValueError):
+    def __init__(self, n):
+        super().__init__("primality undecided: no prime factor up to %d, and "
+                         "Miller-Rabin on %d bases is exact only below %d"
+                         % (_MR_BASES[-1], len(_MR_BASES), _MR_LIMIT))
+        self.n = n
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Whether n is prime; raises PrimalityUndecided for an n at or above
+    _MR_LIMIT with no prime factor up to 41."""
+    if n < _TRIAL_LIMIT:
+        return n >= 2 and smallest_prime_factor(n) == n
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise PrimalityUndecided(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False        # a witnesses that n is composite
+    return True
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -26,16 +69,45 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+def _integer_root(n, m):
+    """The largest r with r^m <= n, for n >= 1, by Newton's method from a
+    floating-point estimate raised by 2^-20, which keeps it above n^(1/m)
+    (log2 is off by far less), so the iterates decrease to the answer."""
+    e = math.log2(n) / m
+    shift = max(0, int(e) - 50)
+    r = (int(2 ** (e - shift) * (1 + 2 ** -20)) + 1) << shift
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(n: int):
-    """(p, m) with n = p^m and m >= 1, or None when n is not a prime power."""
+    """(p, m) with n = p^m and m >= 1, or None when n is not a prime power;
+    raises PrimalityUndecided as `is_prime` does."""
     if n < 2:
         return None
-    p = smallest_prime_factor(n)
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return (p, m) if n == 1 else None
+    if n < _TRIAL_LIMIT:
+        p = smallest_prime_factor(n)
+    else:
+        p = next((q for q in _MR_BASES if n % q == 0), None)
+    if p is not None:
+        m = 0
+        while n % p == 0:
+            n //= p
+            m += 1
+        return (p, m) if n == 1 else None
+    # every prime factor exceeds 41, so m <= log_43(n) < bits/5.  p^m is a
+    # q-th power, q prime, exactly when q | m; so the least such q with n
+    # a q-th power splits off a factor of m, and when there is none m = 1
+    for q in range(2, n.bit_length() // 5 + 1):
+        if is_prime(q):
+            r = _integer_root(n, q)
+            if r ** q == n:
+                split = prime_power(r)
+                return split and (split[0], split[1] * q)
+    return (n, 1) if is_prime(n) else None
 
 
 # ---------------------------------------------------------------------------

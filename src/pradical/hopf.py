@@ -5,16 +5,21 @@ commutative; closed subgroup schemes are represented by their defining
 ideals.
 
 Elements of A are coordinate tuples and elements of A⊗A are d²-tuples, with
-e_a⊗e_b at index a·d + b, as `linalg.kron` lays them out.  `mult`, `comult`
-and `antipode` stay the dense public tables.  The algebra is a
-`linalg.StructureConstants` on `mult`, so `mul` is the one sparse
-structure-constant product that the Lie side uses too.  Δ and S act as
-`linalg` linear combinations of their sparse rows, e_i·y and x·e_j as
-combinations of a row or a column of the table, and a product in A⊗A is
-`linalg.kron_product` over the Kronecker square of the table.  Δ(e_i) is
-also kept as its nonzero (a, b, c) triples, c·e_a⊗e_b.  Membership in A⊗I
-and in A⊗I + I⊗A goes through the quotient map π: A → A/I, so no subspace
-of the d²-space is built.
+e_a⊗e_b at index a·d + b, as `linalg.kron` lays them out.  The tables are
+stored only as their nonzero (k, c) terms, in increasing k: the product
+e_i·e_j (`_terms`, with its columns `_cols`), Δ(e_i) as flat a·d + b terms
+(`_coflat`) and as (a, b, c) triples c·e_a⊗e_b (`_coterms`), and S(e_i)
+(`_antipode_terms`).  `from_terms` takes them as they are, and the dense
+constructor is `vec_terms` of its tables followed by the same path.  The
+dense `mult`, `comult` and `antipode` are views, built on first read (by
+`textio.print_hopf`, `tensor_product_hopf` and the tests); the algebra's
+own maps and checks never read them.  The algebra is a `linalg.StructureConstants` on
+`_terms`, so `mul` is the one sparse structure-constant product that the
+Lie side uses too.  Δ and S act as `linalg` linear combinations of their
+sparse rows, e_i·y and x·e_j as combinations of a row or a column of the
+table, and a product in A⊗A is `linalg.kron_product` over the Kronecker
+square of the table.  Membership in A⊗I and in A⊗I + I⊗A goes through the
+quotient map π: A → A/I, so no subspace of the d²-space is built.
 `validate_hopf` checks associativity, coassociativity, the counit laws and
 the multiplicativity of Δ and ε on a few algebra generators, and reruns the
 full basis scan only when one of those checks fails.  In the same way
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .linalg import (StructureConstants, Subspace, kron, kron_product,
                      lin_comb, nullspace, sc_accumulate, vec_is_zero,
@@ -47,22 +53,51 @@ class HopfValidationReport:
         return self.failures[0] if self.failures else None
 
 
+def _dense(F, n, terms):
+    """The n-tuple with the given nonzero (k, c) terms: `vec_terms`
+    inverted."""
+    out = [F.zero] * n
+    for k, c in terms:
+        out[k] = c
+    return tuple(out)
+
+
 class SCAlgebra(StructureConstants):
     """Associative unital algebra by structure constants."""
 
     mul = StructureConstants.product
 
     def __init__(self, field, dim, mult, unit, labels=None):
-        self.mult = tuple(tuple(tuple(v) for v in row) for row in mult)
-        super().__init__(field, dim, self.mult)
+        terms = tuple(tuple(vec_terms(field, v) for v in row) for row in mult)
+        self._set_terms(field, dim, terms, unit, labels)
+
+    @classmethod
+    def from_terms(cls, *tables, **kwargs):
+        """The algebra on sparse tables: the constructor's arguments with
+        each dense table given as its `vec_terms`, tuples throughout."""
+        A = cls.__new__(cls)
+        A._set_terms(*tables, **kwargs)
+        return A
+
+    def _set_terms(self, field, dim, terms, unit, labels=None):
+        self.field = field
+        self.dim = dim
+        self._terms = terms
         self.unit = tuple(unit)
         self.labels = tuple(labels) if labels else tuple(
             "b%d" % i for i in range(dim))
         # the table by columns: e_i·y = Σ y_j·(e_i·e_j) combines row i of
         # the table and x·e_j = Σ x_i·(e_i·e_j) column j
-        self._cols = tuple(zip(*self._terms))
+        self._cols = tuple(zip(*terms))
         self._generators = None
         self._last_ideal_generators = (None, None)
+
+    @cached_property
+    def mult(self):
+        """The dense product table, [i][j] the coordinates of e_i·e_j."""
+        F, d = self.field, self.dim
+        return tuple(tuple(_dense(F, d, t) for t in row)
+                     for row in self._terms)
 
     def __repr__(self):
         return "%s(dim=%d over %r)" % (type(self).__name__, self.dim, self.field)
@@ -81,8 +116,9 @@ class SCAlgebra(StructureConstants):
         return self.unit if out is None else out
 
     def is_commutative(self):
-        return all(self.mult[i][j] == self.mult[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
+        T = self._terms
+        return all(T[i][j] == T[j][i]
+                   for i in range(self.dim) for j in range(i))
 
     def check_associative(self, right=None):
         """The first (i, j, k) with (e_i·e_j)·e_k ≠ e_i·(e_j·e_k), k taken
@@ -243,17 +279,32 @@ class HopfAlgebra(SCAlgebra):
 
     def __init__(self, field, dim, mult, unit, comult, counit, antipode,
                  labels=None):
-        super().__init__(field, dim, mult, unit, labels)
-        self.comult = tuple(tuple(v) for v in comult)      # Δ(e_i) as d²-vector
-        self.counit = tuple(counit)                        # ε(e_i) scalars
-        self.antipode = tuple(tuple(v) for v in antipode)  # S(e_i) as d-vector
-        # Δ(e_i) and S(e_i) as their nonzero terms, and Δ(e_i) as its
-        # nonzero (a, b, c) triples
-        self._coflat = tuple(vec_terms(field, v) for v in self.comult)
-        self._coterms = tuple(tuple(divmod(k, dim) + (c,) for k, c in terms)
-                              for terms in self._coflat)
-        self._antipode_terms = tuple(vec_terms(field, v)
-                                     for v in self.antipode)
+        def terms(vectors):
+            return tuple(vec_terms(field, v) for v in vectors)
+
+        self._set_terms(field, dim, tuple(terms(row) for row in mult), unit,
+                        terms(comult), counit, terms(antipode), labels)
+
+    def _set_terms(self, field, dim, terms, unit, coflat, counit,
+                   antipode_terms, labels=None):
+        super()._set_terms(field, dim, terms, unit, labels)
+        self._coflat = coflat                   # Δ(e_i), a·d + b terms
+        self.counit = tuple(counit)             # ε(e_i) scalars
+        self._antipode_terms = antipode_terms   # S(e_i) terms
+        self._coterms = tuple(tuple(divmod(k, dim) + (c,) for k, c in t)
+                              for t in coflat)
+
+    @cached_property
+    def comult(self):
+        """Δ(e_i) as dense d²-vectors."""
+        n = self.dim ** 2
+        return tuple(_dense(self.field, n, t) for t in self._coflat)
+
+    @cached_property
+    def antipode(self):
+        """S(e_i) as dense d-vectors."""
+        return tuple(_dense(self.field, self.dim, t)
+                     for t in self._antipode_terms)
 
     def delta(self, x):
         F = self.field
@@ -334,15 +385,15 @@ class HopfAlgebra(SCAlgebra):
             failures.append(("counit-unit", None))
         if failures:
             return failures
+        T, co, eps = self._terms, self._coflat, self.counit
         for i in range(d):
             for j in gens:
-                prod = self.mult[i][j]
-                if self.delta(prod) != kron_product(F, self._terms, d,
-                                                   self._coterms[i],
-                                                   self._coterms[j]):
+                prod = T[i][j]
+                if lin_comb(F, co, prod, d * d) != kron_product(
+                        F, T, d, self._coterms[i], self._coterms[j]):
                     return [("comult-multiplicative", (i, j))]
-                if not F.eq(self.counit_of(prod),
-                            F.mul(self.counit[i], self.counit[j])):
+                if not F.eq(F.sum(F.mul(c, eps[k]) for k, c in prod),
+                            F.mul(eps[i], eps[j])):
                     return [("counit-multiplicative", (i, j))]
         return []
 

@@ -111,18 +111,19 @@ def kron_product(F, table, d, us, vs):
     and A by its d-dimensional structure-constant table: the bilinear
     product over the Kronecker square of the table,
     (e_a⊗e_b)·(e_a'⊗e_b') = e_a·e_a' ⊗ e_b·e_b', laid out as `kron`."""
+    add, mul = F.add, F.mul
     out = [F.zero] * (d * d)
     for a1, b1, c1 in us:
         left, right = table[a1], table[b1]
         for a2, b2, c2 in vs:
-            rb = right[b2]
-            if rb:
-                c = F.mul(c1, c2)
-                for a, x in left[a2]:
-                    cx = F.mul(c, x)
+            la, rb = left[a2], right[b2]
+            if la and rb:
+                c = mul(c1, c2)
+                for a, x in la:
+                    cx = mul(c, x)
                     base = a * d
                     for b, y in rb:
-                        out[base + b] = F.add(out[base + b], F.mul(cx, y))
+                        out[base + b] = add(out[base + b], mul(cx, y))
     return tuple(out)
 
 

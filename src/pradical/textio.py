@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .fields import (ExtensionField, PrimeField, RationalFunctionField,
-                     is_prime, prime_power)
+from .fields import (ExtensionField, PrimalityUndecided, PrimeField,
+                     RationalFunctionField, is_prime, prime_power)
 from .hopf import HopfAlgebra
 from .lie import RLieAlgebra
 
@@ -64,13 +64,16 @@ def parse_field(text, line=None):
         p, m = int(ptxt), (int(mtxt) if caret else 1)
     except ValueError:      # longer than sys.get_int_max_str_digits()
         raise ParseError("bad field order %r" % body, line)
-    if not caret:
-        split = prime_power(p)
-        if split is None:
-            raise ParseError("field order is not a prime power", line)
-        p, m = split
-    elif not is_prime(p):
-        raise ParseError("characteristic %d is not prime" % p, line)
+    try:
+        if not caret:
+            split = prime_power(p)
+            if split is None:
+                raise ParseError("field order is not a prime power", line)
+            p, m = split
+        elif not is_prime(p):
+            raise ParseError("characteristic %d is not prime" % p, line)
+    except PrimalityUndecided as exc:
+        raise ParseError("bad field order %r: %s" % (body, exc), line)
     if rational:
         if m != 1:
             raise ParseError("rational function fields need a prime base "

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -166,6 +167,41 @@ def test_hopf_union_of_non_subgroup_intersection_is_operational(capsys):
     assert code == 1 and out == ""
     assert "'condition': 'comultiplication', 'element': x_3," in err
     assert "(0, 0, 0, 1)" not in err
+
+
+def test_hopf_union_witness_renders_tensors_and_names(capsys, tmp_path):
+    """A comultiplication witness's escape, a vector of A⊗A, is a sum of
+    label pairs in the error text and in the certificate, and the condition
+    name is a plain string in the certificate."""
+    args = ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x_3"]
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: the intersection of the directed family is not a "
+                   "subgroup ideal; witness {'condition': 'comultiplication', "
+                   "'element': x_3, 'escape': x # x_2 + x_2 # x}\n")
+    cert = tmp_path / "union.json"
+    code, out, err = run(args + ["--force-nondirected", "--json", str(cert)],
+                         capsys)
+    assert code == 0 and "verdict: false" in out
+    assert json.loads(cert.read_text())["payload"]["witness"] == {
+        "condition": "comultiplication", "element": "x_3",
+        "escape": "x # x_2 + x_2 # x"}
+    code, out, err = run(["hopf-union", "product(alpha2,mu2)", "--ideal",
+                          "x_1,x_x", "--ideal", "x_x", "--force-nondirected",
+                          "--json", str(cert)], capsys)
+    assert code == 0 and "verdict: false" in out
+    assert json.loads(cert.read_text())["payload"]["witness"] == {
+        "condition": "ideal", "element": "x_x", "factor": "1"}
+
+
+def test_oracle_compare_refuses_a_field_too_large_to_enumerate(capsys):
+    started = time.perf_counter()
+    code, out, err = run(["oracle-compare", "--field",
+                          "GF(100000000000000000039)", "--dim", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: oracle-compare enumerates all of "
+                          "GF(100000000000000000039)^1")
+    assert time.perf_counter() - started < 1.0
 
 
 def test_subgroup_commands_refuse_an_invalid_hopf_table(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,8 @@ from pradical.hopf import HopfAlgebra, is_normal, is_subgroup_ideal
 from pradical.lie import RLieAlgebra
 from pradical.linalg import Subspace, all_subspaces
 from pradical.survey import enumerate_algebras
+
+from hopf_reference import assert_same_hopf, dense_u_env, zip_dual_hopf
 
 
 def test_u_env_dimension_and_hopf_axioms():
@@ -287,12 +291,16 @@ def _grid_sample(p, dim, count, seed):
     return random.Random(seed).sample(grid, count)
 
 
-def test_u_env_and_dual_match_the_word_by_word_tables():
+@functools.lru_cache(maxsize=None)
+def _reference_lie():
     lie = [torus_lie(2, 3), torus_lie(3, 2), torus_lie(2, 4), torus_lie(5, 2),
            sl2_kernel_char2(), resolve("product(sl2-kernel@p=2,alpha@2)"),
            paper_g(2)[0], paper_g(3)[0]]
-    lie += _grid_sample(2, 3, 20, 1) + _grid_sample(3, 2, 20, 2)
-    for g in lie:
+    return tuple(lie + _grid_sample(2, 3, 20, 1) + _grid_sample(3, 2, 20, 2))
+
+
+def test_u_env_and_dual_match_the_word_by_word_tables():
+    for g in _reference_lie():
         got, want = u_env(g), _word_u_env(g)
         dual = dual_hopf(got)
         for table in _TABLES:
@@ -331,3 +339,52 @@ def test_u_env_takes_one_straightening_step_per_table_entry(monkeypatch):
     assert d == 16
     # the product table and S share elem_times_gen
     assert steps == {"elem": d * (d - 1) + (d - 1), "tensor": d - 1}
+
+
+def test_sparse_tables_match_the_dense_route():
+    """u_env writes its terms straight from the straightener and dual_hopf
+    transposes terms; both must equal the dense route of dense rows, the
+    terms derived from them, and zip transposes: every sparse table, every
+    dense view and the printed document."""
+    for g in _reference_lie():
+        got, want = u_env(g), dense_u_env(g)
+        assert_same_hopf(got, want)
+        assert_same_hopf(dual_hopf(got), zip_dual_hopf(want))
+        assert_same_hopf(dual_hopf(dual_hopf(got)),
+                         zip_dual_hopf(zip_dual_hopf(want)))
+
+
+_DENSE_VIEWS = ("mult", "comult", "antipode")
+
+
+def test_hopf_op_builds_no_dense_table():
+    """The benchmark's hopf op on torus 2^4 reads only sparse tables: no
+    dense view is ever built on u(g), on its dual, or on the dual that
+    subgroup_ideal_from_p_subalgebra builds."""
+    g = torus_lie(2, 4)
+    H = u_env(g)
+    A = dual_hopf(H)
+    assert A.validate_hopf()
+    S = g.subspace([g.basis_vector(0), g.basis_vector(2)])
+    B, sub = subgroup_ideal_from_p_subalgebra(g, S)
+    ok, _ = is_subgroup_ideal(B, sub.ideal)
+    assert ok and is_normal(B, sub.ideal)
+    assert sub.ideal.dim == 16 - 4
+    for algebra in (H, A, B):
+        assert not set(_DENSE_VIEWS) & set(vars(algebra)), algebra
+    # the views are there on demand, and then kept
+    assert len(B.comult) == 16 and "comult" in vars(B)
+
+
+def test_u_env_and_dual_at_the_cap_stay_sparse_in_memory():
+    """torus 2^7 (d = 128): dense mult and comult tables hold d³ scalars
+    each, about 70 MB traced; the sparse tables stay well below 20 MB."""
+    g = torus_lie(2, 7)
+    tracemalloc.start()
+    try:
+        A = dual_hopf(u_env(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.dim == 128
+    assert peak < 20 * 2 ** 20, peak

@@ -11,6 +11,7 @@ from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
                              UnsupportedKindError, base_change_map,
                              find_irreducible, is_prime, padd, pdivmod, pmul,
                              prime_power, pth_root, ptrim)
+from pradical.textio import ParseError, parse_field
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
           ExtensionField(3, 2), ExtensionField(2, 3), ExtensionField(2, 8),
@@ -291,3 +292,70 @@ def test_prime_power_split():
         assert prime_power(n) is None
     assert [n for n in range(-3, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+# -- primality above the trial-division limit -----------------------------
+
+# Carmichael numbers, and strong pseudoprimes to every prime base up to 2,
+# 3, 5, 7, 11, 13, 17, 23 and 37 in turn (the least of each)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461)
+
+
+def test_miller_rabin_matches_trial_division(monkeypatch):
+    """With the trial-division limit at 2 every n takes the Miller–Rabin
+    and integer-root path, which must give the trial-division answers."""
+    small = range(-3, 10 ** 5)
+    want_prime = [n for n in small if is_prime(n)]
+    want_power = [prime_power(n) for n in small]
+    monkeypatch.setattr(fields, "_TRIAL_LIMIT", 2)
+    assert [n for n in small if is_prime(n)] == want_prime
+    assert [prime_power(n) for n in small] == want_power
+    for n in CARMICHAEL + STRONG_PSEUDOPRIMES[:4]:
+        assert not is_prime(n) and prime_power(n) is None
+        assert prime_power(n * n) is None
+
+
+def test_large_primes_and_prime_powers():
+    p = 100000000000000000039
+    assert fields._TRIAL_LIMIT < p < fields._MR_LIMIT
+    assert is_prime(p) and prime_power(p) == (p, 1)
+    assert prime_power(p ** 3) == (p, 3)
+    assert prime_power(p * (p + 2)) is None
+    assert prime_power(2 ** 100) == (2, 100)
+    assert prime_power(3 ** 50) == (3, 50)
+    assert prime_power(4294967311 ** 2) == (4294967311, 2)
+    assert prime_power(p ** 150) == (p, 150)
+    assert prime_power((p * 10007) ** 6) is None      # p·10007 < the bound
+    for n in CARMICHAEL + STRONG_PSEUDOPRIMES:
+        assert not is_prime(n) and prime_power(n) is None
+    # the least strong pseudoprime to the 13 bases is where exactness ends:
+    # it is composite, and is refused rather than called prime
+    psi13 = 3317044064679887385961981
+    assert psi13 == fields._MR_LIMIT == 1287836182261 * 2575672364521
+    with pytest.raises(fields.PrimalityUndecided):
+        is_prime(psi13)
+    with pytest.raises(fields.PrimalityUndecided):
+        prime_power(psi13)
+    assert not is_prime(psi13 + 2)      # divisible by 3
+
+
+def test_large_field_literals_parse_at_once():
+    started = time.perf_counter()
+    F = parse_field("GF(100000000000000000039)")
+    assert F == PrimeField(100000000000000000039)
+    assert parse_field("GF(4294967311^2)").p == 4294967311
+    with pytest.raises(ParseError, match="bad field order"):
+        parse_field("GF(3317044064679887385961981)")
+    with pytest.raises(ParseError, match="bad field order"):
+        parse_field("GF(3317044064679887385961981^2)")
+    with pytest.raises(ParseError, match="not a prime power"):
+        parse_field("GF(%d)" % (4294967311 * 4294967357))
+    # past the bound nothing is guessed, and nothing costs a modular power
+    # of a 4,001-digit number
+    with pytest.raises(ParseError, match="bad field order"):
+        parse_field("GF(%d)" % (10 ** 4000 + 1))
+    assert time.perf_counter() - started < 1.0
