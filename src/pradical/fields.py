@@ -5,6 +5,14 @@ polynomial coordinate rings over these.  Elements are plain immutable Python
 values (ints / tuples); all operations go through the descriptor so that
 linear algebra and Lie-algebra code can stay generic.  Every representation
 is canonical: two elements are equal iff their representations are equal.
+
+GF(p)(t) arithmetic costs only the coefficients it touches: the univariate
+helpers are single passes that reduce each coefficient once, and
+`RationalFunctionField` takes a gcd only where reduced operands do not
+already give a reduced result (see `add` and `mul`): a zero, one or
+polynomial operand and an inverse cost no gcd of the cross products, and a
+shared denominator no cross products.  `linalg.rref` adds to this by
+touching only the nonzero entries of each pivot row.
 """
 
 from __future__ import annotations
@@ -113,69 +121,116 @@ def prime_power(n: int):
 # ---------------------------------------------------------------------------
 # univariate polynomials over Z/p, as tuples of ints (low degree first)
 # ---------------------------------------------------------------------------
+#
+# Coefficients are ints in [0, p).  ptrim, padd, psub, pmul, pdivmod and
+# pgcd accept untrimmed operands and return trimmed tuples; pneg keeps the
+# length.  Each is one pass over coefficient lists: products and remainders
+# accumulate unreduced integers and reduce each coefficient once.
 
 def ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    """c as a tuple without trailing zeros."""
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
 
 
 def padd(a, b, p):
-    n = max(len(a), len(b))
-    return ptrim(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                 for i in range(n))
-
-
-def pneg(a, p):
-    return tuple((-c) % p for c in a)
-
-
-def psub(a, b, p):
-    return padd(a, pneg(b, p), p)
-
-
-def pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
+    """a + b: the shorter operand added into a copy of the longer one."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        if c:
+            out[i] = (out[i] + c) % p
     return ptrim(out)
 
 
+def pneg(a, p):
+    return tuple([(-c) % p for c in a])
+
+
+def psub(a, b, p):
+    out = list(a)
+    if len(out) < len(b):
+        out += [0] * (len(b) - len(out))
+    for i, c in enumerate(b):
+        if c:
+            out[i] = (out[i] - c) % p
+    return ptrim(out)
+
+
+def pmul(a, b, p):
+    """a·b; a constant factor scales the other operand."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        if c == 1:
+            return ptrim(a)
+        return ptrim([x * c % p for x in a]) if c else ()
+    if not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
+    return ptrim([x % p for x in out])
+
+
 def pdivmod(a, b, p):
-    """Quotient and remainder; b nonzero."""
+    """Quotient and remainder of a by b, in one pass down from the top
+    coefficient of a; b may be untrimmed, and only b = 0 raises."""
+    b = ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(ptrim(a)) >= len(b):
-        a = list(ptrim(a))
-        d = len(a) - len(b)
-        c = (a[-1] * binv) % p
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] = (a[d + i] - c * cb) % p
-    return ptrim(q), ptrim(a)
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return (), ptrim(a)
+    lead = b[-1]
+    lead_inv = 1 if lead == 1 else pow(lead, p - 2, p)
+    r = list(a)
+    q = [0] * (len(r) - nb)
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + nb] % p
+        if c:
+            c = c * lead_inv % p
+            q[d] = c
+            for i in range(nb):
+                r[d + i] -= c * b[i]
+    return ptrim(q), ptrim([x % p for x in r[:nb]])
 
 
 def pgcd(a, b, p):
+    """The monic gcd of a and b, () when both are 0.  A nonzero constant
+    remainder ends Euclid's loop at once: the gcd is then 1."""
+    a, b = ptrim(a), ptrim(b)
     while b:
-        _, a = pdivmod(a, b, p)
-        a, b = b, a
+        if len(b) == 1:
+            return (1,)
+        a, b = b, pdivmod(a, b, p)[1]
     return pmonic(a, p)
 
 
 def pmonic(a, p):
     if not a:
         return ()
-    inv = pow(a[-1], p - 2, p)
-    return tuple((c * inv) % p for c in a)
+    lead = a[-1]
+    if lead == 1:
+        return tuple(a)
+    inv = pow(lead, p - 2, p)
+    return tuple([(c * inv) % p for c in a])
+
+
+def _cancel(a, b, p):
+    """a/g and b/g for g = gcd(a, b) and nonzero a, b.  A constant shares
+    no factor, so only two nonconstant operands cost a gcd."""
+    if len(a) > 1 and len(b) > 1:
+        g = pgcd(a, b, p)
+        if len(g) > 1:
+            return pdivmod(a, g, p)[0], pdivmod(b, g, p)[0]
+    return a, b
 
 
 def psubst(a, image, p):
@@ -417,15 +472,11 @@ class RationalFunctionField(Ring):
             raise ZeroDivisionError("zero denominator in %r" % self)
         if not num:
             return self.zero
-        g = pgcd(num, den, p)
-        if len(g) > 1:
-            num, _ = pdivmod(num, g, p)
-            den, _ = pdivmod(den, g, p)
+        num, den = _cancel(num, den, p)
         lead = den[-1]
         if lead != 1:
-            inv = pow(lead, p - 2, p)
-            num = tuple((c * inv) % p for c in num)
-            den = tuple((c * inv) % p for c in den)
+            inv = (pow(lead, p - 2, p),)
+            num, den = pmul(num, inv, p), pmul(den, inv, p)
         return (num, den)
 
     @property
@@ -433,26 +484,57 @@ class RationalFunctionField(Ring):
         return ((0, 1), (1,))
 
     def add(self, a, b):
-        p = self.p
+        """a + b for reduced operands.  A zero operand returns the other.
+        A polynomial c plus n/d is c·d + n over d, reduced because n/d is.
+        Over one shared denominator the numerators add, with one gcd.  Only
+        fractions with different nonconstant denominators form both cross
+        products."""
         (an, ad), (bn, bd) = a, b
-        if ad == bd == (1,):
-            # polynomials: the trimmed sum is already reduced (0 is ((), (1,)))
-            return padd(an, bn, p), ad
+        if not an:
+            return b
+        if not bn:
+            return a
+        p = self.p
+        if ad == bd:
+            if len(ad) == 1:
+                # polynomials: the trimmed sum is already reduced (0 is ((), (1,)))
+                return padd(an, bn, p), ad
+            return self.frac(padd(an, bn, p), ad)
+        if len(ad) == 1:
+            return padd(pmul(an, bd, p), bn, p), bd
+        if len(bd) == 1:
+            return padd(an, pmul(bn, ad, p), p), ad
         return self.frac(padd(pmul(an, bd, p), pmul(bn, ad, p), p), pmul(ad, bd, p))
 
     def neg(self, a):
         return (pneg(a[0], self.p), a[1])
 
     def mul(self, a, b):
-        p = self.p
-        if a[1] == b[1] == (1,):
-            return pmul(a[0], b[0], p), a[1]
-        return self.frac(pmul(a[0], b[0], p), pmul(a[1], b[1], p))
+        """a·b for reduced operands.  Zero and one return at once; a
+        polynomial c times n/d is (c/g)·n over d/g with g = gcd(c, d), one
+        gcd of smaller operands than that of the products."""
+        (an, ad), (bn, bd) = a, b
+        if not an or not bn:
+            return self.zero
+        if len(bd) == 1 and len(ad) > 1:
+            (an, ad), (bn, bd) = (bn, bd), (an, ad)
+        if len(ad) > 1:
+            return self.frac(pmul(an, bn, self.p), pmul(ad, bd, self.p))
+        if an == (1,):
+            return bn, bd
+        an, bd = _cancel(an, bd, self.p)
+        return pmul(an, bn, self.p), bd
 
     def inv(self, a):
-        if not a[0]:
+        """den/num of a reduced num/den is reduced: only made monic."""
+        num, den = a
+        if not num:
             raise ZeroDivisionError("inverse of 0 in %r" % self)
-        return self.frac(a[1], a[0])
+        lead = num[-1]
+        if lead == 1:
+            return den, num
+        c = (pow(lead, self.p - 2, self.p),)
+        return pmul(den, c, self.p), pmul(num, c, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -182,34 +182,48 @@ def mat_frobenius(F, A, e=1):
 
 
 def rref(F, rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    The pivot row is zero before its pivot column c, so it is scaled to one
+    at c only at its nonzero entries after c, and those (k, t) terms are
+    all that eliminating column c from another row costs, as in
+    `reduce_in_place`."""
     rows = [list(r) for r in rows]
     if not rows:
         return (), ()
-    ncols = len(rows[0])
+    zero, one, add, mul = F.zero, F.one, F.add, F.mul
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not F.is_zero(rows[i][c]):
-                pivot = i
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        row = rows[i]
+        rows[r], rows[i] = row, rows[r]
+        lead = row[c]
+        row[c] = one
+        terms = [(k, x) for k, x in enumerate(row[c + 1:], c + 1) if x != zero]
+        if lead != one:
+            inv = F.inv(lead)
+            terms = [(k, mul(inv, x)) for k, x in terms]
+            for k, x in terms:
+                row[k] = x
+        for i in range(nrows):
+            other = rows[i]
+            f = other[c]
+            if i != r and f != zero:
+                other[c] = zero
+                f = F.neg(f)
+                for k, t in terms:
+                    other[k] = add(other[k], mul(f, t))
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    basis = tuple(tuple(row) for row in rows[:r])
-    return basis, tuple(pivots)
+    return tuple([tuple(row) for row in rows[:r]]), tuple(pivots)
 
 
 def mat_rank(F, A):

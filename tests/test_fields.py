@@ -5,18 +5,20 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pradical import fields
+import fields_reference as ref
+from pradical import fields, gallery, radical
 from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
                              PrimeField, RationalFunctionField,
                              UnsupportedKindError, base_change_map,
-                             find_irreducible, is_prime, padd, pdivmod, pmul,
+                             find_irreducible, is_prime, pdivmod, pmul,
                              prime_power, pth_root, ptrim)
 from pradical.textio import ParseError, parse_field
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
           ExtensionField(3, 2), ExtensionField(2, 3), ExtensionField(2, 8),
           ExtensionField(257, 2), RationalFunctionField(2),
-          RationalFunctionField(3)]
+          RationalFunctionField(3), RationalFunctionField(7),
+          RationalFunctionField(13)]
 
 
 def _element(F, rng):
@@ -231,37 +233,153 @@ def test_extension_field_structure(F8):
     assert F8.eq(acc, F8.one)
 
 
+# the primes of the GF(p)(t) property tests: certify runs GF(p)(t) at each
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def poly_operands(draw):
+    """A prime p and two polynomials a, b over GF(p), each zero, a nonzero
+    constant or a random polynomial; b is sometimes -a, a multiple of a, or
+    shares a factor with a.  Returns (p, a, b, ua, ub), where ua and ub are
+    a and b with up to two trailing zeros."""
+    p = draw(st.sampled_from(PRIMES))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def poly(kind):
+        if kind == "zero":
+            return ()
+        if kind == "constant":
+            return (rng.randrange(1, p),)
+        return ref.ptrim([rng.randrange(p) for _ in range(rng.randrange(1, 8))])
+
+    kinds = ("zero", "constant", "poly")
+    a = poly(draw(st.sampled_from(kinds)))
+    relation = draw(st.sampled_from(("free", "negated", "multiple", "common")))
+    if relation == "negated":
+        b = ref.pneg(a, p)
+    elif relation == "multiple":
+        b = ref.pmul(a, poly("poly"), p)
+    elif relation == "common":
+        factor = poly("poly")
+        a = ref.pmul(a, factor, p)
+        b = ref.pmul(poly(draw(st.sampled_from(kinds))), factor, p)
+    else:
+        b = poly(draw(st.sampled_from(kinds)))
+    ua = a + (0,) * draw(st.integers(0, 2))
+    ub = b + (0,) * draw(st.integers(0, 2))
+    return p, a, b, ua, ub
+
+
+@given(poly_operands())
+@settings(max_examples=400, deadline=None)
+def test_polynomial_helpers_match_the_reference(data):
+    """Untrimmed operands give the reference's answers on the trimmed ones
+    (the reference divides only by trimmed divisors)."""
+    p, a, b, ua, ub = data
+    assert fields.ptrim(ua) == a
+    assert fields.pneg(ua, p) == ref.pneg(ua, p)
+    assert fields.padd(ua, ub, p) == ref.padd(a, b, p)
+    assert fields.psub(ua, ub, p) == ref.psub(a, b, p)
+    assert fields.pmul(ua, ub, p) == ref.pmul(a, b, p)
+    assert fields.pmonic(a, p) == ref.pmonic(a, p)
+    assert fields.pgcd(ua, ub, p) == ref.pgcd(a, b, p)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            pdivmod(ua, ub, p)
+        return
+    q, r = pdivmod(ua, ub, p)
+    assert (q, r) == ref.pdivmod(a, b, p)
+    assert ref.padd(ref.pmul(q, b, p), r, p) == a and len(r) < len(b)
+    assert RationalFunctionField(p).frac(ua, ub) == ref.frac(p, a, b)
+
+
+def test_divisor_with_a_trailing_zero_is_trimmed_first():
+    """Such a divisor used to make pdivmod, and so pgcd, divide by its zero
+    top coefficient without end."""
+    assert pdivmod((1, 2), (1, 0), 3) == ((1, 2), ())
+    assert fields.pgcd((1, 1), (1, 0), 3) == (1,)
+    assert pdivmod((0, 1, 1), (1, 1, 0, 0), 5) == ((0, 1), ())
+    assert fields.pgcd((0, 1, 1), (0, 0, 1, 0), 5) == (0, 1)
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        pdivmod((1,), (0, 0), 3)
+
+
 @st.composite
 def ratfunc_operands(draw):
-    """Two GF(p)(t) elements, each zero, a polynomial or a general fraction;
-    sometimes b = -a, so that the sum cancels."""
-    K = RationalFunctionField(draw(st.sampled_from((2, 3, 5))))
+    """Two GF(p)(t) elements, each zero, one, a nonzero constant, a
+    polynomial or a general fraction; b is sometimes -a, so that the sum
+    cancels, and sometimes a plus a polynomial, so that the denominators
+    are equal."""
+    p = draw(st.sampled_from(PRIMES))
+    K = RationalFunctionField(p)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def polynomial():
+        return ref.ptrim([rng.randrange(p) for _ in range(rng.randrange(1, 6))])
 
     def operand(kind):
         if kind == "zero":
             return K.zero
+        if kind == "one":
+            return K.one
+        if kind == "constant":
+            return ((rng.randrange(1, p),), (1,))
         if kind == "poly":
-            return K.frac(tuple(rng.randrange(K.p)
-                                for _ in range(rng.randrange(1, 6))), (1,))
+            return ref.frac(p, polynomial(), (1,))
         return K.random_element(rng)
 
-    kinds = ("zero", "poly", "general")
+    kinds = ("zero", "one", "constant", "poly", "general")
     a = operand(draw(st.sampled_from(kinds)))
-    b = (K.neg(a) if draw(st.booleans())
-         else operand(draw(st.sampled_from(kinds))))
+    relation = draw(st.sampled_from(("free", "negated", "same-den")))
+    if relation == "negated":
+        b = (ref.pneg(a[0], p), a[1])
+    elif relation == "same-den":
+        b = ref.add(p, a, ref.frac(p, polynomial(), (1,)))
+    else:
+        b = operand(draw(st.sampled_from(kinds)))
     return K, a, b
 
 
 @given(ratfunc_operands())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_ratfunc_add_mul_match_textbook_fractions(data):
-    K, (an, ad), (bn, bd) = data
+    K, a, b = data
     p = K.p
-    a, b = (an, ad), (bn, bd)
-    assert K.add(a, b) == K.frac(padd(pmul(an, bd, p), pmul(bn, ad, p), p),
-                                 pmul(ad, bd, p))
-    assert K.mul(a, b) == K.frac(pmul(an, bn, p), pmul(ad, bd, p))
+    assert K.add(a, b) == ref.add(p, a, b)
+    assert K.sub(a, b) == ref.add(p, a, (ref.pneg(b[0], p), b[1]))
+    assert K.mul(a, b) == ref.mul(p, a, b)
+    if b[0]:
+        assert K.inv(b) == ref.inv(p, b)
+        assert K.div(a, b) == ref.mul(p, a, ref.inv(p, b))
+
+
+def _pgcd_calls(monkeypatch, target):
+    """pgcd calls made by rad_p on a freshly built gallery algebra."""
+    g = gallery.resolve(target)
+    calls = []
+    pgcd = fields.pgcd
+
+    def counted(*args):
+        calls.append(None)
+        return pgcd(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "pgcd", counted)
+        radical.rad_p(g)
+    return len(calls)
+
+
+@pytest.mark.parametrize("target, most", [
+    ("paper-G@p=5", 2),                                   # 46 with gcds per sum
+    ("product(paper-G@p=2,paper-G@p=2)", 2821),           # 7,506
+])
+def test_rad_p_over_ratfunc_takes_few_gcds(monkeypatch, target, most):
+    """A cost guard without timing: a sum with a zero, polynomial or
+    equal-denominator operand, a product with a zero, one or polynomial
+    factor, an inverse, and elimination at the zero entries of a pivot row
+    take no gcd."""
+    assert _pgcd_calls(monkeypatch, target) <= most
 
 
 def test_rational_function_reduction(K2t):

@@ -69,6 +69,89 @@ def test_sparse_mat_mul_and_pow_match_dense(name):
     assert mat_mul(F, ((),), ()) == _dense_mul(F, ((),), ()) == ((),)
 
 
+# -- rref and nullspace against the dense elimination ---------------------
+
+def _dense_rref(F, rows):
+    """rref scaling the whole pivot row and eliminating across every column
+    of it, zeros included."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows))
+                      if not F.is_zero(rows[i][c])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def _dense_nullspace(F, A, ncols):
+    """nullspace on `_dense_rref` alone: the basis and pivots of the RREF
+    of the free-column solutions."""
+    basis, pivots = _dense_rref(F, A)
+    vecs = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(basis[r][fc])
+        vecs.append(tuple(v))
+    return _dense_rref(F, vecs)
+
+
+RREF_DOMAINS = dict({name: F for name, F in SCALAR_DOMAINS.items()
+                     if F.is_field}, **{"GF(13)(t)": RationalFunctionField(13)})
+# wide, tall and square, with one row or one column at the extremes
+RREF_SHAPES = ((1, 6), (6, 1), (2, 7), (7, 2), (3, 5), (5, 3), (5, 5), (7, 7))
+
+
+def _degenerate_matrix(F, rng, nrows, ncols):
+    """A sparse matrix with zero rows, repeated rows and combinations of
+    earlier rows mixed in, so that it is often rank-deficient."""
+    A = [list(r) for r in _sparse_matrix(F, rng, nrows, ncols,
+                                         rng.choice((0.2, 0.5, 0.9)))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "repeat", "combination"))
+        if kind == "zero":
+            A.append([F.zero] * ncols)
+        elif kind == "repeat":
+            A.append(list(rng.choice(A)))
+        else:
+            u, v = rng.choice(A), rng.choice(A)
+            a, b = F.random_element(rng), F.random_element(rng)
+            A.append([F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(u, v)])
+    rng.shuffle(A)
+    return tuple(tuple(r) for r in A)
+
+
+@pytest.mark.parametrize("name", sorted(RREF_DOMAINS))
+def test_rref_and_nullspace_match_dense_reference(name):
+    F = RREF_DOMAINS[name]
+    rng = random.Random(name)
+    for nrows, ncols in RREF_SHAPES * 3:
+        A = _degenerate_matrix(F, rng, nrows, ncols)
+        assert rref(F, A) == _dense_rref(F, A)
+        N = nullspace(F, A, ncols)
+        assert (N.basis, N.pivots) == _dense_nullspace(F, A, ncols)
+    zeros = ((F.zero,) * 4,) * 3
+    assert rref(F, zeros) == _dense_rref(F, zeros) == ((), ())
+    assert rref(F, ()) == ((), ())
+
+
 @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_and_rank(seed, n, m):
