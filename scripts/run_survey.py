@@ -26,11 +26,13 @@ def main():
 
     F = PrimeField(args.p)
     started = time.monotonic()
+    grid = list(enumerate_algebras(F, args.dim, cap=args.cap))
+    enumerated = time.monotonic()
     total = 0
     mismatches = 0
     radical_dims = {}
     no_nilpotents_abelian = 0
-    for g in enumerate_algebras(F, args.dim, cap=args.cap):
+    for g in grid:
         cert = rad_p(g, strategy="s3")
         oracle = brute_force_radical(g)
         total += 1
@@ -40,9 +42,10 @@ def main():
             radical_dims.get(cert.radical.dim, 0) + 1
         if not has_nonzero_p_nilpotent(g) and g.is_abelian():
             no_nilpotents_abelian += 1
-    elapsed = time.monotonic() - started
-    print("dimension %d over %r: %d valid instances in %.1fs"
-          % (args.dim, F, total, elapsed))
+    finished = time.monotonic()
+    print("dimension %d over %r: %d valid instances, enumerated in %.2fs, "
+          "rad_p and oracle in %.1fs"
+          % (args.dim, F, total, enumerated - started, finished - enumerated))
     print("oracle mismatches: %d" % mismatches)
     print("radical dimension histogram: %s"
           % dict(sorted(radical_dims.items())))

@@ -303,6 +303,10 @@ _ORACLE_MAX_VECTORS = 1 << 16
 def _cmd_oracle_compare(args):
     from .survey import enumerate_algebras, oracle_compare
 
+    if args.dim < 0:
+        raise CliError("oracle-compare needs --dim >= 0, got %d" % args.dim)
+    if args.cap < 1:
+        raise CliError("oracle-compare needs --cap >= 1, got %d" % args.cap)
     F = parse_field(args.field)
     if isinstance(F, RationalFunctionField):
         raise CliError("oracle-compare needs a finite field, got %r" % F)

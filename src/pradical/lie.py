@@ -71,6 +71,20 @@ class RLieAlgebra(StructureConstants):
         self._validated = None
 
     @classmethod
+    def _with_ppowers(cls, table, ppowers, pterms):
+        """The algebra on the bracket table of `table` with the p-powers
+        `ppowers` (nested tuples) and their sparse terms `pterms`.  It holds
+        the very `brackets`, `_terms`, `_ad_basis` and `_ad_terms` objects
+        of `table`, so the p-power variants of one table derive them once."""
+        g = cls.__new__(cls)
+        g.field, g.dim, g.labels = table.field, table.dim, table.labels
+        g.brackets, g._terms = table.brackets, table._terms
+        g._ad_basis, g._ad_terms = table.ad_basis(), table._ad_rows()
+        g.ppowers, g._pterms = ppowers, pterms
+        g._validated = None
+        return g
+
+    @classmethod
     def from_upper(cls, field, dim, upper, ppowers, labels=None):
         """Build the full bracket table from {(i, j): vector} with i < j."""
         zero = vec_zero(field, dim)
@@ -108,11 +122,17 @@ class RLieAlgebra(StructureConstants):
         is [x, e_j]."""
         F = self.field
         n = self.dim
-        if self._ad_terms is None:
-            self._ad_terms = [[(k * n + j, c) for j, terms in enumerate(row)
-                               for k, c in terms] for row in self._terms]
-        flat = lin_comb(F, self._ad_terms, vec_terms(F, x), n * n)
+        flat = lin_comb(F, self._ad_rows(), vec_terms(F, x), n * n)
         return tuple(flat[k * n:(k + 1) * n] for k in range(n))
+
+    def _ad_rows(self):
+        """ad(e_i) as the sparse row of its n² entries, for each i."""
+        if self._ad_terms is None:
+            n = self.dim
+            self._ad_terms = tuple(
+                tuple((k * n + j, c) for j, terms in enumerate(row)
+                      for k, c in terms) for row in self._terms)
+        return self._ad_terms
 
     # -- validation ----------------------------------------------------------
 

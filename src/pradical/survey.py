@@ -1,9 +1,18 @@
 """Exhaustive small-dimension surveys over finite fields.
 
 Generates every valid restricted Lie algebra structure on a small-dimension
-space (bracket grid filtered by the Jacobi identity, then the linear
-restrictedness condition solved for the p-power data) and provides a
-brute-force all-subspaces radical oracle to compare against rad_p.
+space and provides a brute-force all-subspaces radical oracle to compare
+against rad_p.
+
+`enumerate_algebras` spends on each bracket table only what that table
+needs.  The vectors of F^n, their negations and the sparse terms of both
+are listed once per call, and Jacobi is tested on the sparse antisymmetric
+table of each bracket choice before any algebra object exists.  For a
+table that passes, the restrictedness systems Σ_k x_k·ad(e_k) = ad(e_i)^p
+(i = 0..n-1) share one n²×n coefficient matrix, so one `rref` of it with
+all n right-hand sides appended gives every particular solution and the
+shared kernel.  The p-power variants of a table share its bracket data
+(`RLieAlgebra._with_ppowers`); only their p-powers and those terms differ.
 """
 
 from __future__ import annotations
@@ -11,7 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .lie import RLieAlgebra, ValidationReport
-from .linalg import all_subspaces, mat_pow, rref
+from .linalg import (all_subspaces, lin_comb, mat_pow, rref, vec_add,
+                     vec_is_zero, vec_terms)
 
 
 def all_vectors(F, n, nonzero=False):
@@ -21,77 +31,106 @@ def all_vectors(F, n, nonzero=False):
         yield v
 
 
-def _affine_solutions(F, rows, rhs, ncols):
-    """All solutions x of (rows)·x = rhs; yields tuples, empty if none."""
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    basis, pivots = rref(F, aug)
-    if ncols in pivots:
-        return
-    particular = [F.zero] * ncols
-    for r, j in enumerate(pivots):
-        particular[j] = basis[r][ncols]
-    hom_basis, hom_pivots = rref(F, [row[:ncols] for row in aug])
-    free = [j for j in range(ncols) if j not in hom_pivots]
-    for assignment in itertools.product(F.elements(), repeat=len(free)):
-        x = list(particular)
-        # back-substitute the free choices through the RREF rows
-        vals = dict(zip(free, assignment))
-        for r in range(len(hom_basis) - 1, -1, -1):
-            j = hom_pivots[r]
-            s = F.zero
-            for k in range(j + 1, ncols):
-                c = hom_basis[r][k]
-                if not F.is_zero(c):
-                    s = F.add(s, F.mul(c, vals.get(k, F.zero)))
-            vals[j] = F.sub(F.zero, s)
-        yield tuple(F.add(particular[j], vals.get(j, F.zero))
-                    for j in range(ncols))
+def _restricted_choices(F, ad):
+    """The p-power options of each basis element e_i: the list of solutions
+    x of Σ_k x_k·ad(e_k) = ad(e_i)^p, empty if there is none.
+
+    The n systems share their coefficient matrix, so one `rref` of it with
+    the n right-hand sides appended decides them all.  Its first `rank`
+    rows pivot in the coefficient columns; the rows after them are zero
+    there, and system i is solvable when they are zero in its column too.
+    Its particular solution is read from the first rows, and the free
+    coordinates of the shared kernel run in `itertools.product` order."""
+    n = len(ad)
+    targets = [mat_pow(F, a, F.p) for a in ad]
+    rows = [tuple(a[r][c] for a in ad) + tuple(t[r][c] for t in targets)
+            for r in range(n) for c in range(n)]
+    basis, pivots = rref(F, rows)
+    rank = sum(1 for pc in pivots if pc < n)
+    echelon = list(zip(pivots[:rank], basis[:rank]))
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            v = [F.zero] * n
+            v[f] = F.one
+            for pc, row in echelon:
+                v[pc] = F.neg(row[f])
+            kernel.append(vec_terms(F, v))
+    shifts = [lin_comb(F, kernel, vec_terms(F, a), n)
+              for a in itertools.product(F.elements(), repeat=len(kernel))]
+    options = []
+    for i in range(n):
+        if any(row[n + i] != F.zero for row in basis[rank:]):
+            options.append([])
+            continue
+        x = [F.zero] * n
+        for pc, row in echelon:
+            x[pc] = row[n + i]
+        options.append([vec_add(F, x, v) for v in shifts])
+    return options
 
 
-def _restricted_choices(F, ad, i, n):
-    """All p-power vectors for basis element i: solutions of
-    ad(pvec) = ad(e_i)^p, a linear system in the pvec coordinates."""
-    target = mat_pow(F, ad[i], F.p)
-    rows = []
-    rhs = []
-    for r in range(n):
-        for c in range(n):
-            rows.append(tuple(ad[k][r][c] for k in range(n)))
-            rhs.append(target[r][c])
-    return list(_affine_solutions(F, rows, rhs, n))
+def _table_jacobi_ok(F, n, terms):
+    """Jacobi on a sparse antisymmetric table, terms[a][b] the nonzero
+    (index, value) pairs of [e_a, e_b]: for every i < j < k the sum
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is zero."""
+    add, mul = F.add, F.mul
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = [F.zero] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in terms[a][b]:
+                for l, y in terms[m][c]:
+                    s[l] = add(s[l], mul(x, y))
+        if not vec_is_zero(F, s):
+            return False
+    return True
 
 
 def enumerate_algebras(F, dim, cap=10000):
     """Yield every valid restricted Lie algebra of the given dimension over
-    a finite field, up to the instance cap.
+    a finite field, at most `cap` of them (none for cap <= 0).
 
-    Brackets run over the full structure-constant grid (alternating by
-    construction, Jacobi-filtered); for each bracket table the restrictedness
-    condition is linear in each basis p-power and solved exactly.
+    Brackets run over the full structure-constant grid, one vector of F^dim
+    for each [e_i, e_j] with i < j in `itertools.product` order; a table is
+    alternating by construction and kept if Jacobi holds on its sparse
+    terms.  For each kept table one elimination solves the restrictedness
+    condition, which is linear in each basis p-power, and every choice of
+    p-powers is yielded.  The algebras are valid by construction and are
+    marked valid without a new check; the variants of one table share its
+    bracket data.
     """
-    n = dim
-    count = 0
+    yield from itertools.islice(_grid(F, dim), max(cap, 0))
+
+
+def _grid(F, n):
+    """Every valid algebra of dimension n over F, in enumeration order."""
+    zero = (F.zero,) * n
+    entries = []
+    for v in all_vectors(F, n):
+        neg = tuple(F.neg(c) for c in v)
+        entries.append((v, neg, vec_terms(F, v), vec_terms(F, neg)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bracket_choice in itertools.product(
-            list(all_vectors(F, n)), repeat=len(pairs)):
-        upper = dict(zip(pairs, bracket_choice))
-        g0 = RLieAlgebra.from_upper(F, n, upper,
-                                    [(F.zero,) * n] * n)
-        if not _jacobi_ok(g0):
+    for choice in itertools.product(entries, repeat=len(pairs)):
+        terms = [[()] * n for _ in range(n)]
+        for (i, j), (_, _, v_terms, neg_terms) in zip(pairs, choice):
+            terms[i][j], terms[j][i] = v_terms, neg_terms
+        if not _table_jacobi_ok(F, n, terms):
             continue
-        ad = g0.ad_basis()
-        per_i = [_restricted_choices(F, ad, i, n) for i in range(n)]
-        if any(not opts for opts in per_i):
+        table = [[zero] * n for _ in range(n)]
+        for (i, j), (v, neg, _, _) in zip(pairs, choice):
+            table[i][j], table[j][i] = v, neg
+        g0 = RLieAlgebra(F, n, tuple(map(tuple, table)), (zero,) * n)
+        options = _restricted_choices(F, g0.ad_basis())
+        if not all(options):
             continue
-        for ppowers in itertools.product(*per_i):
-            g = RLieAlgebra(F, n, g0.brackets, ppowers)
-            # valid by construction: alternating by from_upper, Jacobi by
-            # _jacobi_ok, restricted by _restricted_choices
+        option_terms = [[vec_terms(F, x) for x in opts] for opts in options]
+        for ppowers, pterms in zip(itertools.product(*options),
+                                   itertools.product(*option_terms)):
+            g = RLieAlgebra._with_ppowers(g0, ppowers, pterms)
+            # valid by construction: alternating by the table, Jacobi by
+            # _table_jacobi_ok, restricted by _restricted_choices
             g._validated = ValidationReport(True)
             yield g
-            count += 1
-            if count >= cap:
-                return
 
 
 def _jacobi_ok(g):

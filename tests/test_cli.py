@@ -204,6 +204,23 @@ def test_oracle_compare_refuses_a_field_too_large_to_enumerate(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--dim", "2", "--cap", "0"], "needs --cap >= 1, got 0"),
+    (["--dim", "2", "--cap", "-5"], "needs --cap >= 1, got -5"),
+    (["--dim", "-1"], "needs --dim >= 0, got -1"),
+])
+def test_oracle_compare_refuses_an_empty_cap_and_a_negative_dim(
+        capsys, tmp_path, args, message):
+    """A cap below one certified "instances": 1 under "cap": 0, and a
+    negative dimension ended in an itertools message."""
+    cert = tmp_path / "oracle.json"
+    code, out, err = run(["oracle-compare", "--json", str(cert)] + args,
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == "error: oracle-compare %s\n" % message
+    assert not cert.exists()
+
+
 def test_subgroup_commands_refuse_an_invalid_hopf_table(capsys, tmp_path):
     """The subgroup-ideal tests presume the Hopf axioms: the algebra of
     alpha2 x alpha2 with the coalgebra of mu2 x mu2 fails validate, and on

@@ -33,7 +33,8 @@ def _random_vec(g, rng):
 
 
 # (p, dim) -> (count, sha256 of the (brackets, ppowers) sequence), as
-# enumerated while enumerate_algebras still validated every variant
+# enumerated while enumerate_algebras still validated every variant; (3, 3)
+# and (2, 4) as enumerated while it still built an algebra per bracket table
 ENUMERATED = {
     (2, 2): (19, "b7bb4af74320694c3cd5205c5466e7a6"
                  "4bab58d7db3dc25f95a4f970aa4bcde6"),
@@ -43,17 +44,29 @@ ENUMERATED = {
                  "ccecd48b32dbad2e749e62db4c9b9164"),
     (5, 2): (649, "1f249c5be8cfb392726ff093dfdfad47"
                   "b7218b6785821be837841d23c7a025d1"),
+    # the whole survey grid over GF(3)
+    (3, 3): (29537, "abb000c767e298c02208bbfa994a997b"
+                    "bd5b116106ceab788af056eb42df827e"),
+    # a prefix, cap 2000: four Jacobi triples per table
+    (2, 4): (2000, "4b9a63e1a557f22e5c8a287040c585a5"
+                   "cefe20b5e89d5e2ec3a23e9da61243d9"),
 }
+ENUMERATION_CAP = {(2, 4): 2000}
+# every algebra is hashed; on the GF(3) grid only every 10th is validated
+VALIDATION_STRIDE = {(3, 3): 10}
 
 
 @pytest.mark.parametrize("p,dim", sorted(ENUMERATED))
 def test_enumerated_algebras_validate_from_scratch(p, dim):
     # enumerate_algebras marks its algebras valid without checking them
     F = PrimeField(p)
+    stride = VALIDATION_STRIDE.get((p, dim), 1)
     digest = hashlib.sha256()
     count = 0
-    for g in enumerate_algebras(F, dim, cap=10 ** 9):
-        assert RLieAlgebra(F, dim, g.brackets, g.ppowers).validate()
+    for g in enumerate_algebras(F, dim,
+                                cap=ENUMERATION_CAP.get((p, dim), 10 ** 9)):
+        if count % stride == 0:
+            assert RLieAlgebra(F, dim, g.brackets, g.ppowers).validate()
         digest.update(repr((g.brackets, g.ppowers)).encode())
         count += 1
     assert (count, digest.hexdigest()) == ENUMERATED[(p, dim)]
@@ -136,8 +149,7 @@ def _non_abelian_grid(F, count, rng):
         if v == zero:
             continue
         g0 = RLieAlgebra.from_upper(F, 2, {(0, 1): v}, [zero, zero])
-        choices = [_restricted_choices(F, g0.ad_basis(), i, 2)
-                   for i in range(2)]
+        choices = _restricted_choices(F, g0.ad_basis())
         if all(choices):
             out.append(RLieAlgebra(F, 2, g0.brackets,
                                    [rng.choice(c) for c in choices]))
@@ -462,8 +474,7 @@ def _grid_sample(F, n, count, rng):
         g0 = RLieAlgebra.from_upper(F, n, upper, [zero] * n)
         if not _jacobi_ok(g0):
             continue
-        choices = [_restricted_choices(F, g0.ad_basis(), i, n)
-                   for i in range(n)]
+        choices = _restricted_choices(F, g0.ad_basis())
         if all(choices):
             out.append(RLieAlgebra(F, n, g0.brackets,
                                    [rng.choice(c) for c in choices]))
