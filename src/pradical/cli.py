@@ -300,6 +300,16 @@ def _cmd_gallery(args):
 _ORACLE_MAX_VECTORS = 1 << 16
 
 
+def _subspace_count(q, n):
+    """Σ_k [n choose k]_q, the number of subspaces of GF(q)^n."""
+    total, term = 1, 1
+    for k in range(n):
+        # [n choose k+1]_q = [n choose k]_q·(q^(n−k) − 1)/(q^(k+1) − 1)
+        term = term * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
+        total += term
+    return total
+
+
 def _cmd_oracle_compare(args):
     from .survey import enumerate_algebras, oracle_compare
 
@@ -314,6 +324,12 @@ def _cmd_oracle_compare(args):
         # enumerate_algebras lists every vector of F^dim before the cap
         raise CliError("oracle-compare enumerates all of %r^%d, more than %d "
                        "vectors" % (F, args.dim, _ORACLE_MAX_VECTORS))
+    subspaces = _subspace_count(F.order(), args.dim)
+    if subspaces > _ORACLE_MAX_VECTORS:
+        # brute_force_radical scans every subspace of F^dim
+        raise CliError("oracle-compare scans all %d subspaces of %r^%d, more "
+                       "than %d" % (subspaces, F, args.dim,
+                                    _ORACLE_MAX_VECTORS))
     instances = enumerate_algebras(F, args.dim, cap=args.cap)
     total, mismatches = oracle_compare(instances)
     payload = {"dim": args.dim, "instances": total,

@@ -3,19 +3,23 @@
 u(g) is built on the monomial basis {e^α : 0 ≤ α_i < p} by straightening
 words.  Its tables follow the PBW recursion: each entry of the product, Δ
 and S takes one straightening step, a right multiplication by a generator,
-from the entry it extends (`u_env`).  The straightener's elements go into
-the Hopf algebra as their index-sorted (k, c) terms, and the dual
-transposes those terms (`dual_hopf`), so no dense table is built on the
-way.  A p-subalgebra S of g yields a subgroup ideal of the dual of u(g) as
-the annihilator of u(S), spanned with the straightener, and its memo, that
-built u(g).
+from the entry it extends (`u_env`).  A monomial is its basis index
+idx(α) = Σ α_i·p^(n−1−i), the exponent-lex order of u(g)'s basis, and a
+straightening step is integer arithmetic on it (`_Straightener`): that
+halves the time of `u_env` against exponent-tuple keys (0.186 → 0.075 s
+over the benchmark's hopf algebras; figures in `u_env`).  The
+straightener's elements go into the Hopf algebra as their index-sorted
+(k, c) terms, and the dual transposes those terms (`dual_hopf`), so no
+dense table is built on the way.  A p-subalgebra S of g yields a subgroup
+ideal of the dual of u(g) as the annihilator of u(S), spanned with the
+straightener, and its memo, that built u(g).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .hopf import HopfAlgebra, SubgroupIdeal
+from .hopf import HopfAlgebra, SubgroupIdeal, _dense
 from .linalg import Subspace, vec_terms
 
 
@@ -30,96 +34,92 @@ class EnvelopeTooLargeError(ValueError):
 class _Straightener:
     """Rewrites words in the generators of u(g) to the sorted-monomial basis.
 
-    Elements are dicts {exponent-tuple: coefficient}.
+    A monomial e^α is its index m = Σ α_i·p^(n−1−i) in exponent-lex order,
+    which is u(g)'s basis order; elements are dicts {index: coefficient}.
+    With `stride[i]` = p^(n−1−i), the exponents `digits[m]` of each index
+    and the last nonzero position `last[m]` of each (−1 at the unit):
+    e^α·e_j is the index m + stride[j] when last[m] ≤ j and α_j < p − 1;
+    when α_j = p − 1 it is e^β·e_j^p on the prefix β = m − (p−1)·stride[j];
+    and when last[m] > j the generator peeled is k = last[m].  The memo is
+    one list per generator, `_memo[j][m]`.
     """
 
     def __init__(self, g):
         self.g = g
         self.F = g.field
-        self.p = g.field.p
-        self.n = g.dim
-        self._memo = {}
+        p, n = g.field.p, g.dim
+        self.d = p ** n
+        self.stride = [p ** (n - 1 - i) for i in range(n)]
+        self.digits = list(itertools.product(range(p), repeat=n))
+        self.last = [max((i for i, a in enumerate(alpha) if a), default=-1)
+                     for alpha in self.digits]
+        self._memo = [[None] * self.d for _ in range(n)]
 
-    def _add_into(self, acc, mono, coeff):
+    def _add_into(self, acc, elem, c):
+        """acc += c·elem, dropping the terms that cancel."""
         F = self.F
-        c = F.add(acc.get(mono, F.zero), coeff)
-        if F.is_zero(c):
-            acc.pop(mono, None)
-        else:
-            acc[mono] = c
+        if c != F.one:
+            elem = {m: F.mul(c, x) for m, x in elem.items()}
+        if not acc:
+            acc.update(elem)
+            return
+        for m, x in elem.items():
+            old = acc.get(m)
+            if old is None:
+                acc[m] = x
+            else:
+                x = F.add(old, x)
+                if x == F.zero:
+                    del acc[m]
+                else:
+                    acc[m] = x
 
     def elem_times_gen(self, elem, j):
+        memo = self._memo[j]
         out = {}
-        for mono, c in elem.items():
-            for m2, c2 in self.mono_times_gen(mono, j).items():
-                self._add_into(out, m2, self.F.mul(c, c2))
+        for m, c in elem.items():
+            prod = memo[m]
+            if prod is None:
+                prod = self.mono_times_gen(m, j)
+            self._add_into(out, prod, c)
         return out
 
-    def mono_times_gen(self, mono, j):
-        """e^mono · e_j as a sorted-monomial element."""
-        key = (mono, j)
-        if key in self._memo:
-            return self._memo[key]
+    def mono_times_gen(self, m, j):
+        """e^m · e_j as a sorted-monomial element."""
+        out = self._memo[j][m]
+        if out is not None:
+            return out
         F = self.F
-        k = max((i for i in range(self.n) if mono[i] > 0 and i > j),
-                default=None)
-        if k is None:
-            if mono[j] + 1 < self.p:
-                out = {tuple(a + 1 if i == j else a
-                             for i, a in enumerate(mono)): F.one}
-            else:
-                # e_j^p acts as the p-power image, which is linear in g
-                prefix = tuple(0 if i == j else a for i, a in enumerate(mono))
-                out = {}
-                for m, c in self.g._pterms[j]:
-                    for m2, c2 in self.mono_times_gen(prefix, m).items():
-                        self._add_into(out, m2, F.mul(c, c2))
-        else:
+        k = self.last[m]
+        if k > j:
             # peel the largest out-of-order generator:
             # e^α e_j = e^{α-ε_k} e_j e_k + e^{α-ε_k} [e_k, e_j]
-            reduced = tuple(a - 1 if i == k else a for i, a in enumerate(mono))
+            reduced = m - self.stride[k]
+            out = self.elem_times_gen(self.mono_times_gen(reduced, j), k)
+            for t, c in self.g._terms[k][j]:
+                self._add_into(out, self.mono_times_gen(reduced, t), c)
+        elif self.digits[m][j] + 1 < F.p:
+            out = {m + self.stride[j]: F.one}
+        else:
+            # e_j^p acts as the p-power image, which is linear in g
+            prefix = m - (F.p - 1) * self.stride[j]
             out = {}
-            moved = self.mono_times_gen(reduced, j)
-            for m2, c2 in self.elem_times_gen(moved, k).items():
-                self._add_into(out, m2, c2)
-            for m, c in self.g._terms[k][j]:
-                for m2, c2 in self.mono_times_gen(reduced, m).items():
-                    self._add_into(out, m2, F.mul(c, c2))
-        self._memo[key] = out
+            for t, c in self.g._pterms[j]:
+                self._add_into(out, self.mono_times_gen(prefix, t), c)
+        self._memo[j][m] = out
         return out
 
     def tensor_times_gen(self, tensor, j):
-        """tensor · (e_j⊗1 + 1⊗e_j) for a tensor {(mono, mono): coefficient}."""
-        F = self.F
+        """tensor · (e_j⊗1 + 1⊗e_j) for a tensor {a·d + b: coefficient}."""
+        d = self.d
         out = {}
-        for (ma, mb), c in tensor.items():
-            for m2, c2 in self.mono_times_gen(ma, j).items():
-                self._add_into(out, (m2, mb), F.mul(c, c2))
-            for m2, c2 in self.mono_times_gen(mb, j).items():
-                self._add_into(out, (ma, m2), F.mul(c, c2))
+        for ab, c in tensor.items():
+            a, b = divmod(ab, d)
+            self._add_into(out, {m * d + b: x for m, x in
+                                 self.mono_times_gen(a, j).items()}, c)
+            self._add_into(out, {a * d + m: x for m, x in
+                                 self.mono_times_gen(b, j).items()}, c)
         return out
-
-
-def _to_vec(F, index, elem):
-    """A sorted-monomial element as a coordinate vector over `index`."""
-    v = [F.zero] * len(index)
-    for m, c in elem.items():
-        v[index[m]] = c
-    return tuple(v)
-
-
-def _peel(monos, index, first):
-    """For each monomial e^b after the unit, (k, j) with e^b = e_j·e^{b'}
-    when `first` and e^b = e^{b'}·e_j otherwise, where j is the first (or
-    last) index at which b is nonzero, b' = b − ε_j and k is the index of
-    e^{b'}.  b' precedes b in the exponent-lex order, so a table built in
-    that order has its entry."""
-    out = []
-    for b in monos[1:]:
-        nonzero = [i for i, x in enumerate(b) if x]
-        j = nonzero[0] if first else nonzero[-1]
-        out.append((index[b[:j] + (b[j] - 1,) + b[j + 1:]], j))
-    return out
 
 
 def u_env(g, cap=128):
@@ -128,79 +128,67 @@ def u_env(g, cap=128):
     Monomial basis e^α in exponent-lex order; generators are primitive.
     Raises EnvelopeTooLargeError past the dimension cap.
 
-    Each table entry takes one straightening step from the entry it extends
-    (`_peel`): with j the last index of b and i the first,
+    Each table entry takes one straightening step from the entry it extends:
+    with j the last index of b and i the first,
 
         e^a·e^b = (e^a·e^{b−ε_j})·e_j,
         Δ(e^b)  = Δ(e^{b−ε_j})·(e_j⊗1 + 1⊗e_j),
         S(e^b)  = −S(e^{b−ε_i})·e_i,
 
-    so the tables cost d(d−1) + 2(d−1) steps for d = p^dim g.  Seconds of
-    u_env at the cap, on one core of a 2-vCPU Xeon VM under CPython 3.11,
-    median of three runs, word by word → with this recursion: torus 3^4
-    (d = 81) 0.09 → 0.06, torus 5^3 (d = 125) 0.29 → 0.21, torus 2^7
-    (d = 128) 0.28 → 0.22, and paper-G at p = 5 over GF(5)(t) (d = 125,
-    one run) 1.15 → 0.49.
+    so the tables cost d(d−1) + 2(d−1) steps for d = p^dim g.  Monomials are
+    their indices Σ α_i·p^(n−1−i) (`_Straightener`), which is the basis
+    order, so e^{b−ε_j} is b − p^(n−1−j) and each straightened element goes
+    into the tables as its sorted (k, c) terms, with Δ as flat a·d + b
+    terms, without a re-indexing pass or a dense table.
 
-    Each straightened element is written as its index-sorted (k, c) terms,
-    with Δ as flat a·d + b terms, and no dense table is built.  Dense
-    tables → these terms, same machine, median of five runs of u_env,
-    dual_hopf and validate_hopf of the dual, with the process's peak RSS:
-    torus 2^7 0.33 → 0.06 s, 0.35 → 0.02 s and 0.84 → 0.76 s, 87 → 23 MB;
-    paper-G at p = 5 0.67 → 0.27 s, 0.42 → 0.05 s and 6.3 → 4.7 s,
-    101 → 39 MB.
+    Seconds of u_env, exponent tuples → integer indices as monomial keys,
+    median of seven alternating process runs (each the median of five
+    calls) on a shared 2-vCPU Xeon VM under CPython 3.11: torus 3^4
+    (d = 81) 0.032 → 0.014, torus 5^3 (d = 125) 0.075 → 0.038, torus 2^7
+    (d = 128) 0.081 → 0.037, paper-G at p = 5 over GF(5)(t) (d = 125)
+    0.216 → 0.144, and all 269 algebras of the benchmark's hopf workload at
+    seed 7 (d = 8 to 32) 0.186 → 0.075.
     """
     g.require_valid()
     F = g.field
-    p = F.p
-    n = g.dim
-    d = p ** n
+    d = F.p ** g.dim
     if d > cap:
         raise EnvelopeTooLargeError(d, cap)
-    monos = list(itertools.product(range(p), repeat=n))
-    index = {m: i for i, m in enumerate(monos)}
-
-    def terms(elem):
-        # the element's (index, coefficient) terms, as `vec_terms` lists
-        # them; indices are distinct, so the sort never compares scalars
-        return tuple(sorted([(index[m], c) for m, c in elem.items()]))
-
-    one = {monos[0]: F.one}
     st = _Straightener(g)
-    last = _peel(monos, index, first=False)
-    mult = []
-    for a in monos:
-        row = [{a: F.one}]
-        for k, j in last:
-            row.append(st.elem_times_gen(row[k], j))
-        mult.append(tuple(terms(elem) for elem in row))
 
-    tensors = [{(monos[0], monos[0]): F.one}]
-    for k, j in last:
+    def terms(elems):
+        # each element's sorted (k, c) terms; indices are distinct, so the
+        # sort never compares scalars
+        return tuple(map(tuple, map(sorted, map(dict.items, elems))))
+
+    steps = [(b - st.stride[j], j) for b, j in enumerate(st.last) if b]
+    mult = []
+    for a in range(d):
+        row = [{a: F.one}]
+        for k, j in steps:
+            row.append(st.elem_times_gen(row[k], j))
+        mult.append(terms(row))
+
+    tensors = [{0: F.one}]
+    for k, j in steps:
         tensors.append(st.tensor_times_gen(tensors[k], j))
-    comult = tuple(
-        tuple(sorted([(index[ma] * d + index[mb], c)
-                      for (ma, mb), c in tensor.items()]))
-        for tensor in tensors)
 
     counit = tuple(F.one if i == 0 else F.zero for i in range(d))
 
-    antipodes = [one]
-    for k, i in _peel(monos, index, first=True):
-        antipodes.append({m: F.neg(c) for m, c in
-                          st.elem_times_gen(antipodes[k], i).items()})
+    antipodes = [{0: F.one}]
+    for b, alpha in enumerate(st.digits[1:], 1):
+        i = next(i for i, a in enumerate(alpha) if a)
+        antipodes.append({m: F.neg(c) for m, c in st.elem_times_gen(
+            antipodes[b - st.stride[i]], i).items()})
 
     labels = tuple(
         "1" if sum(a) == 0 else
         "*".join("%s%s" % (g.labels[i], "" if a[i] == 1 else "^%d" % a[i])
-                 for i in range(n) if a[i] > 0)
-        for a in monos)
-    H = HopfAlgebra.from_terms(F, d, tuple(mult), _to_vec(F, index, one),
-                               comult, counit,
-                               tuple(terms(elem) for elem in antipodes),
+                 for i in range(g.dim) if a[i] > 0)
+        for a in st.digits)
+    H = HopfAlgebra.from_terms(F, d, tuple(mult), counit,
+                               terms(tensors), counit, terms(antipodes),
                                labels)
-    H._monomials = monos
-    H._monomial_index = index
     H._straightener = st
     return H
 
@@ -246,18 +234,18 @@ def envelope_subalgebra_span(g, S, H):
     st = H._straightener
     if st.g is not g:
         st = _Straightener(g)
-    monos = [{tuple([0] * g.dim): F.one}]
+    elems = [{0: F.one}]
     for s in S.basis:
-        for elem in list(monos):
+        terms = vec_terms(F, s)
+        for elem in list(elems):
             for _ in range(F.p - 1):
                 prod = {}
-                for j, c in vec_terms(F, s):
-                    for m2, c2 in st.elem_times_gen(elem, j).items():
-                        st._add_into(prod, m2, F.mul(c, c2))
+                for j, c in terms:
+                    st._add_into(prod, st.elem_times_gen(elem, j), c)
                 elem = prod
-                monos.append(elem)
+                elems.append(elem)
     return Subspace.from_vectors(
-        F, H.dim, [_to_vec(F, H._monomial_index, m) for m in monos])
+        F, H.dim, [_dense(F, H.dim, elem.items()) for elem in elems])
 
 
 def subgroup_ideal_from_p_subalgebra(g, S, cap=128):

@@ -1,4 +1,12 @@
-"""The dense route to Hopf tables, kept as a reference for the sparse one.
+"""Reference routes to the Hopf tables of u(g) and its dual.
+
+`_Straightener` is the tuple-keyed straightener that `envelope` used before
+it keyed monomials by their integer index: elements are dicts
+{exponent-tuple: coefficient}, its memo is a dict keyed by (monomial,
+generator), and each straightening step rebuilds an exponent tuple.
+`_peel` and `_to_vec` are the helpers that read its elements into tables.
+`dense_u_env` and the word-by-word tables in `test_envelope` drive it, so
+the package's straightener is checked against an independent one.
 
 `HopfAlgebra` used to store its dense tables as given and derive the sparse
 terms from them by `vec_terms`; `u_env` built dense rows and `dual_hopf`
@@ -10,12 +18,107 @@ table and through `print_hopf`.
 import itertools
 from types import SimpleNamespace
 
-from pradical import envelope
 from pradical.linalg import vec_terms
 from pradical.textio import print_hopf
 
 COMPARED = ("_terms", "_cols", "_coflat", "_coterms", "_antipode_terms",
             "mult", "unit", "comult", "counit", "antipode", "labels")
+
+
+class _Straightener:
+    """Rewrites words in the generators of u(g) to the sorted-monomial basis.
+
+    Elements are dicts {exponent-tuple: coefficient}.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.F = g.field
+        self.p = g.field.p
+        self.n = g.dim
+        self._memo = {}
+
+    def _add_into(self, acc, mono, coeff):
+        F = self.F
+        c = F.add(acc.get(mono, F.zero), coeff)
+        if F.is_zero(c):
+            acc.pop(mono, None)
+        else:
+            acc[mono] = c
+
+    def elem_times_gen(self, elem, j):
+        out = {}
+        for mono, c in elem.items():
+            for m2, c2 in self.mono_times_gen(mono, j).items():
+                self._add_into(out, m2, self.F.mul(c, c2))
+        return out
+
+    def mono_times_gen(self, mono, j):
+        """e^mono · e_j as a sorted-monomial element."""
+        key = (mono, j)
+        if key in self._memo:
+            return self._memo[key]
+        F = self.F
+        k = max((i for i in range(self.n) if mono[i] > 0 and i > j),
+                default=None)
+        if k is None:
+            if mono[j] + 1 < self.p:
+                out = {tuple(a + 1 if i == j else a
+                             for i, a in enumerate(mono)): F.one}
+            else:
+                # e_j^p acts as the p-power image, which is linear in g
+                prefix = tuple(0 if i == j else a for i, a in enumerate(mono))
+                out = {}
+                for m, c in self.g._pterms[j]:
+                    for m2, c2 in self.mono_times_gen(prefix, m).items():
+                        self._add_into(out, m2, F.mul(c, c2))
+        else:
+            # peel the largest out-of-order generator:
+            # e^α e_j = e^{α-ε_k} e_j e_k + e^{α-ε_k} [e_k, e_j]
+            reduced = tuple(a - 1 if i == k else a for i, a in enumerate(mono))
+            out = {}
+            moved = self.mono_times_gen(reduced, j)
+            for m2, c2 in self.elem_times_gen(moved, k).items():
+                self._add_into(out, m2, c2)
+            for m, c in self.g._terms[k][j]:
+                for m2, c2 in self.mono_times_gen(reduced, m).items():
+                    self._add_into(out, m2, F.mul(c, c2))
+        self._memo[key] = out
+        return out
+
+    def tensor_times_gen(self, tensor, j):
+        """tensor · (e_j⊗1 + 1⊗e_j) for a tensor {(mono, mono): coefficient}."""
+        F = self.F
+        out = {}
+        for (ma, mb), c in tensor.items():
+            for m2, c2 in self.mono_times_gen(ma, j).items():
+                self._add_into(out, (m2, mb), F.mul(c, c2))
+            for m2, c2 in self.mono_times_gen(mb, j).items():
+                self._add_into(out, (ma, m2), F.mul(c, c2))
+        return out
+
+
+def _to_vec(F, index, elem):
+    """A sorted-monomial element as a coordinate vector over `index`."""
+    v = [F.zero] * len(index)
+    for m, c in elem.items():
+        v[index[m]] = c
+    return tuple(v)
+
+
+def _peel(monos, index, first):
+    """For each monomial e^b after the unit, (k, j) with e^b = e_j·e^{b'}
+    when `first` and e^b = e^{b'}·e_j otherwise, where j is the first (or
+    last) index at which b is nonzero, b' = b − ε_j and k is the index of
+    e^{b'}.  b' precedes b in the exponent-lex order, so a table built in
+    that order has its entry."""
+    out = []
+    for b in monos[1:]:
+        nonzero = [i for i, x in enumerate(b) if x]
+        j = nonzero[0] if first else nonzero[-1]
+        out.append((index[b[:j] + (b[j] - 1,) + b[j + 1:]], j))
+    return out
+
 
 
 def dense_tables(F, d, mult, unit, comult, counit, antipode, labels):
@@ -34,6 +137,13 @@ def dense_tables(F, d, mult, unit, comult, counit, antipode, labels):
         _antipode_terms=tuple(vec_terms(F, v) for v in antipode))
 
 
+def monomial_index(g):
+    """{exponent tuple: basis index} of u(g)'s monomials e^α, in the
+    exponent-lex order of `itertools.product`."""
+    monos = itertools.product(range(g.p), repeat=g.dim)
+    return {m: i for i, m in enumerate(monos)}
+
+
 def dense_u_env(g):
     """u_env's PBW recursion writing dense rows, as `dense_tables`."""
     F = g.field
@@ -41,14 +151,14 @@ def dense_u_env(g):
     d = g.p ** n
     monos = list(itertools.product(range(g.p), repeat=n))
     index = {m: i for i, m in enumerate(monos)}
-    st = envelope._Straightener(g)
-    last = envelope._peel(monos, index, first=False)
+    st = _Straightener(g)
+    last = _peel(monos, index, first=False)
     mult = []
     for a in monos:
         row = [{a: F.one}]
         for k, j in last:
             row.append(st.elem_times_gen(row[k], j))
-        mult.append([envelope._to_vec(F, index, elem) for elem in row])
+        mult.append([_to_vec(F, index, elem) for elem in row])
     tensors = [{(monos[0], monos[0]): F.one}]
     for k, j in last:
         tensors.append(st.tensor_times_gen(tensors[k], j))
@@ -60,7 +170,7 @@ def dense_u_env(g):
         comult.append(tuple(dv))
     one = {monos[0]: F.one}
     antipodes = [one]
-    for k, i in envelope._peel(monos, index, first=True):
+    for k, i in _peel(monos, index, first=True):
         antipodes.append({m: F.neg(c) for m, c in
                           st.elem_times_gen(antipodes[k], i).items()})
     labels = tuple(
@@ -68,9 +178,9 @@ def dense_u_env(g):
         "*".join("%s%s" % (g.labels[i], "" if a[i] == 1 else "^%d" % a[i])
                  for i in range(n) if a[i] > 0)
         for a in monos)
-    return dense_tables(F, d, mult, envelope._to_vec(F, index, one), comult,
+    return dense_tables(F, d, mult, _to_vec(F, index, one), comult,
                         tuple(F.one if i == 0 else F.zero for i in range(d)),
-                        [envelope._to_vec(F, index, e) for e in antipodes],
+                        [_to_vec(F, index, e) for e in antipodes],
                         labels)
 
 

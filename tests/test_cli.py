@@ -204,6 +204,19 @@ def test_oracle_compare_refuses_a_field_too_large_to_enumerate(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("dim,count", [(8, 417199), (12, 488176700923)])
+def test_oracle_compare_refuses_too_many_subspaces(capsys, dim, count):
+    """GF(2)^12 has only 4096 vectors, but the brute-force oracle scans all
+    of its subspaces: one instance ran past 15 s before this gate."""
+    started = time.perf_counter()
+    code, out, err = run(["oracle-compare", "--dim", str(dim), "--cap", "1"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: oracle-compare scans all %d subspaces of GF(2)^%d, "
+                   "more than 65536\n" % (count, dim))
+    assert time.perf_counter() - started < 1.0
+
+
 @pytest.mark.parametrize("args,message", [
     (["--dim", "2", "--cap", "0"], "needs --cap >= 1, got 0"),
     (["--dim", "2", "--cap", "-5"], "needs --cap >= 1, got -5"),

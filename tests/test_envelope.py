@@ -9,7 +9,8 @@ from pradical import envelope
 from pradical.envelope import (EnvelopeTooLargeError, dual_hopf,
                                envelope_subalgebra_span,
                                subgroup_ideal_from_p_subalgebra, u_env)
-from pradical.fields import PrimeField, RationalFunctionField
+from pradical.fields import (ExtensionField, PrimeField,
+                             RationalFunctionField, base_change_map)
 from pradical.gallery import (alpha_lie, paper_g, resolve, sl2_kernel_char2,
                               torus_lie)
 from pradical.hopf import HopfAlgebra, is_normal, is_subgroup_ideal
@@ -17,7 +18,9 @@ from pradical.lie import RLieAlgebra
 from pradical.linalg import Subspace, all_subspaces
 from pradical.survey import enumerate_algebras
 
-from hopf_reference import assert_same_hopf, dense_u_env, zip_dual_hopf
+from hopf_reference import (_Straightener, assert_same_hopf, dense_u_env,
+                            monomial_index, zip_dual_hopf)
+from test_lie import _witt
 
 
 def test_u_env_dimension_and_hopf_axioms():
@@ -32,11 +35,11 @@ def test_u_env_generators_are_primitive():
     g = sl2_kernel_char2()
     H = u_env(g)
     F = H.field
-    monos = H._monomials
+    index = monomial_index(g)
     for i in range(g.dim):
         gen = tuple(1 if k == i else 0 for k in range(g.dim))
-        gi = H._monomial_index[gen]
-        unit_idx = H._monomial_index[(0,) * g.dim]
+        gi = index[gen]
+        unit_idx = index[(0,) * g.dim]
         expected = [F.zero] * (H.dim * H.dim)
         expected[gi * H.dim + unit_idx] = F.one
         expected[unit_idx * H.dim + gi] = F.one
@@ -48,17 +51,16 @@ def test_u_env_relations():
     g = sl2_kernel_char2()
     H = u_env(g)
     F = H.field
+    index = monomial_index(g)
 
     def gen(i):
-        idx = H._monomial_index[tuple(1 if k == i else 0
-                                      for k in range(g.dim))]
+        idx = index[tuple(1 if k == i else 0 for k in range(g.dim))]
         return tuple(F.one if j == idx else F.zero for j in range(H.dim))
 
     def lift(v):
         out = [F.zero] * H.dim
         for i, c in enumerate(v):
-            idx = H._monomial_index[tuple(1 if k == i else 0
-                                          for k in range(g.dim))]
+            idx = index[tuple(1 if k == i else 0 for k in range(g.dim))]
             out[idx] = c
         return tuple(out)
 
@@ -151,7 +153,8 @@ def _word_span(g, S, H):
     """Reference: the span of every word of length up to dim S·(p−1) in the
     basis of S, multiplied out in u(g)."""
     F = g.field
-    gens = [H._monomial_index[tuple(int(m == i) for m in range(g.dim))]
+    index = monomial_index(g)
+    gens = [index[tuple(int(m == i) for m in range(g.dim))]
             for i in range(g.dim)]
 
     def image(x):
@@ -218,7 +221,7 @@ def _word_u_env(g):
     d = p ** n
     monos = list(itertools.product(range(p), repeat=n))
     index = {m: i for i, m in enumerate(monos)}
-    st = envelope._Straightener(g)
+    st = _Straightener(g)
 
     def to_vec(elem):
         v = [F.zero] * d
@@ -293,8 +296,13 @@ def _grid_sample(p, dim, count, seed):
 
 @functools.lru_cache(maxsize=None)
 def _reference_lie():
+    """Every scalar kind (GF(p), GF(p)(t), and GF(9) by base change) and the
+    hopf workload's largest u(g), torus 2^5 at d = 32."""
     lie = [torus_lie(2, 3), torus_lie(3, 2), torus_lie(2, 4), torus_lie(5, 2),
-           sl2_kernel_char2(), resolve("product(sl2-kernel@p=2,alpha@2)"),
+           torus_lie(2, 5), sl2_kernel_char2(), _witt(3),
+           _witt(3).base_change(base_change_map(PrimeField(3),
+                                                ExtensionField(3, 2))),
+           resolve("product(sl2-kernel@p=2,alpha@2)"),
            paper_g(2)[0], paper_g(3)[0]]
     return tuple(lie + _grid_sample(2, 3, 20, 1) + _grid_sample(3, 2, 20, 2))
 
@@ -307,8 +315,7 @@ def test_u_env_and_dual_match_the_word_by_word_tables():
             assert getattr(got, table) == getattr(want, table), (g, table)
             assert (getattr(dual, table)
                     == getattr(_index_dual_hopf(want), table)), (g, table)
-        assert got._monomials == list(itertools.product(range(g.p),
-                                                        repeat=g.dim))
+        assert got._straightener.digits == list(monomial_index(g))
 
 
 def test_u_env_takes_one_straightening_step_per_table_entry(monkeypatch):

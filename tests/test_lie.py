@@ -16,6 +16,8 @@ from pradical.linalg import mat_identity, projective_points
 from pradical.survey import (_jacobi_ok, _restricted_choices,
                              enumerate_algebras)
 
+from hopf_reference import monomial_index
+
 
 def _instances():
     F = PrimeField(2)
@@ -175,7 +177,8 @@ def test_p_power_matches_envelope_power(name, g, seed):
     expansion independently."""
     F = g.field
     H = u_env(g)
-    units = [H._monomial_index[tuple(int(m == i) for m in range(g.dim))]
+    index = monomial_index(g)
+    units = [index[tuple(int(m == i) for m in range(g.dim))]
              for i in range(g.dim)]
 
     def image(x):
