@@ -34,10 +34,6 @@ class RadicalCertificate:
         return self.verdict == EXACT
 
 
-class _ProbeNeeded(Exception):
-    """An exact-only walk reached the probe: no complete rung settles g."""
-
-
 def _is_finite(field):
     return field.kind in ("prime", "extension")
 
@@ -47,52 +43,62 @@ def rad_p(g, strategy=None, trace=None):
 
     strategy: optional name ("s1".."s4") to force a single rung of the
     ladder (used by the oracle-compare mode); default tries them in order.
+    Any other name is a ValueError, raised before any work.
     """
+    if strategy not in (None,) + tuple(name for name, _, _ in _LADDER):
+        raise ValueError("strategy %r is not s1, s2, s3 or s4" % (strategy,))
     g.require_valid()
     trace = trace if trace is not None else []
     sub, used, exact = _rad_search(g, strategy, trace)
     return RadicalCertificate(sub, used, EXACT if exact else UNDECIDED, trace)
 
 
-def _rad_search(g, strategy, trace, probe=True):
-    """One walk down the ladder: (radical, strategy, exact).
+def _first_report(g, strategy, trace):
+    """The ladder's first report on g: (strategy, subspace, final), or None
+    when no rung settles g.
 
     The first rung of `_LADDER` that settles g answers; a forced `strategy`
     runs only its own rung and raises that rung's refusal if it does not.
-    With probe=False the walk is exact-only, for the p-reductive verdicts:
-    where it would run the probe, here or in the quotient after an s2, s3
-    or s4 reduction, it raises _ProbeNeeded.
+    final: the subspace is rad_p(g).  Otherwise it is a nonzero unipotent
+    p-ideal I, so I lies in rad_p(g) and rad_p(g)/I = rad_p(g/I).
     """
     if g.dim == 0:
-        return g.zero_subspace(), "trivial", True
+        return "trivial", g.zero_subspace(), True
 
     if g.is_unipotent():
         trace.append({"step": "whole-algebra-unipotent"})
-        return g.full_subspace(), "unipotent-whole", True
+        return "unipotent-whole", g.full_subspace(), True
 
     for name, rung, refusal in _LADDER:
         if strategy in (None, name):
-            found = rung(g, trace, probe)
+            found = rung(g, trace)
             if found is not None:
-                return found
+                return (name,) + found
             if strategy == name:
                 raise ValueError(refusal)
-
-    if not probe:
-        raise _ProbeNeeded
-    # no complete strategy: probe for unipotent p-ideals, report a lower bound
-    found = _probe_lower_bound(g, trace)
-    trace.append({"step": "undecided", "lower_bound_dim": found.dim})
-    return found, "probe", False
+    return None
 
 
-def _descend(g, I, rung, trace, probe):
-    """Radical of g/I pulled back to g, for a unipotent p-ideal I found by
-    `rung`: I lies in rad_p(g) and rad_p(g)/I = rad_p(g/I), so the answer
-    is exact exactly when the quotient's is."""
-    q, project, section = g.quotient(I)
-    inner, used, exact = _rad_search(q, None, trace, probe)
-    return _pullback(g, I, section, inner), rung, exact
+def _rad_search(g, strategy, trace):
+    """One walk down the ladder: (radical, strategy, exact).
+
+    The walk alone descends: on a unipotent p-ideal I reported by a rung it
+    takes the radical of g/I and pulls it back, so the answer is exact
+    exactly when the quotient's is.  When no rung reports it runs the probe.
+    """
+    report = _first_report(g, strategy, trace)
+    if report is None:
+        # no complete strategy: probe for unipotent p-ideals, report a
+        # lower bound
+        found = _probe_lower_bound(g, trace)
+        trace.append({"step": "undecided", "lower_bound_dim": found.dim})
+        return found, "probe", False
+    name, sub, final = report
+    if final:
+        return sub, name, True
+    q, project, section = g.quotient(sub)
+    inner, _, exact = _rad_search(q, None, trace)
+    return _pullback(g, sub, section, inner), name, exact
 
 
 def _pullback(g, I, section, inner):
@@ -101,13 +107,22 @@ def _pullback(g, I, section, inner):
     return g.subspace(vecs)
 
 
-def _unipotent_spin(g, v):
-    """The p-ideal spun from v when it is proper and unipotent, else None."""
+def _unipotent_spin(g, v, rejected):
+    """The p-ideal spun from v when it is proper and unipotent, else None.
+
+    `rejected` is the caller's set of proper spins already found not
+    unipotent in one scan.  A spin that is all of g or already in it is
+    not tested; a new proper spin is tested once and added on failure.
+    """
     I = g.spin_p_ideal(g.subspace([v]))
-    return I if I.dim < g.dim and g.is_unipotent(I) else None
+    if I.dim < g.dim and I not in rejected:
+        if g.is_unipotent(I):
+            return I
+        rejected.add(I)
+    return None
 
 
-def _s1_abelian(g, trace, probe):
+def _s1_abelian(g, trace):
     """Abelian g: the rational unipotent part of the p-power map.
 
     Complete whenever g is abelian; None otherwise.
@@ -116,11 +131,11 @@ def _s1_abelian(g, trace, probe):
         return None
     part = SemilinearMap(g.field, g.p_power_matrix()).rational_unipotent_part()
     trace.append({"step": "s1-abelian", "dim": part.dim})
-    return part, "s1", True
+    return part, True
 
 
-def _s2_derived(g, trace, probe):
-    """Reduce by the p-closure D of [g, g].
+def _s2_derived(g, trace):
+    """Report the p-closure D of [g, g] for the walk to reduce by.
 
     Applies when D is nonzero and unipotent, and is then as complete as the
     walk on g/D; None otherwise.
@@ -129,25 +144,29 @@ def _s2_derived(g, trace, probe):
     if D.dim == 0 or not g.is_unipotent(D):
         return None
     trace.append({"step": "s2-derived-reduction", "ideal_dim": D.dim})
-    return _descend(g, D, "s2", trace, probe)
+    return D, False
 
 
-def _s3_enumerate(g, trace, probe):
-    """Finite field: scan projective points for a unipotent p-ideal.
+def _s3_enumerate(g, trace):
+    """Finite field: scan projective points for a unipotent p-ideal and
+    report the first one found, or radical 0 when the scan is exhausted.
 
     Complete over a finite field: a nonzero radical contains a minimal
     unipotent p-ideal, hence a point whose spin is a unipotent p-ideal.
-    None over an infinite field.
+    None over an infinite field.  One `rejected` set serves the scan, so
+    each distinct proper spin is tested for unipotency once; the points
+    scanned and the first hit are those of testing every spin.
     """
     if not _is_finite(g.field):
         return None
+    rejected = set()
     for idx, v in enumerate(projective_points(g.field, g.dim)):
-        I = _unipotent_spin(g, v)
+        I = _unipotent_spin(g, v, rejected)
         if I is not None:
             trace.append({"step": "s3-point", "index": idx, "ideal_dim": I.dim})
-            return _descend(g, I, "s3", trace, probe)
+            return I, False
     trace.append({"step": "s3-exhausted"})
-    return g.zero_subspace(), "s3", True
+    return g.zero_subspace(), True
 
 
 def weight_decomposition(g):
@@ -211,7 +230,7 @@ def _killed_by_weights(g, S, nonzero):
     return S.intersect(nullspace(g.field, rows, g.dim)) if rows else S
 
 
-def _s4_split_weights(g, trace, probe):
+def _s4_split_weights(g, trace):
     """Split-weight fragment: spin the vectors of the nonzero weight spaces
     (lines, or planes scanned over the prime field), then settle the
     abelian zero-weight space.  Complete under `_weight_split`'s condition;
@@ -225,13 +244,14 @@ def _s4_split_weights(g, trace, probe):
     if any(E.dim > 2 for E in nonzero.values()):
         return None
 
+    rejected = set()
     for c, E in sorted(nonzero.items()):
         for v in _weight_vectors(g.field, E):
-            I = _unipotent_spin(g, v)
+            I = _unipotent_spin(g, v, rejected)
             if I is not None:
                 trace.append({"step": "s4-weight-line", "weight": c,
                               "pivot_basis": pivot, "ideal_dim": I.dim})
-                return _descend(g, I, "s4", trace, probe)
+                return I, False
 
     if not complete:
         return None
@@ -240,9 +260,10 @@ def _s4_split_weights(g, trace, probe):
     J = _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero)
     trace.append({"step": "s4-zero-weight", "pivot_basis": pivot,
                   "dim": J.dim})
-    return J, "s4", True
+    return J, True
 
 
+# each rung returns None, or (subspace, final) as `_first_report` reads it
 _LADDER = (
     ("s1", _s1_abelian, "s1 forced on a non-abelian algebra"),
     ("s2", _s2_derived,
@@ -298,6 +319,7 @@ def _probe_lower_bound(g, trace, samples=64, seed=20260826):
     F = g.field
     rng = random.Random(seed)
     best = g.zero_subspace()
+    rejected = set()
     candidates = []
     for i in range(g.dim):
         candidates.append(g.basis_vector(i))
@@ -306,7 +328,7 @@ def _probe_lower_bound(g, trace, samples=64, seed=20260826):
     for v in candidates:
         if vec_is_zero(F, v):
             continue
-        I = _unipotent_spin(g, v)
+        I = _unipotent_spin(g, v, rejected)
         if I is not None and I.dim > best.dim:
             best = I
     if best.dim:
@@ -334,20 +356,22 @@ def is_mult_type(g):
 def is_p_reductive(g, max_inseparable_exponent=4):
     """True/False/None(undecided): is the geometric radical trivial?
 
-    Every radical read here comes from the complete rungs of the ladder
-    (`_rad_search` with probe=False): a verdict uses only exact radicals,
-    so the probe, whose lower bound is never exact, does not run.
+    A verdict reads only the ladder's first report (`_first_report`) on g
+    and on each inseparable base change.  A nonzero unipotent p-ideal, or a
+    nonzero final radical, lies in the radical and stays unipotent after
+    base change, so it answers False; a zero final radical goes on to the
+    geometric checks.  No quotient is built and the probe never runs.
     """
     g.require_valid()
     if g.dim == 0:
         return True
-    radical = _exact_radical(g)
-    if radical is not None and radical.dim > 0:
+    report = _first_report(g, None, [])
+    if report is not None and report[1].dim > 0:
         return False
 
     if _is_finite(g.field):
         # perfect base field: separable base-change invariance applies
-        return None if radical is None else True
+        return None if report is None else True
 
     if g.is_abelian():
         return is_mult_type(g)
@@ -361,18 +385,10 @@ def is_p_reductive(g, max_inseparable_exponent=4):
         for m in range(1, max_inseparable_exponent + 1):
             target = RationalFunctionField(g.field.p, "@s")
             hom = base_change_map(g.field, target, m)
-            radical_m = _exact_radical(g.base_change(hom))
-            if radical_m is not None and radical_m.dim > 0:
+            report = _first_report(g.base_change(hom), None, [])
+            if report is not None and report[1].dim > 0:
                 return False
     return None
-
-
-def _exact_radical(g):
-    """rad_p(g) when a complete rung settles it, else None."""
-    try:
-        return _rad_search(g, None, [], probe=False)[0]
-    except _ProbeNeeded:
-        return None
 
 
 def _geometric_s4(g):
@@ -390,7 +406,8 @@ def _geometric_s4(g):
     _, nonzero, zero_space, complete = split
     if not complete:
         return None
-    if any(_unipotent_spin(g, E.basis[0]) is not None
+    rejected = set()
+    if any(_unipotent_spin(g, E.basis[0], rejected) is not None
            for _, E in sorted(nonzero.items())):
         return False
     if zero_space.dim == 0:

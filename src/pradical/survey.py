@@ -133,11 +133,6 @@ def _grid(F, n):
             yield g
 
 
-def _jacobi_ok(g):
-    """Jacobi holds: `validate`'s scan, stopped at its first failure."""
-    return next(g._jacobi_failures(), None) is None
-
-
 def brute_force_radical(g):
     """Largest unipotent p-ideal by scanning every subspace (finite fields,
     tiny dimensions only)."""

@@ -13,10 +13,10 @@ from pradical.fields import (ExtensionField, FieldHom, PolynomialRing,
 from pradical.gallery import paper_g, resolve, sl2_kernel_char2
 from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
 from pradical.linalg import mat_identity, projective_points
-from pradical.survey import (_jacobi_ok, _restricted_choices,
-                             enumerate_algebras)
+from pradical.survey import _restricted_choices, enumerate_algebras
 
 from hopf_reference import monomial_index
+from lie_reference import jacobi_ok
 
 
 def _instances():
@@ -475,7 +475,7 @@ def _grid_sample(F, n, count, rng):
         if all(v == zero for v in upper.values()):
             continue
         g0 = RLieAlgebra.from_upper(F, n, upper, [zero] * n)
-        if not _jacobi_ok(g0):
+        if not jacobi_ok(g0):
             continue
         choices = _restricted_choices(F, g0.ad_basis())
         if all(choices):
@@ -574,5 +574,5 @@ def test_jacobi_scan_is_shared_and_stops_at_the_first_failure():
         return bracket(x, y)
 
     g.bracket = counted
-    assert not _jacobi_ok(g)
+    assert not jacobi_ok(g)
     assert len(calls) == 3      # one triple, not all four

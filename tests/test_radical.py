@@ -12,9 +12,9 @@ from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
     sl2_kernel_char2, torus_lie
 from pradical.lie import RLieAlgebra, direct_sum
 from pradical.linalg import nullspace, rref
-from pradical.radical import (_ProbeNeeded, _rad_search, is_mult_type,
-                              is_p_reductive, one_dim_p_ideals, rad_p,
-                              weight_decomposition)
+from pradical import radical
+from pradical.radical import (_first_report, is_mult_type, is_p_reductive,
+                              one_dim_p_ideals, rad_p, weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent,
                              unipotent_restricted_subalgebras)
@@ -263,8 +263,7 @@ def test_unipotent_subalgebras_land_in_radical_when_derived_unipotent():
             assert R.contains(S)
 
 
-# gallery Lie targets and the p-reductive verdict each had before the
-# exact-only ladder; None is "undecided"
+# gallery Lie targets and their p-reductive verdicts; None is "undecided"
 GALLERY_P_REDUCTIVE = {
     "paper-G@p=2": True,
     "paper-G@p=3": True,
@@ -301,37 +300,74 @@ def _s4_then_probe(K):
     return direct_sum(q, _heisenberg_t(K))
 
 
-def _assert_exact_only_agrees(g):
+def _forbid_descent(monkeypatch):
+    """From here on, building a quotient or running the probe fails."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verdict quotiented or probed")
+
+    monkeypatch.setattr(RLieAlgebra, "quotient", forbidden)
+    monkeypatch.setattr(radical, "_probe_lower_bound", forbidden)
+
+
+def _assert_first_report_agrees(g):
+    """The ladder's first report on g names rad_p's strategy.  A final
+    report is rad_p's exact radical; any other is a nonzero unipotent
+    p-ideal inside rad_p's radical.  No report means rad_p probed."""
     cert = rad_p(g)
-    if cert.is_exact:
-        found = _rad_search(g, None, [], probe=False)
-        assert found == (cert.radical, cert.strategy, True)
+    report = _first_report(g, None, [])
+    if report is None:
+        assert (cert.strategy, cert.is_exact) == ("probe", False)
+        return cert
+    name, sub, final = report
+    assert name == cert.strategy
+    if final:
+        assert cert.is_exact and sub == cert.radical
     else:
-        with pytest.raises(_ProbeNeeded):
-            _rad_search(g, None, [], probe=False)
+        assert sub.dim > 0 and g.is_p_ideal(sub) and g.is_unipotent(sub)
+        assert cert.radical.contains(sub)
     return cert
 
 
-def test_exact_only_ladder_matches_rad_p(K2t):
+def test_first_report_agrees_with_rad_p(K2t, monkeypatch):
     algebras = [resolve(name) for name in GALLERY_P_REDUCTIVE]
     algebras += list(enumerate_algebras(PrimeField(2), 3))
     algebras += [paper_g(p)[0] for p in (2, 3, 5)]
     algebras += [direct_sum(paper_g(2)[0], paper_g(2)[0]),
                  _heisenberg_t(K2t), _s4_then_probe(K2t)]
-    certs = [_assert_exact_only_agrees(g) for g in algebras]
+    certs = [_assert_first_report_agrees(g) for g in algebras]
     assert sum(not cert.is_exact for cert in certs) == 4
+    # a radical found without the probe answers False, and a verdict
+    # never probes
+    _forbid_descent(monkeypatch)
+    for g, cert in zip(algebras, certs):
+        verdict = is_p_reductive(g)
+        if cert.strategy != "probe" and cert.radical.dim:
+            assert verdict is False
 
 
-def test_exact_only_ladder_stops_inside_the_quotient(K2t):
-    # the probe would report the weight line as a lower bound; the
-    # exact-only walk raises _ProbeNeeded instead of probing the quotient
+def test_first_report_decides_before_the_quotient(K2t, monkeypatch):
+    # s4 reports the weight line Y, a 1-dimensional unipotent p-ideal, and
+    # rad_p then needs the probe in the quotient; the line alone shows the
+    # radical is nonzero, so g is not p-reductive
     g = _s4_then_probe(K2t)
     cert = rad_p(g)
     assert cert.strategy == "s4" and not cert.is_exact
     assert cert.radical.dim == 1
-    with pytest.raises(_ProbeNeeded):
-        _rad_search(g, None, [], probe=False)
-    assert is_p_reductive(g) is None
+    assert _first_report(g, None, []) == ("s4", cert.radical, False)
+    _forbid_descent(monkeypatch)
+    assert is_p_reductive(g) is False
+
+
+def test_p_reductive_matches_the_oracle(monkeypatch):
+    """Every algebra of GF(2) dim 2 and 3 and of GF(3) dim 2: p-reductive
+    exactly when the brute-force radical is 0, without a quotient or the
+    probe."""
+    algebras = [g for p, dim in ((2, 2), (2, 3), (3, 2))
+                for g in enumerate_algebras(PrimeField(p), dim)]
+    assert len(algebras) == 1019
+    expected = [brute_force_radical(g).dim == 0 for g in algebras]
+    _forbid_descent(monkeypatch)
+    assert [is_p_reductive(g) for g in algebras] == expected
 
 
 def test_p_reductive_verdicts_on_gallery_targets():
@@ -342,6 +378,18 @@ def test_p_reductive_verdicts_on_gallery_targets():
 def test_p_reductive_paper_g_squared_p3_is_undecided():
     g = direct_sum(paper_g(3)[0], paper_g(3)[0])
     assert is_p_reductive(g) is None
+
+
+@pytest.mark.parametrize("strategy", ["s5", "S3", "probe"])
+def test_unknown_strategy_is_refused_before_any_work(monkeypatch, strategy):
+    def forbidden(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(radical, "_rad_search", forbidden)
+    with pytest.raises(ValueError) as refused:
+        rad_p(resolve("sl2-kernel@2"), strategy=strategy)
+    assert str(refused.value) == (
+        "strategy %r is not s1, s2, s3 or s4" % strategy)
 
 
 def test_forced_rung_refusals(K2t):
@@ -504,3 +552,30 @@ def test_rad_p_quotients_validate_from_their_tables(monkeypatch):
         assert q.validate()
         rebuilt = RLieAlgebra(q.field, q.dim, q.brackets, q.ppowers, q.labels)
         assert rebuilt.validate()
+
+
+def test_s3_tests_each_distinct_proper_spin_once(monkeypatch):
+    """Points of one s3 scan that spin to the same proper p-ideal cost one
+    unipotency test: W(1)+alpha over GF(3) in a seeded basis scans 36
+    points to its hit, and 10 of them spin to only 2 proper p-ideals."""
+    g = _seeded_basis(direct_sum(_witt(3), alpha_lie(3)), random.Random(3))
+    spins, tested = [], []
+    spin, unipotent = RLieAlgebra.spin_p_ideal, RLieAlgebra.is_unipotent
+
+    def recording_spin(self, S):
+        I = spin(self, S)
+        if self is g and I.dim < g.dim:
+            spins.append(I)
+        return I
+
+    def recording_test(self, S=None):
+        if self is g and S is not None:
+            tested.append(S)
+        return unipotent(self, S)
+
+    monkeypatch.setattr(RLieAlgebra, "spin_p_ideal", recording_spin)
+    monkeypatch.setattr(RLieAlgebra, "is_unipotent", recording_test)
+    cert = rad_p(g, strategy="s3")
+    assert cert.trace[0] == {"step": "s3-point", "index": 35, "ideal_dim": 1}
+    assert (len(spins), len(set(spins))) == (10, 2)
+    assert len(tested) == len(set(tested)) and set(tested) == set(spins)
