@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exhaustive small-dimension survey: enumerate all valid restricted Lie
-algebras over GF(p), compare rad_p against the brute-force subspace oracle,
-and print summary statistics.
+algebras over GF(p), compare rad_p and the p-reductive verdict against the
+brute-force subspace oracle, and print summary statistics, with how many
+verdicts the centre test of `is_p_reductive` decided on its own.
 
     PYTHONPATH=src python scripts/run_survey.py --p 3 --dim 3
 
@@ -11,7 +12,7 @@ import argparse
 import time
 
 from pradical.fields import PrimeField
-from pradical.radical import rad_p
+from pradical.radical import _geometric_p_nilpotent, is_p_reductive, rad_p
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent)
 
@@ -30,6 +31,8 @@ def main():
     enumerated = time.monotonic()
     total = 0
     mismatches = 0
+    verdict_mismatches = 0
+    centre_false = centre_true = 0
     radical_dims = {}
     no_nilpotents_abelian = 0
     for g in grid:
@@ -38,15 +41,25 @@ def main():
         total += 1
         if cert.radical != oracle:
             mismatches += 1
+        if is_p_reductive(g) is not (oracle.dim == 0):
+            verdict_mismatches += 1
+        Z = g.center()
+        if _geometric_p_nilpotent(g, Z):
+            centre_false += 1
+        elif Z.dim == g.dim:
+            centre_true += 1
         radical_dims[cert.radical.dim] = \
             radical_dims.get(cert.radical.dim, 0) + 1
         if not has_nonzero_p_nilpotent(g) and g.is_abelian():
             no_nilpotents_abelian += 1
     finished = time.monotonic()
     print("dimension %d over %r: %d valid instances, enumerated in %.2fs, "
-          "rad_p and oracle in %.1fs"
+          "rad_p, verdicts and oracle in %.1fs"
           % (args.dim, F, total, enumerated - started, finished - enumerated))
     print("oracle mismatches: %d" % mismatches)
+    print("p-reductive verdict mismatches: %d" % verdict_mismatches)
+    print("verdicts decided by the centre: %d False, %d True (abelian)"
+          % (centre_false, centre_true))
     print("radical dimension histogram: %s"
           % dict(sorted(radical_dims.items())))
     print("abelian instances with no nonzero p-nilpotent element: %d"

@@ -141,7 +141,8 @@ def _s2_derived(g, trace):
     walk on g/D; None otherwise.
     """
     D = g.spin_p_ideal(g.derived_subalgebra())
-    if D.dim == 0 or not g.is_unipotent(D):
+    # D = g was just tested by `_first_report`
+    if D.dim in (0, g.dim) or not g.is_unipotent(D):
         return None
     trace.append({"step": "s2-derived-reduction", "ideal_dim": D.dim})
     return D, False
@@ -342,28 +343,50 @@ def _probe_lower_bound(g, trace, samples=64, seed=20260826):
 # verdict operations built on the radical
 # ---------------------------------------------------------------------------
 
+def _geometric_p_nilpotent(g, S):
+    """Whether S ⊗ k̄ has a nonzero p-nilpotent element, for an abelian
+    p-closed subspace S: the stable rank of its p-semilinear map, which
+    does not depend on the field, is below dim S."""
+    if S.dim == 0:
+        return False
+    B = g.p_power_matrix(S)
+    return SemilinearMap(g.field, B).stable_rank() < S.dim
+
+
 def is_mult_type(g):
     """Abelian with invertible p-power semilinear matrix."""
     g.require_valid()
-    if g.dim == 0:
-        return True
-    if not g.is_abelian():
-        return False
-    B = g.p_power_matrix()
-    return SemilinearMap(g.field, B).stable_rank() == g.dim
+    return g.is_abelian() and not _geometric_p_nilpotent(g, g.full_subspace())
 
 
 def is_p_reductive(g, max_inseparable_exponent=4):
     """True/False/None(undecided): is the geometric radical trivial?
 
-    A verdict reads only the ladder's first report (`_first_report`) on g
-    and on each inseparable base change.  A nonzero unipotent p-ideal, or a
-    nonzero final radical, lies in the radical and stays unipotent after
-    base change, so it answers False; a zero final radical goes on to the
-    geometric checks.  No quotient is built and the probe never runs.
+    The centre Z of g decides first, with one stable rank and no spin:
+    - Z is an abelian p-ideal, because [x^[p], y] = ad(x)^p(y) = 0.
+    - The matrix of φ^m, φ the p-semilinear map on Z, is
+      B·B^(p)···B^(p^(m−1)), and its rank does not depend on the field.  So
+      the stable rank is below dim Z exactly when Z ⊗ k̄ has a nonzero
+      p-nilpotent element.
+    - Z being abelian, the p-nilpotent part of Z ⊗ k̄ is a subspace.  It is
+      central, hence an ideal, and it is p-closed, abelian and p-nilpotent,
+      hence a unipotent p-ideal of g ⊗ k̄ (Jacobson's form of Engel's
+      theorem).  So a stable rank below dim Z answers False.
+    - When Z = g (g abelian) that part is the whole geometric radical, so
+      full stable rank answers True: g is of multiplicative type.
+
+    Otherwise a verdict reads only the ladder's first report
+    (`_first_report`) on g and on each inseparable base change.  A nonzero
+    unipotent p-ideal, or a nonzero final radical, lies in the radical and
+    stays unipotent after base change, so it answers False; a zero final
+    radical goes on to the geometric checks.  No quotient is built and the
+    probe never runs.
     """
     g.require_valid()
-    if g.dim == 0:
+    Z = g.center()
+    if _geometric_p_nilpotent(g, Z):
+        return False
+    if Z.dim == g.dim:
         return True
     report = _first_report(g, None, [])
     if report is not None and report[1].dim > 0:
@@ -372,9 +395,6 @@ def is_p_reductive(g, max_inseparable_exponent=4):
     if _is_finite(g.field):
         # perfect base field: separable base-change invariance applies
         return None if report is None else True
-
-    if g.is_abelian():
-        return is_mult_type(g)
 
     verdict = _geometric_s4(g)
     if verdict is not None:
@@ -410,14 +430,9 @@ def _geometric_s4(g):
     if any(_unipotent_spin(g, E.basis[0], rejected) is not None
            for _, E in sorted(nonzero.items())):
         return False
-    if zero_space.dim == 0:
-        return True
-    B0 = g.p_power_matrix(zero_space)
-    if SemilinearMap(g.field, B0).stable_rank() == zero_space.dim:
-        return True
-    # a geometric p-nilpotent part exists; whether it survives the
-    # invariance constraints is settled after bounded base change
-    return None
+    # a geometric p-nilpotent part of the zero-weight space may or may not
+    # survive the invariance constraints; bounded base change settles it
+    return None if _geometric_p_nilpotent(g, zero_space) else True
 
 
 def one_dim_p_ideals(g):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import os
@@ -358,16 +359,63 @@ def test_first_report_decides_before_the_quotient(K2t, monkeypatch):
     assert is_p_reductive(g) is False
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_grids():
+    """{(p, dim): [(g, brute-force radical dim)]} for GF(2) dim 2 and 3
+    and GF(3) dim 2."""
+    return {(p, dim): [(g, brute_force_radical(g).dim)
+                       for g in enumerate_algebras(PrimeField(p), dim)]
+            for p, dim in ((2, 2), (2, 3), (3, 2))}
+
+
 def test_p_reductive_matches_the_oracle(monkeypatch):
     """Every algebra of GF(2) dim 2 and 3 and of GF(3) dim 2: p-reductive
     exactly when the brute-force radical is 0, without a quotient or the
     probe."""
-    algebras = [g for p, dim in ((2, 2), (2, 3), (3, 2))
-                for g in enumerate_algebras(PrimeField(p), dim)]
-    assert len(algebras) == 1019
-    expected = [brute_force_radical(g).dim == 0 for g in algebras]
+    pairs = [pair for grid in _oracle_grids().values() for pair in grid]
+    assert len(pairs) == 1019
     _forbid_descent(monkeypatch)
-    assert [is_p_reductive(g) for g in algebras] == expected
+    assert ([is_p_reductive(g) for g, _ in pairs]
+            == [dim == 0 for _, dim in pairs])
+
+
+def test_centre_decides_without_the_ladder(K3t, monkeypatch):
+    seeded = _seeded_basis(direct_sum(_witt(3), alpha_lie(3)),
+                           random.Random(3))
+    K, t = K3t, K3t.t
+    # abelian, e1^[3] = e1 and e2^[3] = t.e1: B = [[1, t], [0, 0]] has no
+    # rational p-nilpotent line (s1 finds radical 0) but stable rank 1
+    abelian_t = RLieAlgebra(K, 2, (((K.zero,) * 2,) * 2,) * 2,
+                            ((K.one, K.zero), (t, K.zero)))
+    assert rad_p(abelian_t).radical.dim == 0
+
+    def forbidden(*args):
+        raise AssertionError("the verdict read the ladder")
+
+    monkeypatch.setattr(radical, "_first_report", forbidden)
+    assert is_p_reductive(seeded) is False
+    assert is_p_reductive(alpha_lie(3)) is False
+    assert is_p_reductive(torus_lie(3, 2)) is True
+    assert is_p_reductive(abelian_t) is False
+
+
+def test_centre_test_alone_agrees_with_the_oracle():
+    """Where the centre decides a verdict, the brute-force radical agrees:
+    a geometric p-nilpotent centre has radical > 0, and an abelian g
+    without one has radical 0."""
+    counts = {}
+    for key, grid in _oracle_grids().items():
+        fired = abelian = 0
+        for g, dim in grid:
+            Z = g.center()
+            if radical._geometric_p_nilpotent(g, Z):
+                assert dim > 0
+                fired += 1
+            elif Z.dim == g.dim:
+                assert dim == 0
+                abelian += 1
+        counts[key] = fired, abelian
+    assert counts == {(2, 2): (10, 6), (2, 3): (540, 168), (3, 2): (33, 48)}
 
 
 def test_p_reductive_verdicts_on_gallery_targets():
@@ -579,3 +627,16 @@ def test_s3_tests_each_distinct_proper_spin_once(monkeypatch):
     assert cert.trace[0] == {"step": "s3-point", "index": 35, "ideal_dim": 1}
     assert (len(spins), len(set(spins))) == (10, 2)
     assert len(tested) == len(set(tested)) and set(tested) == set(spins)
+
+
+def test_s2_makes_no_unipotency_test_on_a_perfect_algebra(monkeypatch):
+    """[g, g] = g for W(1) at p = 3, and `_first_report` has already found
+    g not unipotent, so s2 does not test it again."""
+    g = _witt(3)
+    assert g.spin_p_ideal(g.derived_subalgebra()).dim == g.dim
+
+    def forbidden(self, S=None):
+        raise AssertionError("s2 tested unipotency")
+
+    monkeypatch.setattr(RLieAlgebra, "is_unipotent", forbidden)
+    assert radical._s2_derived(g, []) is None
