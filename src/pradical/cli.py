@@ -143,6 +143,11 @@ def _run_command(args):
         return _cmd_gallery(args)
     if cmd == "oracle-compare":
         return _cmd_oracle_compare(args)
+    if cmd == "p-reductive" and args.max_inseparable_exponent < 0:
+        # range(1, m + 1) is empty for every m <= 0, so a negative bound
+        # would quietly act as 0
+        raise CliError("p-reductive needs --max-inseparable-exponent >= 0, "
+                       "got %d" % args.max_inseparable_exponent)
     obj, input_data = _load_target(args.target, args.hopf_cap)
     if cmd == "validate":
         if isinstance(obj, HopfAlgebra):

@@ -10,10 +10,12 @@ stored only as their nonzero (k, c) terms, in increasing k: the product
 e_i·e_j (`_terms`, with its columns `_cols`), Δ(e_i) as flat a·d + b terms
 (`_coflat`) and as (a, b, c) triples c·e_a⊗e_b (`_coterms`), and S(e_i)
 (`_antipode_terms`).  `from_terms` takes them as they are, and the dense
-constructor is `vec_terms` of its tables followed by the same path.  The
-dense `mult`, `comult` and `antipode` are views, built on first read (by
-`textio.print_hopf`, `tensor_product_hopf` and the tests); the algebra's
-own maps and checks never read them.  The algebra is a `linalg.StructureConstants` on
+constructor is `vec_terms` of its tables followed by the same path.
+`_cols` and `_coterms` are built on first read, so a u(g) that only feeds
+`envelope.dual_hopf` never builds them.  The dense `mult`, `comult` and
+`antipode` are views, built on first read (by `tensor_product_hopf` and
+the tests); the algebra's own maps and checks, and `textio.print_hopf`,
+never read them.  The algebra is a `linalg.StructureConstants` on
 `_terms`, so `mul` is the one sparse structure-constant product that the
 Lie side uses too.  Δ and S act as `linalg` linear combinations of their
 sparse rows, e_i·y and x·e_j as combinations of a row or a column of the
@@ -22,7 +24,11 @@ square of the table.  Membership in A⊗I and in A⊗I + I⊗A goes through the
 quotient map π: A → A/I, so no subspace of the d²-space is built.
 `validate_hopf` checks associativity, coassociativity, the counit laws and
 the multiplicativity of Δ and ε on a few algebra generators, and reruns the
-full basis scan only when one of those checks fails.  In the same way
+full basis scan only when one of those checks fails.  Its checks do work
+only where a product of basis vectors is nonzero: a term whose product is
+zero adds nothing to either side of its identity, so skipping it changes
+no pass, no failure and no first failure named (`_bialgebra_failures`
+says which terms are skipped).  In the same way
 `ideal_generators` closes greedy generators of I under multiplication by
 the algebra generators, which also decides whether I is an ideal, and
 `is_subgroup_ideal` and `is_normal` test their maps on those generators
@@ -86,11 +92,15 @@ class SCAlgebra(StructureConstants):
         self.unit = tuple(unit)
         self.labels = tuple(labels) if labels else tuple(
             "b%d" % i for i in range(dim))
-        # the table by columns: e_i·y = Σ y_j·(e_i·e_j) combines row i of
-        # the table and x·e_j = Σ x_i·(e_i·e_j) column j
-        self._cols = tuple(zip(*terms))
         self._generators = None
         self._last_ideal_generators = (None, None)
+
+    @cached_property
+    def _cols(self):
+        """The table by columns: e_i·y = Σ y_j·(e_i·e_j) combines row i of
+        the table and x·e_j = Σ x_i·(e_i·e_j) column j.  Built on first
+        read, so an algebra that only feeds `dual_hopf` never builds it."""
+        return tuple(zip(*self._terms))
 
     @cached_property
     def mult(self):
@@ -123,13 +133,28 @@ class SCAlgebra(StructureConstants):
     def check_associative(self, right=None):
         """The first (i, j, k) with (e_i·e_j)·e_k ≠ e_i·(e_j·e_k), k taken
         from `right` (default: every basis index); None if there is none."""
-        F, d, T, C = self.field, self.dim, self._terms, self._cols
+        F, d, T = self.field, self.dim, self._terms
+        add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
         right = range(d) if right is None else right
-        for i in range(d):
-            for j in range(d):
-                for k in right:
-                    if (lin_comb(F, C[k], T[i][j], d)
-                            != lin_comb(F, T[i], T[j][k], d)):
+        # with e_i·e_j = 0 only the k with e_j·e_k ≠ 0 can fail: when both
+        # products are zero, so are both sides
+        partners = [[k for k in right if row[k]] for row in T]
+        for i, Ti in enumerate(T):
+            for j, ij in enumerate(Ti):
+                Tj = T[j]
+                for k in right if ij else partners[j]:
+                    # (e_i·e_j)·e_k − e_i·(e_j·e_k) at the entries it reaches
+                    acc = {}
+                    for m, c in ij:
+                        for n, t in T[m][k]:
+                            v = mul(c, t)
+                            acc[n] = add(acc[n], v) if n in acc else v
+                    for m, c in Tj[k]:
+                        c = neg(c)
+                        for n, t in Ti[m]:
+                            v = mul(c, t)
+                            acc[n] = add(acc[n], v) if n in acc else v
+                    if not all(map(is_zero, acc.values())):
                         return (i, j, k)
         return None
 
@@ -291,8 +316,13 @@ class HopfAlgebra(SCAlgebra):
         self._coflat = coflat                   # Δ(e_i), a·d + b terms
         self.counit = tuple(counit)             # ε(e_i) scalars
         self._antipode_terms = antipode_terms   # S(e_i) terms
-        self._coterms = tuple(tuple(divmod(k, dim) + (c,) for k, c in t)
-                              for t in coflat)
+
+    @cached_property
+    def _coterms(self):
+        """Δ(e_i) as (a, b, c) triples c·e_a⊗e_b, built on first read."""
+        d = self.dim
+        return tuple(tuple(divmod(k, d) + (c,) for k, c in t)
+                     for t in self._coflat)
 
     @cached_property
     def comult(self):
@@ -318,23 +348,17 @@ class HopfAlgebra(SCAlgebra):
         F = self.field
         return lin_comb(F, self._antipode_terms, vec_terms(F, x), self.dim)
 
-    def _comult_leg(self, terms, first):
-        """(Δ⊗id) when `first`, else (id⊗Δ), of Σ c·e_a⊗e_b given as
-        (a, b, c) triples; returns {(a, b, c): coefficient}, nonzero
-        entries only."""
-        F = self.field
-        acc = {}
-        for a, b, c in terms:
-            for x, y, c2 in self._coterms[a if first else b]:
-                key = (x, y, b) if first else (a, x, y)
-                cc = F.mul(c, c2)
-                acc[key] = F.add(acc[key], cc) if key in acc else cc
-        return {key: c for key, c in acc.items() if not F.is_zero(c)}
-
     def delta2(self, x):
         """(Δ ⊗ id)Δ(x) as {(a, b, c): coefficient} for e_a⊗e_b⊗e_c,
         nonzero entries only."""
-        return self._comult_leg(self._tensor_terms(self.delta(x)), True)
+        F = self.field
+        acc = {}
+        for a, b, c in self._tensor_terms(self.delta(x)):
+            for x1, x2, c2 in self._coterms[a]:
+                key = (x1, x2, b)
+                cc = F.mul(c, c2)
+                acc[key] = F.add(acc[key], cc) if key in acc else cc
+        return {key: c for key, c in acc.items() if not F.is_zero(c)}
 
     def augmentation_ideal(self):
         """ker ε as a subspace of A."""
@@ -356,6 +380,20 @@ class HopfAlgebra(SCAlgebra):
         on the generators they hold everywhere.  Then (Δ⊗id)Δ and (id⊗Δ)Δ,
         and (ε⊗id)Δ, (id⊗ε)Δ and id, are algebra maps, equal everywhere once
         they agree on the generators.
+
+        The checks keep the scan order of the dense loops but skip what is
+        zero on both sides.  Associativity skips (i, j, k) when
+        e_i·e_j = 0 and e_j·e_k = 0: then (e_i·e_j)·e_k and e_i·(e_j·e_k)
+        are both 0; otherwise it sums their difference over the terms of
+        the two products.  Multiplicativity of Δ expands
+        Δ(e_i)·Δ(e_j) = Σ c1·c2·(e_a1·e_a2)⊗(e_b1·e_b2) over the terms
+        c1·e_a1⊗e_b1 of Δ(e_i) and c2·e_a2⊗e_b2 of Δ(e_j); a term with
+        e_a1·e_a2 = 0 or e_b1·e_b2 = 0 is 0, so for each first leg a1 only
+        the terms of Δ(e_j) with e_a1·e_a2 ≠ 0 are read.  The difference
+        with Δ(e_i·e_j) is summed in one dict over its a·d + b indices, so
+        only the entries that some term reaches are built and tested; so is
+        the difference of the two coassociativity legs, keyed by
+        (x·d + y)·d + z for e_x⊗e_y⊗e_z.
         """
         F = self.field
         d = self.dim
@@ -365,14 +403,31 @@ class HopfAlgebra(SCAlgebra):
         bad = self.check_unit()
         if bad is not None:
             return [("unit", bad)]
+        add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
+        co, coterms = self._coflat, self._coterms
         for i in gens:
-            if (self._comult_leg(self._coterms[i], True)
-                    != self._comult_leg(self._coterms[i], False)):
+            # (Δ⊗id)Δ(e_i) − (id⊗Δ)Δ(e_i), e_x⊗e_y⊗e_z at (x·d + y)·d + z:
+            # over the terms c·e_a⊗e_b of Δ(e_i), with xy the flat index of
+            # a term of Δ, Δ(e_a)⊗e_b is at xy·d + b and e_a⊗Δ(e_b) at
+            # a·d² + xy
+            acc = {}
+            for a, b, c in coterms[i]:
+                for xy, c2 in co[a]:
+                    k = xy * d + b
+                    v = mul(c, c2)
+                    acc[k] = add(acc[k], v) if k in acc else v
+                c = neg(c)
+                base = a * d * d
+                for xy, c2 in co[b]:
+                    k = base + xy
+                    v = mul(c, c2)
+                    acc[k] = add(acc[k], v) if k in acc else v
+            if not all(map(is_zero, acc.values())):
                 return [("coassociativity", i)]
         for i in gens:
             left = [F.zero] * d
             right = [F.zero] * d
-            for a, b, c in self._coterms[i]:
+            for a, b, c in coterms[i]:
                 left[b] = F.add(left[b], F.mul(c, self.counit[a]))
                 right[a] = F.add(right[a], F.mul(c, self.counit[b]))
             ei = self.basis_vector(i)
@@ -385,15 +440,39 @@ class HopfAlgebra(SCAlgebra):
             failures.append(("counit-unit", None))
         if failures:
             return failures
-        T, co, eps = self._terms, self._coflat, self.counit
-        for i in range(d):
+        T, eps = self._terms, self.counit
+        # per generator j and first leg a1, the terms c2·e_a2⊗e_b2 of
+        # Δ(e_j) with e_a1·e_a2 ≠ 0, as b2 and the terms of c2·e_a1·e_a2
+        partners = {j: [[(b2, tuple((a, mul(c2, x)) for a, x in T[a1][a2]))
+                         for a2, b2, c2 in coterms[j] if T[a1][a2]]
+                        for a1 in range(d)] for j in gens}
+        for i, Ti in enumerate(T):
             for j in gens:
-                prod = T[i][j]
-                if lin_comb(F, co, prod, d * d) != kron_product(
-                        F, T, d, self._coterms[i], self._coterms[j]):
+                part = partners[j]
+                # Δ(e_i)·Δ(e_j) − Δ(e_i·e_j) at its a·d + b indices
+                acc = {}
+                for a1, b1, c1 in coterms[i]:
+                    row = T[b1]
+                    for b2, left in part[a1]:
+                        right = row[b2]
+                        if right:
+                            for a, x in left:
+                                cx = mul(c1, x)
+                                base = a * d
+                                for b, y in right:
+                                    k = base + b
+                                    v = mul(cx, y)
+                                    acc[k] = add(acc[k], v) if k in acc else v
+                eps_ij = F.zero                 # ε(e_i·e_j)
+                for k, c in Ti[j]:
+                    eps_ij = add(eps_ij, mul(c, eps[k]))
+                    c = neg(c)
+                    for ab, t in co[k]:
+                        v = mul(c, t)
+                        acc[ab] = add(acc[ab], v) if ab in acc else v
+                if not all(map(is_zero, acc.values())):
                     return [("comult-multiplicative", (i, j))]
-                if not F.eq(F.sum(F.mul(c, eps[k]) for k, c in prod),
-                            F.mul(eps[i], eps[j])):
+                if not F.eq(eps_ij, mul(eps[i], eps[j])):
                     return [("counit-multiplicative", (i, j))]
         return []
 
@@ -407,14 +486,27 @@ class HopfAlgebra(SCAlgebra):
             failures = self._bialgebra_failures(range(d))
         if not failures:
             # antipode convolution identities: S(a_(1))·a_(2) and
-            # a_(1)·S(a_(2)) both equal ε(a)·1
+            # a_(1)·S(a_(2)) both equal ε(a)·1; only the nonzero products
+            # of a term of S with a leg of Δ(e_i) are read
             S = self._antipode_terms
+            add, mul = F.add, F.mul
             for i in range(d):
                 conv_l = [F.zero] * d
                 conv_r = [F.zero] * d
                 for a, b, c in self._coterms[i]:
-                    sc_accumulate(F, conv_l, T, S[a], ((b, c),))
-                    sc_accumulate(F, conv_r, T, ((a, c),), S[b])
+                    for m, s in S[a]:
+                        prod = T[m][b]
+                        if prod:
+                            sc = mul(s, c)
+                            for k, t in prod:
+                                conv_l[k] = add(conv_l[k], mul(sc, t))
+                    row = T[a]
+                    for m, s in S[b]:
+                        prod = row[m]
+                        if prod:
+                            cs = mul(c, s)
+                            for k, t in prod:
+                                conv_r[k] = add(conv_r[k], mul(cs, t))
                 target = vec_scale(F, self.unit, self.counit[i])
                 if tuple(conv_l) != target or tuple(conv_r) != target:
                     failures.append(("antipode-convolution", i))
@@ -566,6 +658,27 @@ def is_normal(A, I, both_legs=False):
             sc_accumulate(F, cols[b], T, ((a, c),), S[k])
         if not inside(I, tuple(itertools.chain.from_iterable(zip(*cols)))):
             return False
+    return True
+
+
+def is_unipotent_subgroup(H, span):
+    """Whether the height-one subgroup whose distribution algebra is `span`
+    is unipotent.  H is u(g) and `span` a unital subalgebra of it, u(S)
+    for a p-subalgebra S (`envelope.envelope_subalgebra_span`).  A finite
+    group scheme is unipotent exactly when its distribution algebra is
+    local, that is when the augmentation ideal J = span ∩ ker ε is
+    nilpotent under H's product.  J² ⊆ J, so J ⊇ J² ⊇ J³ ⊇ ... falls until
+    it reaches 0 or repeats; no Lie-side p-power is used."""
+    F = H.field
+    J = span.intersect(H.augmentation_ideal())
+    power = J
+    while power.dim:
+        nxt = Subspace.from_vectors(F, H.dim, [H.mul(x, y)
+                                               for x in power.basis
+                                               for y in J.basis])
+        if nxt.dim == power.dim:
+            return False
+        power = nxt
     return True
 
 

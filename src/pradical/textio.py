@@ -22,6 +22,7 @@ from .fields import (ExtensionField, PrimalityUndecided, PrimeField,
                      RationalFunctionField, is_prime, prime_power)
 from .hopf import HopfAlgebra
 from .lie import RLieAlgebra
+from .linalg import vec_terms
 
 
 class ParseError(ValueError):
@@ -310,17 +311,25 @@ def _coeff_term(F, c, label):
     return "%s*%s" % (cs, label)
 
 
-def element_str(F, labels, vec):
-    parts = [_coeff_term(F, c, labels[i])
-             for i, c in enumerate(vec) if not F.is_zero(c)]
+def _terms_str(F, terms, label):
+    """The sum of the nonzero (k, c) terms, c·label(k) in the given order;
+    "0" when there are none."""
+    parts = [_coeff_term(F, c, label(k)) for k, c in terms]
     return " + ".join(parts) if parts else "0"
+
+
+def _tensor_label(labels):
+    """The label of e_a⊗e_b at index a·d + b."""
+    d = len(labels)
+    return lambda k: "%s # %s" % (labels[k // d], labels[k % d])
+
+
+def element_str(F, labels, vec):
+    return _terms_str(F, vec_terms(F, vec), labels.__getitem__)
 
 
 def tensor_str(F, labels, vec):
-    d = len(labels)
-    parts = [_coeff_term(F, c, "%s # %s" % (labels[k // d], labels[k % d]))
-             for k, c in enumerate(vec) if not F.is_zero(c)]
-    return " + ".join(parts) if parts else "0"
+    return _terms_str(F, vec_terms(F, vec), _tensor_label(labels))
 
 
 def safe_labels(labels):
@@ -544,32 +553,33 @@ def parse_hopf(text):
 
 
 def print_hopf(H):
+    """The canonical document of H, written from its sparse tables: the
+    terms are in increasing index order, as a scan of the dense tables
+    would list them, and no dense table is built."""
     F = H.field
     labels = safe_labels(H.labels)
+    label = labels.__getitem__
     out = ["FIELD %r" % F,
            "BASIS %s" % " ".join(labels),
            "UNIT %s" % element_str(F, labels, H.unit),
            "MULT"]
-    for i in range(H.dim):
-        for j in range(H.dim):
-            vec = H.mult[i][j]
-            if any(not F.is_zero(c) for c in vec):
+    for i, row in enumerate(H._terms):
+        for j, terms in enumerate(row):
+            if terms:
                 out.append("%s*%s = %s" % (labels[i], labels[j],
-                                           element_str(F, labels, vec)))
+                                           _terms_str(F, terms, label)))
     out.append("COMULT")
-    for i in range(H.dim):
-        if any(not F.is_zero(c) for c in H.comult[i]):
+    pair = _tensor_label(labels)
+    for i, terms in enumerate(H._coflat):
+        if terms:
             out.append("delta(%s) = %s" % (labels[i],
-                                           tensor_str(F, labels,
-                                                      H.comult[i])))
+                                           _terms_str(F, terms, pair)))
     out.append("COUNIT")
     for i in range(H.dim):
         if not F.is_zero(H.counit[i]):
             out.append("eps(%s) = %s" % (labels[i], F.to_str(H.counit[i])))
     out.append("ANTIPODE")
-    for i in range(H.dim):
-        if any(not F.is_zero(c) for c in H.antipode[i]):
-            out.append("S(%s) = %s" % (labels[i],
-                                       element_str(F, labels,
-                                                   H.antipode[i])))
+    for i, terms in enumerate(H._antipode_terms):
+        if terms:
+            out.append("S(%s) = %s" % (labels[i], _terms_str(F, terms, label)))
     return "\n".join(out) + "\n"

@@ -13,13 +13,24 @@ terms from them by `vec_terms`; `u_env` built dense rows and `dual_hopf`
 transposed the dense tables with `zip`.  `dense_tables` keeps both forms
 side by side, so the sparse construction can be compared with it table by
 table and through `print_hopf`.
+
+`dense_print_hopf` is `print_hopf` as it was when it scanned the dense
+`mult`, `comult` and `antipode` views.
+
+`validate_failures` is `validate_hopf` as it was before its checks skipped
+zero products: associativity over every (i, j, k), coassociativity by
+tuple-keyed legs, multiplicativity of Δ as two dense d²-vectors per pair
+(`lin_comb` against `kron_product`) and the antipode convolution by one
+`sc_accumulate` per term.  Its failure list is the one `validate_hopf` must
+report.
 """
 
 import itertools
 from types import SimpleNamespace
 
-from pradical.linalg import vec_terms
-from pradical.textio import print_hopf
+from pradical.linalg import (kron, kron_product, lin_comb, sc_accumulate,
+                             vec_scale, vec_terms)
+from pradical.textio import element_str, print_hopf, safe_labels, tensor_str
 
 COMPARED = ("_terms", "_cols", "_coflat", "_coterms", "_antipode_terms",
             "mult", "unit", "comult", "counit", "antipode", "labels")
@@ -199,3 +210,120 @@ def assert_same_hopf(got, want):
     for name in COMPARED:
         assert getattr(got, name) == getattr(want, name), name
     assert print_hopf(got) == print_hopf(want)
+
+
+def _check_associative(H, right):
+    F, d, T, C = H.field, H.dim, H._terms, H._cols
+    for i in range(d):
+        for j in range(d):
+            for k in right:
+                if (lin_comb(F, C[k], T[i][j], d)
+                        != lin_comb(F, T[i], T[j][k], d)):
+                    return (i, j, k)
+    return None
+
+
+def _comult_leg(H, terms, first):
+    F = H.field
+    acc = {}
+    for a, b, c in terms:
+        for x, y, c2 in H._coterms[a if first else b]:
+            key = (x, y, b) if first else (a, x, y)
+            cc = F.mul(c, c2)
+            acc[key] = F.add(acc[key], cc) if key in acc else cc
+    return {key: c for key, c in acc.items() if not F.is_zero(c)}
+
+
+def _bialgebra_failures(H, gens):
+    F, d = H.field, H.dim
+    bad = _check_associative(H, gens)
+    if bad is not None:
+        return [("associativity", bad)]
+    bad = H.check_unit()
+    if bad is not None:
+        return [("unit", bad)]
+    for i in gens:
+        if (_comult_leg(H, H._coterms[i], True)
+                != _comult_leg(H, H._coterms[i], False)):
+            return [("coassociativity", i)]
+    for i in gens:
+        left = [F.zero] * d
+        right = [F.zero] * d
+        for a, b, c in H._coterms[i]:
+            left[b] = F.add(left[b], F.mul(c, H.counit[a]))
+            right[a] = F.add(right[a], F.mul(c, H.counit[b]))
+        ei = H.basis_vector(i)
+        if tuple(left) != ei or tuple(right) != ei:
+            return [("counit", i)]
+    failures = []
+    if H.delta(H.unit) != kron(F, H.unit, H.unit):
+        failures.append(("comult-unit", None))
+    if not F.eq(H.counit_of(H.unit), F.one):
+        failures.append(("counit-unit", None))
+    if failures:
+        return failures
+    T, co, eps = H._terms, H._coflat, H.counit
+    for i in range(d):
+        for j in gens:
+            prod = T[i][j]
+            if lin_comb(F, co, prod, d * d) != kron_product(
+                    F, T, d, H._coterms[i], H._coterms[j]):
+                return [("comult-multiplicative", (i, j))]
+            if not F.eq(F.sum(F.mul(c, eps[k]) for k, c in prod),
+                        F.mul(eps[i], eps[j])):
+                return [("counit-multiplicative", (i, j))]
+    return []
+
+
+def validate_failures(H):
+    """The failure list of `validate_hopf` by the dense loops."""
+    F, d, T = H.field, H.dim, H._terms
+    failures = []
+    if _bialgebra_failures(H, H.algebra_generators()):
+        failures = _bialgebra_failures(H, range(d))
+    if not failures:
+        S = H._antipode_terms
+        for i in range(d):
+            conv_l = [F.zero] * d
+            conv_r = [F.zero] * d
+            for a, b, c in H._coterms[i]:
+                sc_accumulate(F, conv_l, T, S[a], ((b, c),))
+                sc_accumulate(F, conv_r, T, ((a, c),), S[b])
+            target = vec_scale(F, H.unit, H.counit[i])
+            if tuple(conv_l) != target or tuple(conv_r) != target:
+                failures.append(("antipode-convolution", i))
+                break
+    return failures
+
+
+def dense_print_hopf(H):
+    """The canonical document of H from its dense tables."""
+    F = H.field
+    labels = safe_labels(H.labels)
+    out = ["FIELD %r" % F,
+           "BASIS %s" % " ".join(labels),
+           "UNIT %s" % element_str(F, labels, H.unit),
+           "MULT"]
+    for i in range(H.dim):
+        for j in range(H.dim):
+            vec = H.mult[i][j]
+            if any(not F.is_zero(c) for c in vec):
+                out.append("%s*%s = %s" % (labels[i], labels[j],
+                                           element_str(F, labels, vec)))
+    out.append("COMULT")
+    for i in range(H.dim):
+        if any(not F.is_zero(c) for c in H.comult[i]):
+            out.append("delta(%s) = %s" % (labels[i],
+                                           tensor_str(F, labels,
+                                                      H.comult[i])))
+    out.append("COUNIT")
+    for i in range(H.dim):
+        if not F.is_zero(H.counit[i]):
+            out.append("eps(%s) = %s" % (labels[i], F.to_str(H.counit[i])))
+    out.append("ANTIPODE")
+    for i in range(H.dim):
+        if any(not F.is_zero(c) for c in H.antipode[i]):
+            out.append("S(%s) = %s" % (labels[i],
+                                       element_str(F, labels,
+                                                   H.antipode[i])))
+    return "\n".join(out) + "\n"

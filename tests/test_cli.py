@@ -217,6 +217,22 @@ def test_oracle_compare_refuses_too_many_subspaces(capsys, dim, count):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("exponent", ["-1", "-7"])
+def test_p_reductive_refuses_a_negative_inseparable_exponent(
+        capsys, tmp_path, exponent):
+    """-1 acted as 0 and certified "verdict: true" on paper-G at p=2."""
+    cert = tmp_path / "p-reductive.json"
+    code, out, err = run(["p-reductive", "paper-G@p=2", "--json", str(cert),
+                          "--max-inseparable-exponent", exponent], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: p-reductive needs --max-inseparable-exponent "
+                   ">= 0, got %s\n" % exponent)
+    assert not cert.exists()
+    code, out, err = run(["p-reductive", "paper-G@p=2",
+                          "--max-inseparable-exponent", "0"], capsys)
+    assert code == 0 and out == "verdict: true\n"
+
+
 @pytest.mark.parametrize("args,message", [
     (["--dim", "2", "--cap", "0"], "needs --cap >= 1, got 0"),
     (["--dim", "2", "--cap", "-5"], "needs --cap >= 1, got -5"),

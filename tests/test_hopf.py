@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -9,13 +10,16 @@ from pradical.gallery import (alpha_hopf, alpha_lie, mu_hopf, paper_g,
                               resolve, sl2_kernel_char2, torus_lie)
 from pradical.hopf import (HopfAlgebra, NonDirectedFamilyError, SCAlgebra,
                            frobenius_kernel, is_normal, is_subgroup_ideal,
-                           schematic_union, tensor_intersection_identity,
-                           tensor_product_hopf)
-from pradical.linalg import (Subspace, all_subspaces, sc_accumulate,
-                             vec_is_zero, vec_terms)
+                           is_unipotent_subgroup, schematic_union,
+                           tensor_intersection_identity, tensor_product_hopf)
+from pradical.linalg import (Subspace, all_subspaces, kron, sc_accumulate,
+                             vec_add, vec_is_zero, vec_scale, vec_terms)
+from pradical.radical import rad_p
+from pradical.survey import enumerate_algebras
 from pradical.textio import print_hopf
 
-from hopf_reference import assert_same_hopf, dense_tables, zip_dual_hopf
+from hopf_reference import (assert_same_hopf, dense_print_hopf, dense_tables,
+                            validate_failures, zip_dual_hopf)
 
 
 def basis_vec(F, d, i):
@@ -291,6 +295,107 @@ def test_validate_hopf_dual_torus_dim32():
     assert H.validate_hopf()
 
 
+def _single_entry_corruptions(H, stride=1):
+    """H with one table entry raised by 1, for every `stride`-th entry of
+    the product, coproduct, counit and antipode tables in turn."""
+    F, d = H.field, H.dim
+
+    def bumped(vectors, n):
+        # the table with entry n of the flattened vectors raised by 1
+        row, k = divmod(n, len(vectors[0]))
+        v = list(vectors[row])
+        v[k] = F.add(v[k], F.one)
+        return vectors[:row] + (tuple(v),) + vectors[row + 1:]
+
+    mult = tuple(itertools.chain.from_iterable(H.mult))
+    tables = {"mult": mult, "comult": H.comult, "counit": (H.counit,),
+              "antipode": H.antipode}
+    for name, vectors in tables.items():
+        for n in range(0, len(vectors) * len(vectors[0]), stride):
+            t = dict(tables, **{name: bumped(vectors, n)})
+            yield HopfAlgebra(F, d, [t["mult"][i * d:(i + 1) * d]
+                                     for i in range(d)],
+                              H.unit, t["comult"], t["counit"][0],
+                              t["antipode"], H.labels)
+
+
+def _two_points():
+    """Functions on two points over GF(3) with both points grouplike: an
+    associative unital algebra and a coalgebra, whose unit e_0 + e_1 has
+    Δ(1) ≠ 1⊗1 and ε(1) = 2."""
+    F = PrimeField(3)
+    e = [basis_vec(F, 2, i) for i in range(2)]
+    zero = (F.zero, F.zero)
+    return HopfAlgebra(F, 2, [[e[0], zero], [zero, e[1]]],
+                       (F.one, F.one), [basis_vec(F, 4, 0),
+                                        basis_vec(F, 4, 3)],
+                       (F.one, F.one), e)
+
+
+def _sweedler():
+    """Sweedler's Hopf algebra over GF(3), basis 1, g, x, gx with g² = 1,
+    x² = 0, xg = −gx, g grouplike and Δ(x) = x⊗1 + g⊗x: neither
+    commutative nor cocommutative, and S² ≠ id, so S(a_(2))·a_(1) ≠ ε(a)."""
+    F = PrimeField(3)
+    e = [basis_vec(F, 4, i) for i in range(4)]
+    zero, minus = (F.zero,) * 4, F.neg(F.one)
+    mult = [e,
+            [e[1], e[0], e[3], e[2]],
+            [e[2], vec_scale(F, e[3], minus), zero, zero],
+            [e[3], vec_scale(F, e[2], minus), zero, zero]]
+    comult = [kron(F, e[0], e[0]), kron(F, e[1], e[1]),
+              vec_add(F, kron(F, e[2], e[0]), kron(F, e[1], e[2])),
+              vec_add(F, kron(F, e[3], e[1]), kron(F, e[0], e[3]))]
+    antipode = [e[0], e[1], vec_scale(F, e[3], minus), e[2]]
+    return HopfAlgebra(F, 4, mult, e[0], comult,
+                       (F.one, F.one, F.zero, F.zero), antipode,
+                       ("1", "g", "x", "gx"))
+
+
+def test_validate_hopf_reports_what_the_dense_loops_report():
+    # valid inputs: every target and the duals of a stride of the hopf
+    # workload's grids
+    valid = [resolve(name) for name in HOPF_TARGETS] + [_sweedler()]
+    for p, dim in ((2, 3), (3, 2)):
+        grid = list(enumerate_algebras(PrimeField(p), dim, cap=10 ** 9))
+        valid += [dual_hopf(u_env(g)) for g in grid[::7]]
+    for H in valid:
+        assert H.validate_hopf().failures == validate_failures(H) == []
+    # broken inputs: every single-entry corruption of the small targets,
+    # and a stride of them on u(g) and its dual for nonabelian grid
+    # algebras g, where u(g) is not commutative and its dual not
+    # cocommutative
+    grid = list(enumerate_algebras(PrimeField(2), 3, cap=10 ** 9))
+    broken = [B for name in ("alpha2", "alpha4", "mu2",
+                             "product(alpha2,mu2)")
+              for B in _single_entry_corruptions(resolve(name))]
+    for g in grid[::150]:
+        if not g.is_abelian():
+            H = u_env(g)
+            for A in (H, dual_hopf(H)):
+                broken += _single_entry_corruptions(A, 13)
+    broken += _single_entry_corruptions(_sweedler())
+    broken.append(_two_points())
+    kinds = set()
+    for B in broken:
+        failures = B.validate_hopf().failures
+        assert failures == validate_failures(B)
+        kinds.update(kind for kind, _ in failures)
+    # a single-entry corruption of a Hopf algebra keeps ε(1) = 1 whenever
+    # the counit laws hold, so counit-unit comes from the two points
+    assert kinds == {"associativity", "unit", "coassociativity", "counit",
+                     "comult-unit", "counit-unit", "comult-multiplicative",
+                     "counit-multiplicative", "antipode-convolution"}
+    assert _two_points().validate_hopf().failures == [
+        ("comult-unit", None), ("counit-unit", None)]
+
+
+def test_validate_hopf_at_the_cap():
+    H = dual_hopf(u_env(torus_lie(2, 7)))
+    assert H.dim == 128
+    assert H.validate_hopf()
+
+
 # -- the closures against their definition ------------------------------------
 
 HOPF_TARGETS = ("alpha2", "alpha4", "alpha8", "alpha9", "mu2", "mu3", "mu5",
@@ -298,6 +403,14 @@ HOPF_TARGETS = ("alpha2", "alpha4", "alpha8", "alpha9", "mu2", "mu3", "mu5",
                 "dual(env(sl2-kernel@2))", "env(torus@2^3)",
                 "dual(env(torus@2^3))", "dual(env(alpha@3))",
                 "env(paper-G@p=2)", "dual(env(paper-G@p=2))")
+
+
+def test_print_hopf_writes_the_dense_documents():
+    for name in HOPF_TARGETS:
+        H = resolve(name)
+        for A in (H, dual_hopf(H)):
+            assert print_hopf(A) == dense_print_hopf(A)
+    assert print_hopf(_sweedler()) == dense_print_hopf(_sweedler())
 
 
 def _ideal_closure_fixed_point(A, vectors):
@@ -672,3 +785,43 @@ def test_subgroup_and_normality_tests_match_the_full_scans(rng):
                 normal.add(verdict)
     assert conditions == {None, "ideal", "counit", "comultiplication"}
     assert normal == {True, False}
+
+
+def test_rad_p_is_the_largest_unipotent_normal_subgroup():
+    # the paper's definition of Rad_u read through the Lie/Hopf dictionary:
+    # with R = rad_p(g).radical, the height-one subgroup of R is normal and
+    # unipotent, and it contains that of every p-subalgebra S which is both,
+    # that is I_R ⊆ I_S for the defining ideals I = ann(u(S)) in u(g)*
+    algebras = subalgebras = 0
+    verdicts = set()
+    for p in (2, 3):
+        F = PrimeField(p)
+        for g in enumerate_algebras(F, 2, cap=10 ** 9):
+            algebras += 1
+            H = u_env(g)
+            A = dual_hopf(H)
+
+            def subgroup(S):
+                span = envelope_subalgebra_span(g, S, H)
+                ideal = span.annihilator()
+                return (ideal, is_normal(A, ideal),
+                        is_unipotent_subgroup(H, span))
+
+            radical, normal, unipotent = subgroup(rad_p(g).radical)
+            assert normal and unipotent
+            for S in all_subspaces(F, g.dim):
+                S = g.subspace(S.basis)
+                if not g.is_restricted_subalgebra(S):
+                    continue
+                subalgebras += 1
+                ideal, normal, unipotent = subgroup(S)
+                assert normal == g.is_p_ideal(S)
+                assert unipotent == g.is_unipotent(S)
+                if normal and unipotent:
+                    assert ideal.contains(radical)
+                verdicts.add((normal, unipotent, S.dim > 0))
+    assert (algebras, subalgebras) == (108, 389)
+    # nonzero subgroups that are normal and unipotent, and normal ones that
+    # are not unipotent, both occur: R = 0 or R = g would fail the check
+    assert verdicts == {(True, True, False), (True, True, True),
+                        (True, False, True), (False, False, True)}
