@@ -2,7 +2,10 @@
 """Exhaustive small-dimension survey: enumerate all valid restricted Lie
 algebras over GF(p), compare rad_p and the p-reductive verdict against the
 brute-force subspace oracle, and print summary statistics, with how many
-verdicts the centre test of `is_p_reductive` decided on its own.
+verdicts the centre test of `is_p_reductive` decided on its own.  Each
+algebra is also base-changed to GF(p)(t), which leaves the geometric
+radical as it is: there a decided verdict that differs from the oracle is a
+mismatch, and an undecided one a gap.
 
     PYTHONPATH=src python scripts/run_survey.py --p 3 --dim 3
 
@@ -11,7 +14,7 @@ runs the whole GF(3) dimension-3 grid (29,537 algebras)."""
 import argparse
 import time
 
-from pradical.fields import PrimeField
+from pradical.fields import PrimeField, RationalFunctionField, base_change_map
 from pradical.radical import _geometric_p_nilpotent, is_p_reductive, rad_p
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent)
@@ -26,12 +29,14 @@ def main():
     args = parser.parse_args()
 
     F = PrimeField(args.p)
+    to_t = base_change_map(F, RationalFunctionField(args.p))
     started = time.monotonic()
     grid = list(enumerate_algebras(F, args.dim, cap=args.cap))
     enumerated = time.monotonic()
     total = 0
     mismatches = 0
     verdict_mismatches = 0
+    t_mismatches = t_gaps = 0
     centre_false = centre_true = 0
     radical_dims = {}
     no_nilpotents_abelian = 0
@@ -43,6 +48,11 @@ def main():
             mismatches += 1
         if is_p_reductive(g) is not (oracle.dim == 0):
             verdict_mismatches += 1
+        verdict_t = is_p_reductive(g.base_change(to_t))
+        if verdict_t is None:
+            t_gaps += 1
+        elif verdict_t is not (oracle.dim == 0):
+            t_mismatches += 1
         Z = g.center()
         if _geometric_p_nilpotent(g, Z):
             centre_false += 1
@@ -58,6 +68,8 @@ def main():
           % (args.dim, F, total, enumerated - started, finished - enumerated))
     print("oracle mismatches: %d" % mismatches)
     print("p-reductive verdict mismatches: %d" % verdict_mismatches)
+    print("p-reductive verdicts over %r: %d mismatches, %d gaps (undecided)"
+          % (to_t.target, t_mismatches, t_gaps))
     print("verdicts decided by the centre: %d False, %d True (abelian)"
           % (centre_false, centre_true))
     print("radical dimension histogram: %s"

@@ -61,8 +61,7 @@ def _build_parser():
                    default=None)
     add("unipotent", help="is the whole algebra unipotent?")
     add("mult-type", help="is the algebra of multiplicative type?")
-    p = add("p-reductive", help="is the radical geometrically trivial?")
-    p.add_argument("--max-inseparable-exponent", type=int, default=4)
+    add("p-reductive", help="is the radical geometrically trivial?")
     p = add("series-verify", help="classify a subnormal series")
     p.add_argument("--chain", required=True,
                    help="intermediate terms, e.g. 'X | X,Y' (0 and the "
@@ -143,11 +142,6 @@ def _run_command(args):
         return _cmd_gallery(args)
     if cmd == "oracle-compare":
         return _cmd_oracle_compare(args)
-    if cmd == "p-reductive" and args.max_inseparable_exponent < 0:
-        # range(1, m + 1) is empty for every m <= 0, so a negative bound
-        # would quietly act as 0
-        raise CliError("p-reductive needs --max-inseparable-exponent >= 0, "
-                       "got %d" % args.max_inseparable_exponent)
     obj, input_data = _load_target(args.target, args.hopf_cap)
     if cmd == "validate":
         if isinstance(obj, HopfAlgebra):
@@ -196,9 +190,7 @@ def _run_command(args):
         return _flag_verdict(is_mult_type(g)), {}, input_data, []
     if cmd == "p-reductive":
         g = _need(obj, RLieAlgebra, cmd)
-        value = is_p_reductive(
-            g, max_inseparable_exponent=args.max_inseparable_exponent)
-        return _flag_verdict(value), {}, input_data, []
+        return _flag_verdict(is_p_reductive(g)), {}, input_data, []
     if cmd == "series-verify":
         g = _need(obj, RLieAlgebra, cmd)
         labels = safe_labels(g.labels)

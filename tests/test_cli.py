@@ -83,7 +83,6 @@ REENTRANT_SEQUENCE = [
     ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"],
     ["radical", "gallery:torus@2^2", "--strategy", "s3"],
     ["radical", "gallery:torus@2^2"],
-    ["p-reductive", PAPER_G, "--max-inseparable-exponent", "1"],
     ["p-reductive", PAPER_G],
 ]
 
@@ -109,8 +108,8 @@ def test_main_is_reentrant(capsys, tmp_path):
     assert certs[2]["payload"]["strategy"] == "s3"
     assert certs[3]["payload"]["strategy"] == "s1"
     assert "strategy" not in certs[3]["options"]
-    assert certs[4]["options"]["max_inseparable_exponent"] == 1
-    assert certs[5]["options"]["max_inseparable_exponent"] == 4
+    assert certs[4]["verdict"] == "true"
+    assert "max_inseparable_exponent" not in certs[4]["options"]
 
 
 def test_series_verify_and_p_reductive(capsys):
@@ -217,19 +216,22 @@ def test_oracle_compare_refuses_too_many_subspaces(capsys, dim, count):
     assert time.perf_counter() - started < 1.0
 
 
-@pytest.mark.parametrize("exponent", ["-1", "-7"])
-def test_p_reductive_refuses_a_negative_inseparable_exponent(
+@pytest.mark.parametrize("exponent", ["-1", "-7", "4"])
+def test_p_reductive_rejects_the_inseparable_exponent_flag(
         capsys, tmp_path, exponent):
-    """-1 acted as 0 and certified "verdict: true" on paper-G at p=2."""
+    """`is_p_reductive` takes no bound on inseparable base change, so the
+    parser refuses the flag, whatever its value, and writes no
+    certificate."""
     cert = tmp_path / "p-reductive.json"
-    code, out, err = run(["p-reductive", "paper-G@p=2", "--json", str(cert),
-                          "--max-inseparable-exponent", exponent], capsys)
-    assert code == 1 and out == ""
-    assert err == ("error: p-reductive needs --max-inseparable-exponent "
-                   ">= 0, got %s\n" % exponent)
+    with pytest.raises(SystemExit) as refused:
+        main(["p-reductive", "paper-G@p=2", "--json", str(cert),
+              "--max-inseparable-exponent", exponent])
+    out, err = capsys.readouterr()
+    assert refused.value.code == 2 and out == ""
+    assert ("unrecognized arguments: --max-inseparable-exponent %s"
+            % exponent) in err
     assert not cert.exists()
-    code, out, err = run(["p-reductive", "paper-G@p=2",
-                          "--max-inseparable-exponent", "0"], capsys)
+    code, out, err = run(["p-reductive", "paper-G@p=2"], capsys)
     assert code == 0 and out == "verdict: true\n"
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -359,6 +360,65 @@ def test_first_report_decides_before_the_quotient(K2t, monkeypatch):
     assert is_p_reductive(g) is False
 
 
+def _centre_twisted(g, rng):
+    """g with each e_i^[p] moved by a seeded element of Z(g), whose
+    coefficients are 0, 1, t or 1 + t: a p-semilinear map into the centre
+    changes no ad(x^[p]), so the result is again restricted."""
+    K = g.field
+    scalars = (K.zero, K.one, K.t, K.add(K.one, K.t))
+    centre = g.center().basis
+    ppowers = []
+    for v in g.ppowers:
+        for z in centre:
+            c = rng.choice(scalars)
+            v = tuple(K.add(a, K.mul(c, b)) for a, b in zip(v, z))
+        ppowers.append(v)
+    out = RLieAlgebra(K, g.dim, g.brackets, tuple(ppowers), g.labels)
+    assert out.validate()
+    return out
+
+
+def _reaches_the_ladder(g):
+    """Whether `is_p_reductive` gets past the centre step on g."""
+    Z = g.center()
+    return Z.dim < g.dim and not radical._geometric_p_nilpotent(g, Z)
+
+
+def test_first_report_ignores_inseparable_base_change(K2t):
+    """Past the centre step, the first report on g and on its base change
+    along t -> s^(p^m) agree: the same rung, the base change of the same
+    subspace, the same `final`.  So an inseparable base change cannot
+    decide a verdict that g's own first report leaves open."""
+    pg2, pg3 = paper_g(2)[0], paper_g(3)[0]
+    algebras = [pg2, pg3, direct_sum(pg2, pg2), _heisenberg_t(K2t),
+                _s4_then_probe(K2t)]
+    algebras += [g.quotient(g.subspace([g.basis_vector(0)]))[0]
+                 for g in (pg2, pg3)]
+    assert all(_reaches_the_ladder(g) for g in algebras)
+    hom = base_change_map(PrimeField(2), K2t)
+    rng = random.Random(25)
+    twisted = [_centre_twisted(g.base_change(hom), rng)
+               for g in list(enumerate_algebras(PrimeField(2), 3))[::7]
+               for _ in range(2)]
+    algebras += [g for g in twisted if _reaches_the_ladder(g)]
+    assert (len(twisted), len(algebras)) == (262, 96)
+    rungs = collections.Counter()
+    for g in algebras:
+        report = _first_report(g, None, [])
+        rungs[report and report[0]] += 1
+        for m in (1, 2):
+            insep = base_change_map(
+                g.field, RationalFunctionField(g.field.p, "@s"), m)
+            changed = _first_report(g.base_change(insep), None, [])
+            if report is None:
+                assert changed is None
+                continue
+            name, sub, final = report
+            assert changed == (name, g.base_change_subspace(insep, sub),
+                               final)
+    assert rungs == {"s4": 53, "s2": 25, None: 18}
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_grids():
     """{(p, dim): [(g, brute-force radical dim)]} for GF(2) dim 2 and 3
@@ -369,14 +429,26 @@ def _oracle_grids():
 
 
 def test_p_reductive_matches_the_oracle(monkeypatch):
-    """Every algebra of GF(2) dim 2 and 3 and of GF(3) dim 2: p-reductive
-    exactly when the brute-force radical is 0, without a quotient or the
-    probe."""
+    """Every algebra of GF(2) dim 2 and 3 and of GF(3) dim 2, and its base
+    change to GF(p)(t): p-reductive exactly when the brute-force radical is
+    0, or undecided over GF(p)(t), without a quotient or the probe."""
     pairs = [pair for grid in _oracle_grids().values() for pair in grid]
     assert len(pairs) == 1019
     _forbid_descent(monkeypatch)
     assert ([is_p_reductive(g) for g, _ in pairs]
             == [dim == 0 for _, dim in pairs])
+    # g over GF(p)(t) has the same geometric radical: every decided verdict
+    # is the oracle's, and the undecided ones are counted
+    gaps = collections.Counter()
+    for (p, dim), grid in _oracle_grids().items():
+        hom = base_change_map(PrimeField(p), RationalFunctionField(p))
+        for g, radical_dim in grid:
+            verdict = is_p_reductive(g.base_change(hom))
+            if verdict is None:
+                gaps[p, dim] += 1
+            else:
+                assert verdict is (radical_dim == 0)
+    assert gaps == {(2, 3): 28}
 
 
 def test_centre_decides_without_the_ladder(K3t, monkeypatch):
