@@ -12,7 +12,7 @@ from .envelope import dual_hopf, subgroup_ideal_from_p_subalgebra, u_env
 from .lie import NotPIdealError, RLieAlgebra, direct_sum
 from .linalg import SemilinearMap, Subspace, semilinear_kernel
 from .radical import (RadicalCertificate, is_mult_type, is_p_reductive,
-                      one_dim_p_ideals, rad_p, weight_decomposition)
+                      rad_p, weight_decomposition)
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "NotPIdealError", "RLieAlgebra", "direct_sum",
     "SemilinearMap", "Subspace", "semilinear_kernel",
     "RadicalCertificate", "is_mult_type", "is_p_reductive",
-    "one_dim_p_ideals", "rad_p", "weight_decomposition",
+    "rad_p", "weight_decomposition",
 ]

@@ -3,8 +3,8 @@
 Targets are files (.alg for Lie algebras, .hopf for coordinate rings) or
 gallery names (optionally prefixed "gallery:").  Every analysis emits a
 human-readable report and, with --json, a certificate.  Exit code 0 means a
-verdict was produced (including "false" and "undecided"); nonzero means an
-operational failure.
+verdict was produced (including "false" and "undecided"); 1 means an
+operational failure, and 2 a command line that argparse refused.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ def _build_parser():
                        help="write a JSON certificate")
         p.add_argument("--hopf-cap", type=int, default=128,
                        help="dimension cap for enveloping algebras")
-        p.add_argument("--seed", type=int, default=20260826,
-                       help="seed for randomized property runs")
         return p
 
     add("validate", help="check the defining axioms")
@@ -339,7 +337,12 @@ def _cmd_oracle_compare(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or message: 0 for --help, 2 for a
+        # malformed command line
+        return exc.code
     started = time.monotonic()
     try:
         verdict, payload, input_data, lines = _run_command(args)

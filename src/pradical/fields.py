@@ -660,7 +660,7 @@ class ExtensionField(Ring):
     Up to TABLE_MAX_ORDER every operation is a lookup in the log/antilog and
     Zech tables of `_log_tables`, shared by all descriptors of one (p, m):
     mul, div, inv and neg add logs, add and sub add a Zech logarithm, and
-    pow_int, frobenius and pth_root multiply a log mod q - 1.  Above it,
+    pow_int and pth_root multiply a log mod q - 1.  Above it,
     mul is the polynomial product mod f and inv the extended Euclid.
     """
 
@@ -775,9 +775,6 @@ class ExtensionField(Ring):
 
     def from_int(self, n):
         return self._pad(((n % self.p),))
-
-    def frobenius(self, a):
-        return self.pow_int(a, self.p)
 
     def pth_root(self, a):
         return self.pow_int(a, self.p ** (self.m - 1))

@@ -95,11 +95,12 @@ def verify_restricted_rep(g, matrices):
         for j in range(n):
             comm = mat_sub(F, mat_mul(F, matrices[i], matrices[j]),
                            mat_mul(F, matrices[j], matrices[i]))
-            expect = _rep_of(F, matrices, g.brackets[i][j])
+            expect = rep_of_element(g, matrices, g.brackets[i][j])
             if comm != expect:
                 failures.append(("bracket", (i, j)))
     for i in range(n):
-        if mat_pow(F, matrices[i], F.p) != _rep_of(F, matrices, g.ppowers[i]):
+        if (mat_pow(F, matrices[i], F.p)
+                != rep_of_element(g, matrices, g.ppowers[i])):
             failures.append(("p-power", i))
     flat = [tuple(c for row in M for c in row) for M in matrices]
     if mat_rank(F, flat) != n:
@@ -107,17 +108,14 @@ def verify_restricted_rep(g, matrices):
     return {"ok": not failures, "failures": failures}
 
 
-def _rep_of(F, matrices, coords):
-    """Σ c_i·M_i, each matrix M_i a sparse row of its m² entries."""
-    m = len(matrices[0])
-    rows = [vec_terms(F, [x for row in M for x in row]) for M in matrices]
-    flat = lin_comb(F, rows, vec_terms(F, coords), m * m)
-    return tuple(flat[r * m:(r + 1) * m] for r in range(m))
-
-
 def rep_of_element(g, matrices, x):
-    """The matrix representing an algebra element x."""
-    return _rep_of(g.field, matrices, x)
+    """The matrix representing an algebra element x: Σ x_i·M_i, each
+    matrix M_i a sparse row of its m² entries."""
+    F = g.field
+    m = len(matrices[0])
+    rows = [vec_terms(F, [c for row in M for c in row]) for M in matrices]
+    flat = lin_comb(F, rows, vec_terms(F, x), m * m)
+    return tuple(flat[r * m:(r + 1) * m] for r in range(m))
 
 
 def sl2_kernel_char2():

@@ -633,20 +633,18 @@ def schematic_union(A, ideals, force=False):
     return SubgroupIdeal(A, inter), ok, witness
 
 
-def is_normal(A, I, both_legs=False):
+def is_normal(A, I):
     """Stability of I under the conjugation co-action
     γ(a) = a_(1)·S(a_(3)) ⊗ a_(2) (first leg conjugates).
 
-    Checks γ(I) ⊆ A⊗I, the co-module condition on the subgroup leg; with
-    both_legs the weaker mixed containment γ(I) ⊆ A⊗I + I⊗A is used.
+    Checks γ(I) ⊆ A⊗I, the co-module condition on the subgroup leg.
     A commutative Hopf algebra makes γ an algebra map, and for an ideal I
-    both targets are ideals of A⊗A, so γ is tested on `ideal_generators`
-    only; when I is not an ideal every basis vector of I is tested.
+    A⊗I is an ideal of A⊗A, so γ is tested on `ideal_generators` only;
+    when I is not an ideal every basis vector of I is tested.
     """
     if not A.is_commutative():
         raise ValueError("is_normal needs a commutative coordinate ring")
     F = A.field
-    inside = A.in_mixed_tensor if both_legs else A.in_right_tensor
     T = A._terms
     S = A._antipode_terms
     gens = A.ideal_generators(I)
@@ -656,7 +654,7 @@ def is_normal(A, I, both_legs=False):
         cols = [[F.zero] * A.dim for _ in range(A.dim)]
         for (a, b, k), c in A.delta2(v).items():
             sc_accumulate(F, cols[b], T, ((a, c),), S[k])
-        if not inside(I, tuple(itertools.chain.from_iterable(zip(*cols)))):
+        if not A.in_right_tensor(I, tuple(itertools.chain(*zip(*cols)))):
             return False
     return True
 

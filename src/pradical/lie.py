@@ -12,8 +12,11 @@ the p-powers of basis vectors and every matrix product are `linalg`
 linear combinations of sparse rows.  The spins are worklist closures
 (`Subspace.closure`): each vector new to the span is inserted once into a
 semi-echelon basis and bracketed and p-powered once, and the spin stops as
-soon as it spans g.  Symbolic computation goes by base change:
-`generic_p_power` runs `p_power` on g over the polynomial coordinate ring.
+soon as it spans g.  `jacobi_failures` is the one Jacobi scan, over the
+same sparse terms: `validate` reads it in full, and the survey's grid
+enumeration up to the first failure, before any algebra object exists.
+Symbolic computation goes by base change: `generic_p_power` runs `p_power`
+on g over the polynomial coordinate ring.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ class ValidationReport:
 
     def first(self):
         return self.failures[0] if self.failures else None
+
+
+def jacobi_failures(F, n, terms):
+    """The triples i < j < k, in lexicographic order and produced lazily,
+    on which [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is
+    not zero.  terms[a][b] holds the nonzero (index, value) pairs of
+    [e_a, e_b], as `StructureConstants._terms` does, so each double
+    bracket is a sum over nonzero structure constants only."""
+    add, mul = F.add, F.mul
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = [F.zero] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in terms[a][b]:
+                for l, y in terms[m][c]:
+                    s[l] = add(s[l], mul(x, y))
+        if not vec_is_zero(F, s):
+            yield i, j, k
 
 
 def _nested_tuples(x, depth):
@@ -156,7 +176,7 @@ class RLieAlgebra(StructureConstants):
         if not failures:
             failures = [("jacobi", (i, j, k), "Jacobi fails on (%s,%s,%s)"
                          % (self.labels[i], self.labels[j], self.labels[k]))
-                        for i, j, k in self._jacobi_failures()]
+                        for i, j, k in jacobi_failures(F, n, self._terms)]
         if not failures:
             ads = self.ad_basis()
             for i in range(n):
@@ -168,20 +188,6 @@ class RLieAlgebra(StructureConstants):
                                      (self.labels[i], self.labels[i])))
         self._validated = ValidationReport(not failures, failures)
         return self._validated
-
-    def _jacobi_failures(self):
-        """The triples i < j < k, in lexicographic order and produced
-        lazily, on which [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
-        + [[e_k, e_i], e_j] is not zero."""
-        F = self.field
-        c = self.brackets
-        e = [self.basis_vector(a) for a in range(self.dim)]
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            s = vec_add(F, vec_add(F, self.bracket(c[i][j], e[k]),
-                                   self.bracket(c[j][k], e[i])),
-                        self.bracket(c[k][i], e[j]))
-            if not vec_is_zero(F, s):
-                yield i, j, k
 
     def require_valid(self):
         rep = self.validate()

@@ -33,10 +33,6 @@ class RadicalCertificate:
         return self.verdict == EXACT
 
 
-def _is_finite(field):
-    return field.kind in ("prime", "extension")
-
-
 def rad_p(g, strategy=None, trace=None):
     """Largest unipotent p-ideal, with a derivation trace.
 
@@ -89,7 +85,7 @@ def _rad_search(g, strategy, trace):
     if report is None:
         # no complete strategy: probe for unipotent p-ideals, report a
         # lower bound
-        found = _probe_lower_bound(g, trace)
+        found = _probe_lower_bound(g)
         trace.append({"step": "undecided", "lower_bound_dim": found.dim})
         return found, "probe", False
     name, sub, final = report
@@ -157,7 +153,7 @@ def _s3_enumerate(g, trace):
     each distinct proper spin is tested for unipotency once; the points
     scanned and the first hit are those of testing every spin.
     """
-    if not _is_finite(g.field):
+    if g.field.kind not in ("prime", "extension"):
         return None
     rejected = set()
     for idx, v in enumerate(projective_points(g.field, g.dim)):
@@ -196,51 +192,33 @@ def weight_decomposition(g):
     return None
 
 
-def _weight_split(g):
-    """(pivot, {c: nonzero weight space}, zero-weight space, complete) for
-    the first split pivot of `weight_decomposition`, or None.
+def _weight_vectors(F, E):
+    """Candidate vectors of a weight space: the line itself, or the nonzero
+    prime-field combinations of its basis when it is wider."""
+    if E.dim == 1:
+        return [E.basis[0]]
+    scalars = [F.from_int(c) for c in range(F.p)]
+    return [E.lift(coeffs)
+            for coeffs in itertools.product(scalars, repeat=E.dim)
+            if any(not F.is_zero(c) for c in coeffs)]
 
-    Every p-ideal splits along the weight spaces of the pivot.  complete:
-    every nonzero weight space is a line and the zero-weight space is
-    abelian; this is the completeness condition of each split-weight walk.
+
+def _s4_split_weights(g, trace):
+    """Split-weight fragment on the first split pivot of
+    `weight_decomposition`, along whose weight spaces every p-ideal splits.
+
+    Spin the vectors of the nonzero weight spaces (lines, or planes scanned
+    over the prime field) and report the first unipotent spin; then settle
+    the zero-weight space.  Complete when the split is: every nonzero
+    weight space is a line and the zero-weight space is abelian.  None when
+    it does not settle g (no split pivot, a weight space wider than a
+    plane, or an incomplete split with no unipotent weight spin).
     """
     dec = weight_decomposition(g)
     if dec is None:
         return None
     pivot, spaces = dec
     nonzero = {c: E for c, E in spaces.items() if c != 0}
-    zero_space = spaces.get(0, g.zero_subspace())
-    complete = (all(E.dim == 1 for E in nonzero.values())
-                and g.is_abelian(zero_space))
-    return pivot, nonzero, zero_space, complete
-
-
-def _weight_vectors(F, E):
-    """Candidate vectors of a weight space: the line itself, or the
-    prime-field combinations of its basis when it is wider (incomplete)."""
-    if E.dim == 1:
-        return [E.basis[0]]
-    return [E.lift(coeffs) for coeffs in _prime_field_combinations(F, E.dim)]
-
-
-def _killed_by_weights(g, S, nonzero):
-    """The part of S killed by ad of every nonzero-weight vector."""
-    rows = [row for _, E in sorted(nonzero.items())
-            for w in E.basis for row in g.ad_matrix(w)]
-    return S.intersect(nullspace(g.field, rows, g.dim)) if rows else S
-
-
-def _s4_split_weights(g, trace):
-    """Split-weight fragment: spin the vectors of the nonzero weight spaces
-    (lines, or planes scanned over the prime field), then settle the
-    abelian zero-weight space.  Complete under `_weight_split`'s condition;
-    None when it does not settle g (no split pivot, a weight space wider
-    than a plane, or an incomplete split with no unipotent weight spin).
-    """
-    split = _weight_split(g)
-    if split is None:
-        return None
-    pivot, nonzero, zero_space, complete = split
     if any(E.dim > 2 for E in nonzero.values()):
         return None
 
@@ -253,7 +231,9 @@ def _s4_split_weights(g, trace):
                               "pivot_basis": pivot, "ideal_dim": I.dim})
                 return I, False
 
-    if not complete:
+    zero_space = spaces.get(0, g.zero_subspace())
+    if (any(E.dim > 1 for E in nonzero.values())
+            or not g.is_abelian(zero_space)):
         return None
 
     # all unipotent p-ideals now live inside the abelian zero-weight space
@@ -285,7 +265,9 @@ def _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero_spaces):
     W_local = SemilinearMap(F, B0).rational_unipotent_part()
     W = g.subspace([zero_space.lift(lv) for lv in W_local.basis])
     # bracket with nonzero-weight vectors must vanish (it leaves weight 0)
-    C = _killed_by_weights(g, W, nonzero_spaces)
+    rows = [row for _, E in sorted(nonzero_spaces.items())
+            for w in E.basis for row in g.ad_matrix(w)]
+    C = W.intersect(nullspace(F, rows, g.dim)) if rows else W
     # greatest p-stable subspace of C: J <- {x in J : x^[p] in J}
     J = C
     for _ in range(g.dim + 1):
@@ -314,7 +296,7 @@ def _semilinear_preimage_in_subspace(g, space, B_local, constraint_rows):
     return g.subspace([space.lift(lv) for lv in local.basis])
 
 
-def _probe_lower_bound(g, trace, samples=64, seed=20260826):
+def _probe_lower_bound(g, samples=64, seed=20260826):
     """Randomized search for unipotent p-ideals; a lower bound only."""
     F = g.field
     rng = random.Random(seed)
@@ -333,7 +315,7 @@ def _probe_lower_bound(g, trace, samples=64, seed=20260826):
             best = I
     if best.dim:
         q, project, section = g.quotient(best)
-        inner = _probe_lower_bound(q, trace, samples=samples // 2 or 1)
+        inner = _probe_lower_bound(q, samples=samples // 2 or 1)
         best = _pullback(g, best, section, inner)
     return best
 
@@ -407,65 +389,3 @@ def is_p_reductive(g):
     if report is None:
         return None
     return report[1].dim == 0
-
-
-def one_dim_p_ideals(g):
-    """All one-dimensional p-ideals of g, as a (list of lines, verdict) pair.
-
-    Over a finite field: complete projective scan, verdict "exact".  Over an
-    infinite field the split weights of `_weight_split` are used: a stable
-    line has a single weight, nonzero-weight lines are exhausted exactly,
-    and the zero-weight ones must be killed by every nonzero-weight vector.
-    When the split is not complete, or the remaining candidate space is
-    more than a line (the p-power condition turns nonlinear), the verdict
-    degrades to "undecided-fragment" (the returned lines are still genuine
-    p-ideals).
-    """
-    F = g.field
-    if g.dim == 0:
-        return [], EXACT
-
-    def line_of(v):
-        return g.subspace([v])
-
-    if _is_finite(F):
-        lines = [line_of(v) for v in projective_points(F, g.dim)
-                 if g.is_p_ideal(line_of(v))]
-        return lines, EXACT
-
-    found = []
-
-    def try_line(v):
-        L = line_of(v)
-        if L.dim == 1 and g.is_p_ideal(L) and L not in found:
-            found.append(L)
-
-    split = _weight_split(g)
-    if split is None:
-        for i in range(g.dim):
-            try_line(g.basis_vector(i))
-        return found, UNDECIDED
-
-    _, nonzero, zero_space, complete = split
-    for _, E in sorted(nonzero.items()):
-        for v in _weight_vectors(F, E):
-            try_line(v)
-
-    if zero_space.dim:
-        # a stable line in the zero-weight space is killed by every
-        # nonzero-weight vector (brackets land in the other weight space)
-        C = _killed_by_weights(g, zero_space, nonzero)
-        if C.dim == 1:
-            try_line(C.basis[0])
-        elif C.dim > 1:
-            complete = False
-            for v in C.basis:
-                try_line(v)
-    return found, EXACT if complete else UNDECIDED
-
-
-def _prime_field_combinations(F, k):
-    scalars = [F.from_int(c) for c in range(F.p)]
-    for coeffs in itertools.product(scalars, repeat=k):
-        if any(not F.is_zero(c) for c in coeffs):
-            yield coeffs

@@ -7,7 +7,8 @@ against rad_p.
 `enumerate_algebras` spends on each bracket table only what that table
 needs.  The vectors of F^n, their negations and the sparse terms of both
 are listed once per call, and Jacobi is tested on the sparse antisymmetric
-table of each bracket choice before any algebra object exists.  For a
+table of each bracket choice before any algebra object exists, by the scan
+`lie.jacobi_failures` that `RLieAlgebra.validate` runs too.  For a
 table that passes, the restrictedness systems Σ_k x_k·ad(e_k) = ad(e_i)^p
 (i = 0..n-1) share one n²×n coefficient matrix, so one `rref` of it with
 all n right-hand sides appended gives every particular solution and the
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 
-from .lie import RLieAlgebra, ValidationReport
-from .linalg import (all_subspaces, lin_comb, mat_pow, rref, vec_add,
-                     vec_is_zero, vec_terms)
+from .lie import RLieAlgebra, ValidationReport, jacobi_failures
+from .linalg import all_subspaces, lin_comb, mat_pow, rref, vec_add, vec_terms
 
 
 def all_vectors(F, n, nonzero=False):
@@ -70,22 +70,6 @@ def _restricted_choices(F, ad):
     return options
 
 
-def _table_jacobi_ok(F, n, terms):
-    """Jacobi on a sparse antisymmetric table, terms[a][b] the nonzero
-    (index, value) pairs of [e_a, e_b]: for every i < j < k the sum
-    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is zero."""
-    add, mul = F.add, F.mul
-    for i, j, k in itertools.combinations(range(n), 3):
-        s = [F.zero] * n
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in terms[a][b]:
-                for l, y in terms[m][c]:
-                    s[l] = add(s[l], mul(x, y))
-        if not vec_is_zero(F, s):
-            return False
-    return True
-
-
 def enumerate_algebras(F, dim, cap=10000):
     """Yield every valid restricted Lie algebra of the given dimension over
     a finite field, at most `cap` of them (none for cap <= 0).
@@ -114,7 +98,7 @@ def _grid(F, n):
         terms = [[()] * n for _ in range(n)]
         for (i, j), (_, _, v_terms, neg_terms) in zip(pairs, choice):
             terms[i][j], terms[j][i] = v_terms, neg_terms
-        if not _table_jacobi_ok(F, n, terms):
+        if next(jacobi_failures(F, n, terms), None) is not None:
             continue
         table = [[zero] * n for _ in range(n)]
         for (i, j), (v, neg, _, _) in zip(pairs, choice):
@@ -128,7 +112,7 @@ def _grid(F, n):
                                    itertools.product(*option_terms)):
             g = RLieAlgebra._with_ppowers(g0, ppowers, pterms)
             # valid by construction: alternating by the table, Jacobi by
-            # _table_jacobi_ok, restricted by _restricted_choices
+            # jacobi_failures, restricted by _restricted_choices
             g._validated = ValidationReport(True)
             yield g
 
@@ -157,14 +141,15 @@ def has_nonzero_p_nilpotent(g):
                for v in all_vectors(g.field, g.dim, nonzero=True))
 
 
-def oracle_compare(instances, strategy="s3"):
-    """Run rad_p against the brute-force oracle; returns (total, mismatches)."""
+def oracle_compare(instances):
+    """Run rad_p with s3 forced against the brute-force oracle; returns
+    (total, mismatches)."""
     from .radical import rad_p
 
     total = 0
     mismatches = []
     for g in instances:
-        cert = rad_p(g, strategy=strategy)
+        cert = rad_p(g, strategy="s3")
         oracle = brute_force_radical(g)
         total += 1
         if cert.radical != oracle or not cert.is_exact:

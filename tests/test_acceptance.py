@@ -100,7 +100,7 @@ def test_criterion_03_sl2_kernel_fixture():
 def test_criterion_04_oracle_equivalence(grid):
     started = time.monotonic()
     assert len(grid) <= 10000
-    total, mismatches = oracle_compare(grid, strategy="s3")
+    total, mismatches = oracle_compare(grid)
     assert total == len(grid)
     assert not mismatches
     assert time.monotonic() - started < 600.0

@@ -110,6 +110,7 @@ def test_main_is_reentrant(capsys, tmp_path):
     assert "strategy" not in certs[3]["options"]
     assert certs[4]["verdict"] == "true"
     assert "max_inseparable_exponent" not in certs[4]["options"]
+    assert not any("seed" in cert["options"] for cert in certs)
 
 
 def test_series_verify_and_p_reductive(capsys):
@@ -223,16 +224,29 @@ def test_p_reductive_rejects_the_inseparable_exponent_flag(
     parser refuses the flag, whatever its value, and writes no
     certificate."""
     cert = tmp_path / "p-reductive.json"
-    with pytest.raises(SystemExit) as refused:
-        main(["p-reductive", "paper-G@p=2", "--json", str(cert),
-              "--max-inseparable-exponent", exponent])
+    assert main(["p-reductive", "paper-G@p=2", "--json", str(cert),
+                 "--max-inseparable-exponent", exponent]) == 2
     out, err = capsys.readouterr()
-    assert refused.value.code == 2 and out == ""
+    assert out == ""
     assert ("unrecognized arguments: --max-inseparable-exponent %s"
             % exponent) in err
     assert not cert.exists()
     code, out, err = run(["p-reductive", "paper-G@p=2"], capsys)
     assert code == 0 and out == "verdict: true\n"
+
+
+def test_refused_command_lines_return_argparse_codes(capsys, tmp_path):
+    """`main` returns argparse's exit code instead of raising SystemExit:
+    2 for a flag it refuses, such as the removed --seed, with no
+    certificate written, and 0 for --help."""
+    cert = tmp_path / "radical.json"
+    assert main(["radical", PAPER_G, "--json", str(cert), "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --seed 1" in err
+    assert not cert.exists()
+    assert main(["radical", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pradical radical") and err == ""
 
 
 @pytest.mark.parametrize("args,message", [

@@ -181,7 +181,6 @@ def test_is_normal_true_for_commutative_cocommutative():
     F = H.field
     I = Subspace.from_vectors(F, 4, [basis_vec(F, 4, 2), basis_vec(F, 4, 3)])
     assert is_normal(H, I)
-    assert is_normal(H, I, both_legs=True)
 
 
 def _hopf_samples():
@@ -702,17 +701,16 @@ def _scan_is_subgroup_ideal(A, I):
     return True, None
 
 
-def _scan_is_normal(A, I, both_legs=False):
+def _scan_is_normal(A, I):
     """is_normal before the generator tests: γ on every basis vector."""
     F = A.field
-    inside = A.in_mixed_tensor if both_legs else A.in_right_tensor
     for v in I.basis:
         cols = [[F.zero] * A.dim for _ in range(A.dim)]
         for (a, b, k), c in A.delta2(v).items():
             sc_accumulate(F, cols[b], A._terms, ((a, c),),
                           A._antipode_terms[k])
         flat = tuple(x for row in zip(*cols) for x in row)
-        if not inside(I, flat):
+        if not A.in_right_tensor(I, flat):
             return False
     return True
 
@@ -779,10 +777,9 @@ def test_subgroup_and_normality_tests_match_the_full_scans(rng):
         assert got == _scan_is_subgroup_ideal(A, I)
         conditions.add(got[1]["condition"] if got[1] else None)
         if A.is_commutative():
-            for both in (False, True):
-                verdict = is_normal(A, I, both_legs=both)
-                assert verdict == _scan_is_normal(A, I, both_legs=both)
-                normal.add(verdict)
+            verdict = is_normal(A, I)
+            assert verdict == _scan_is_normal(A, I)
+            normal.add(verdict)
     assert conditions == {None, "ideal", "counit", "comultiplication"}
     assert normal == {True, False}
 

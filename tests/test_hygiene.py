@@ -1,12 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every private helper it defines is used by package code."""
+every private helper it defines is used by package code, and every public
+name it defines has a caller or a stated reason to stay."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pradical"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pradical"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,20 +51,37 @@ def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _units(tree):
-    """(name, node) for each top-level function and each method, and
-    (None, node) for the rest of a module's top-level code."""
+    """(class, name, node) for each top-level function (class None) and
+    each method, and (class, None, node) for the rest of a class body or
+    (None, None, node) of a module's top-level code."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for item in node.body + node.decorator_list + node.bases:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item.name, item
-                else:
-                    yield None, item
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
+                name = item.name if isinstance(item, _FUNCTIONS) else None
+                yield node.name, name, item
+        elif isinstance(node, _FUNCTIONS):
+            yield None, node.name, node
         else:
-            yield None, node
+            yield None, None, node
+
+
+def _names(node, strings=False):
+    """The names `node` reads; with `strings`, also its string constants
+    that are identifiers, as in a table of attributes to bind."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and n.value.isidentifier()):
+            out.add(n.value)
+    return out
 
 
 def unused_private_helpers(sources):
@@ -71,13 +90,10 @@ def unused_private_helpers(sources):
     names; a helper that only calls itself is unused."""
     defined, used = set(), set()
     for source in sources:
-        for name, node in _units(ast.parse(source)):
+        for _, name, node in _units(ast.parse(source)):
             if name is not None and _is_private(name):
                 defined.add(name)
-            refs = {n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(node)
-                    if isinstance(n, (ast.Name, ast.Attribute))}
-            used.update(refs - {name})
+            used.update(_names(node) - {name})
     return sorted(defined - used)
 
 
@@ -96,3 +112,87 @@ def test_package_uses_every_private_helper():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_helpers(sources) == []
+
+
+# public names kept although package code, scripts/ and perfbench/ need
+# not name them, each for the reason given
+ALLOWED_UNCALLED = {
+    "fields.PolynomialRing":
+        "bound by perfbench's tracer (fields.polyring_new, fields.ops.poly) "
+        "and used by generic_p_power only; goes with ROADMAP item 1",
+    "hopf.SCAlgebra.tensor_mul":
+        "bound by perfbench's tracer (hopf.tensor_mul); goes with ROADMAP "
+        "item 1",
+    "lie.RLieAlgebra.generic_p_power":
+        "test_lie's symbolic reference for p_power",
+    "fields.PolynomialRing.evaluate":
+        "evaluates generic_p_power in test_lie's p_power reference",
+    "hopf.SCAlgebra.right_tensor_subspace":
+        "the subspace reference for in_right_tensor",
+    "hopf.tensor_intersection_identity": "acceptance criterion 08",
+    "survey.unipotent_restricted_subalgebras": "acceptance criterion 06",
+    "lie.RLieAlgebra.base_change_subspace": "acceptance criterion 05",
+    "hopf.is_unipotent_subgroup":
+        "the Hopf-side Rad_u test (ROADMAP item 4)",
+}
+
+
+def _public_defs_and_reads(module, source, strings=False):
+    """({qualified name: name} of the public top-level functions, classes
+    and methods of `source`, the names its code reads).  A function or
+    method does not read itself, nor a class's body the class."""
+    defined, used = {}, set()
+    for cls, name, node in _units(ast.parse(source)):
+        for qualified, public in (((module, cls), cls),
+                                  ((module, cls, name), name)):
+            if public is not None and not public.startswith("_"):
+                defined[".".join(filter(None, qualified))] = public
+        used |= _names(node, strings) - {cls, name}
+    return defined, used
+
+
+def uncalled_public_names(package, callers):
+    """The qualified public names defined in `package` ({module: source})
+    that neither other package code nor a source of `callers` names; the
+    string names of the callers count."""
+    defined, used = {}, set()
+    for module, source in package.items():
+        names, reads = _public_defs_and_reads(module, source)
+        defined.update(names)
+        used |= reads
+    for source in callers:
+        used |= _public_defs_and_reads("", source, strings=True)[1]
+    return sorted(q for q, name in defined.items() if name not in used)
+
+
+def test_checker_flags_an_uncalled_public_name():
+    package = {
+        "a": ("def used(): return 0\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def bound(): return 0\n"
+              "class C:\n"
+              "    def live(self): return used()\n"
+              "    def dead(self): return self.dead\n"
+              "    def _private(self): return C\n"),
+        "b": "def caller(): return C().live()\n",
+    }
+    callers = ["import a\nTABLE = ((a, 'bound'),)\n"]
+    assert uncalled_public_names(package, callers) == [
+        "a.C.dead", "a.recursive", "b.caller"]
+    assert uncalled_public_names(package, []) == [
+        "a.C.dead", "a.bound", "a.recursive", "b.caller"]
+
+
+def test_every_public_name_has_a_caller():
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    callers = [path.read_text(encoding="utf-8")
+               for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    names = set().union(*(_public_defs_and_reads(module, source)[0]
+                          for module, source in package.items()))
+    assert len(ALLOWED_UNCALLED) <= 10
+    assert set(ALLOWED_UNCALLED) <= names
+    assert [q for q in uncalled_public_names(package, callers)
+            if q not in ALLOWED_UNCALLED] == []

@@ -11,12 +11,13 @@ from pradical.fields import (ExtensionField, FieldHom, PolynomialRing,
                              PrimeField, RationalFunctionField,
                              base_change_map)
 from pradical.gallery import paper_g, resolve, sl2_kernel_char2
-from pradical.lie import NotPIdealError, RLieAlgebra, direct_sum
+from pradical.lie import (NotPIdealError, RLieAlgebra, direct_sum,
+                          jacobi_failures)
 from pradical.linalg import mat_identity, projective_points
 from pradical.survey import _restricted_choices, enumerate_algebras
 
 from hopf_reference import monomial_index
-from lie_reference import jacobi_ok
+from lie_reference import jacobi_ok, jacobi_triples
 
 
 def _instances():
@@ -556,23 +557,78 @@ def test_spin_p_ideal_of_a_line_runs_at_most_one_rref(monkeypatch):
     assert {1, g.dim} < dims      # both a proper spin and a full one
 
 
+class _CountingField:
+    """A field descriptor that counts its `mul` calls."""
+
+    def __init__(self, F):
+        self._field = F
+        self.muls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self._field.mul(a, b)
+
+
 def test_jacobi_scan_is_shared_and_stops_at_the_first_failure():
     F = PrimeField(2)
     one, zero = F.one, F.zero
-    # [e1,e2]=e2, [e2,e3]=e1 fails Jacobi on (e1,e2,e3); e4 is central
+    # [e1,e2]=e2, [e2,e3]=e1 fails Jacobi on (e1,e2,e3); [e4,e_i]=e_i for
+    # i < 4 gives every later triple nonzero products
     g = RLieAlgebra.from_upper(
         F, 4, {(0, 1): (zero, one, zero, zero),
-               (1, 2): (one, zero, zero, zero)}, [(zero,) * 4] * 4)
+               (1, 2): (one, zero, zero, zero),
+               (0, 3): (one, zero, zero, zero),
+               (1, 3): (zero, one, zero, zero),
+               (2, 3): (zero, zero, one, zero)}, [(zero,) * 4] * 4)
     report = g.validate()
-    assert [f[1] for f in report.failures if f[0] == "jacobi"] == list(
-        g._jacobi_failures()) == [(0, 1, 2)]
-    calls = []
-    bracket = g.bracket
-
-    def counted(x, y):
-        calls.append((x, y))
-        return bracket(x, y)
-
-    g.bracket = counted
+    failures = list(jacobi_failures(F, 4, g._terms))
+    assert [f[1] for f in report.failures if f[0] == "jacobi"] == failures
+    assert failures[0] == (0, 1, 2) and failures == list(jacobi_triples(g))
+    counted = _CountingField(F)
+    assert next(jacobi_failures(counted, 4, g._terms)) == (0, 1, 2)
+    first = counted.muls
+    list(jacobi_failures(counted, 4, g._terms))
+    # the first triple's products only, not those of all four triples
+    assert 0 < first < counted.muls - first
     assert not jacobi_ok(g)
-    assert len(calls) == 3      # one triple, not all four
+
+
+def _corruptions(g):
+    """Every algebra that differs from g in one structure constant
+    c_ij^k (i < j, with c_ji^k = -c_ij^k kept)."""
+    F, n = g.field, g.dim
+    upper = {(i, j): g.brackets[i][j]
+             for i, j in itertools.combinations(range(n), 2)}
+    for (i, j), v in upper.items():
+        for k in range(n):
+            for delta in range(1, F.p):
+                w = list(v)
+                w[k] = F.add(w[k], F.from_int(delta))
+                yield RLieAlgebra.from_upper(
+                    F, n, {**upper, (i, j): tuple(w)}, g.ppowers)
+
+
+def test_validate_reports_the_reference_jacobi_triples_in_order():
+    rng = random.Random(20261020)
+    bases = [_witt(5)]
+    for p in (2, 3):
+        F = PrimeField(p)
+        bases += _grid_sample(F, 3, 6, rng)
+        for _ in range(6):
+            upper = {ij: (F.zero,) * 4 if rng.random() < 0.5 else
+                     tuple(F.random_element(rng) for _ in range(4))
+                     for ij in itertools.combinations(range(4), 2)}
+            bases.append(RLieAlgebra.from_upper(F, 4, upper,
+                                                [(F.zero,) * 4] * 4))
+    failing = passing = several = 0
+    for base in bases:
+        for g in itertools.chain([base], _corruptions(base)):
+            got = [f[1] for f in g.validate().failures if f[0] == "jacobi"]
+            assert got == list(jacobi_triples(g))
+            failing += bool(got)
+            passing += not got
+            several += len(got) > 1
+    assert failing > 500 and passing > 100 and several > 300

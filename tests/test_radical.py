@@ -16,7 +16,7 @@ from pradical.lie import RLieAlgebra, direct_sum
 from pradical.linalg import nullspace, rref
 from pradical import radical
 from pradical.radical import (_first_report, is_mult_type, is_p_reductive,
-                              one_dim_p_ideals, rad_p, weight_decomposition)
+                              rad_p, weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
                              has_nonzero_p_nilpotent,
                              unipotent_restricted_subalgebras)
@@ -162,31 +162,6 @@ def test_weight_decomposition_matches_the_nullspace_loop(tmp_path,
     assert 0 < split < len(algebras)
 
 
-def test_one_dim_p_ideals_exact_cases():
-    g, _ = paper_g(2)
-    lines, verdict = one_dim_p_ideals(g)
-    assert verdict == "exact"
-    assert lines == [g.subspace([g.basis_vector(0)])]
-    torus = torus_lie(2, 2)
-    lines, verdict = one_dim_p_ideals(torus)
-    assert verdict == "exact" and len(lines) == 3
-
-
-@given(st.sampled_from(INSTANCES))
-@settings(max_examples=60, deadline=None)
-def test_one_dim_p_ideals_against_scan(g):
-    lines, verdict = one_dim_p_ideals(g)
-    assert verdict == "exact"
-    from pradical.linalg import projective_points
-    expected = []
-    for v in projective_points(g.field, g.dim):
-        L = g.subspace([v])
-        if g.is_p_ideal(L):
-            expected.append(L)
-    assert sorted(lines, key=lambda S: S.basis) == \
-        sorted(expected, key=lambda S: S.basis)
-
-
 def test_base_change_equivariance_sample():
     F = PrimeField(2)
     for m in (2, 3):
@@ -221,20 +196,28 @@ def _two_dim_weight(K):
                                   [e(0), z3, z3], labels=("h", "x1", "x2"))
 
 
-def test_one_dim_p_ideals_two_dim_weight_space_infinite_field(K3t):
-    # [h, x_i] = x_i over GF(3)(t): the weight-1 space span{x1, x2} holds
-    # four stable lines, found by combining its basis over GF(3); the
-    # two-dimensional weight space makes the verdict a fragment
+def test_s4_scans_a_weight_plane_over_the_prime_field(K3t):
+    # [h, x_i] = x_i with x1^[3] = z central and z^[3] = t·z over GF(3)(t):
+    # the derived p-closure span{x1, x2, z} is not unipotent, so s4 scans
+    # the weight-1 plane; of its lines only span{x2} is p-nilpotent
     K = K3t
-    e = lambda i: tuple(K.one if j == i else K.zero for j in range(3))
-    g = _two_dim_weight(K)
+    e = lambda i: tuple(K.one if j == i else K.zero for j in range(4))
+    z4 = (K.zero,) * 4
+    g = RLieAlgebra.from_upper(K, 4, {(0, 1): e(1), (0, 2): e(2)},
+                               [e(0), e(3), z4, (K.zero,) * 3 + (K.t,)],
+                               labels=("h", "x1", "x2", "z"))
     assert g.validate()
-    lines, verdict = one_dim_p_ideals(g)
-    assert verdict == "undecided-fragment"
-    two = K.from_int(2)
-    expected = [g.subspace([v]) for v in (
-        e(1), e(2), (K.zero, K.one, K.one), (K.zero, K.one, two))]
-    assert len(lines) == 4 and all(L in lines for L in expected)
+    pivot, spaces = weight_decomposition(g)
+    plane = spaces[1]
+    assert pivot == 0 and plane.dim == 2
+    vectors = radical._weight_vectors(K, plane)
+    assert vectors == [plane.lift((K.from_int(a), K.from_int(b)))
+                       for a in range(3) for b in range(3) if a or b]
+    cert = rad_p(g)
+    assert cert.strategy == "s4" and cert.is_exact
+    assert cert.radical == g.subspace([e(2)])
+    assert cert.trace[0]["step"] == "s4-weight-line"
+    assert cert.trace[0]["weight"] == 1
 
 
 def test_mult_type_detection():
