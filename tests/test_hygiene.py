@@ -117,12 +117,6 @@ def test_package_uses_every_private_helper():
 # public names kept although package code, scripts/ and perfbench/ need
 # not name them, each for the reason given
 ALLOWED_UNCALLED = {
-    "fields.PolynomialRing":
-        "bound by perfbench's tracer (fields.polyring_new, fields.ops.poly) "
-        "and used by generic_p_power only; goes with ROADMAP item 1",
-    "hopf.SCAlgebra.tensor_mul":
-        "bound by perfbench's tracer (hopf.tensor_mul); goes with ROADMAP "
-        "item 1",
     "lie.RLieAlgebra.generic_p_power":
         "test_lie's symbolic reference for p_power",
     "fields.PolynomialRing.evaluate":
@@ -192,7 +186,9 @@ def test_every_public_name_has_a_caller():
                for path in sorted((ROOT / folder).glob("*.py"))]
     names = set().union(*(_public_defs_and_reads(module, source)[0]
                           for module, source in package.items()))
+    uncalled = uncalled_public_names(package, callers)
     assert len(ALLOWED_UNCALLED) <= 10
     assert set(ALLOWED_UNCALLED) <= names
-    assert [q for q in uncalled_public_names(package, callers)
-            if q not in ALLOWED_UNCALLED] == []
+    # an entry whose name gained a caller is stale and must go
+    assert set(ALLOWED_UNCALLED) <= set(uncalled)
+    assert [q for q in uncalled if q not in ALLOWED_UNCALLED] == []

@@ -572,6 +572,17 @@ class _CountingField:
         return self._field.mul(a, b)
 
 
+def _double_bracket_products(g, triple):
+    """The number of nonzero products c_ab^m * c_mc^l in the three double
+    brackets [[e_a, e_b], e_c] of the Jacobi sum at `triple`, read from
+    the dense table."""
+    i, j, k = triple
+    z = g.field.zero
+    return sum(1 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+               for m in range(g.dim) if g.brackets[a][b][m] != z
+               for l in range(g.dim) if g.brackets[m][c][l] != z)
+
+
 def test_jacobi_scan_is_shared_and_stops_at_the_first_failure():
     F = PrimeField(2)
     one, zero = F.one, F.zero
@@ -591,8 +602,11 @@ def test_jacobi_scan_is_shared_and_stops_at_the_first_failure():
     assert next(jacobi_failures(counted, 4, g._terms)) == (0, 1, 2)
     first = counted.muls
     list(jacobi_failures(counted, 4, g._terms))
-    # the first triple's products only, not those of all four triples
-    assert 0 < first < counted.muls - first
+    # the products of (e1,e2,e3) alone, then those of all four triples
+    costs = [_double_bracket_products(g, t)
+             for t in itertools.combinations(range(4), 3)]
+    assert costs == [1, 3, 0, 3]
+    assert first == costs[0] and counted.muls == first + sum(costs)
     assert not jacobi_ok(g)
 
 
