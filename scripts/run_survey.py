@@ -4,8 +4,9 @@ algebras over GF(p), compare rad_p and the p-reductive verdict against the
 brute-force subspace oracle, and print summary statistics, with how many
 verdicts the centre test of `is_p_reductive` decided on its own.  Each
 algebra is also base-changed to GF(p)(t), which leaves the geometric
-radical as it is: there a decided verdict that differs from the oracle is a
-mismatch, and an undecided one a gap.
+radical as it is: there a decided verdict, or an exact rad_p, that differs
+from the oracle's (base-changed) answer is a mismatch, and an undecided one
+a gap.
 
     PYTHONPATH=src python scripts/run_survey.py --p 3 --dim 3
 
@@ -37,6 +38,7 @@ def main():
     mismatches = 0
     verdict_mismatches = 0
     t_mismatches = t_gaps = 0
+    rad_t_mismatches = rad_t_gaps = 0
     centre_false = centre_true = 0
     radical_dims = {}
     no_nilpotents_abelian = 0
@@ -48,11 +50,17 @@ def main():
             mismatches += 1
         if is_p_reductive(g) is not (oracle.dim == 0):
             verdict_mismatches += 1
-        verdict_t = is_p_reductive(g.base_change(to_t))
+        g_t = g.base_change(to_t)
+        verdict_t = is_p_reductive(g_t)
         if verdict_t is None:
             t_gaps += 1
         elif verdict_t is not (oracle.dim == 0):
             t_mismatches += 1
+        cert_t = rad_p(g_t)
+        if not cert_t.is_exact:
+            rad_t_gaps += 1
+        elif cert_t.radical != g.base_change_subspace(to_t, oracle):
+            rad_t_mismatches += 1
         Z = g.center()
         if _geometric_p_nilpotent(g, Z):
             centre_false += 1
@@ -70,6 +78,8 @@ def main():
     print("p-reductive verdict mismatches: %d" % verdict_mismatches)
     print("p-reductive verdicts over %r: %d mismatches, %d gaps (undecided)"
           % (to_t.target, t_mismatches, t_gaps))
+    print("rad_p over %r: %d mismatches, %d gaps (undecided)"
+          % (to_t.target, rad_t_mismatches, rad_t_gaps))
     print("verdicts decided by the centre: %d False, %d True (abelian)"
           % (centre_false, centre_true))
     print("radical dimension histogram: %s"

@@ -42,7 +42,7 @@ def paper_g(p, a=None, field=None):
         if not isinstance(F, RationalFunctionField):
             raise ValueError("need an explicit non-p-th-power a over %r" % F)
         a = F.t
-    if _is_pth_power(F, a):
+    if F.pth_root(a) is not None:
         raise ValueError("parameter a = %s is a p-th power" % F.to_str(a))
     zero3 = (F.zero,) * 3
     sign = F.from_int(-1)
@@ -55,13 +55,6 @@ def paper_g(p, a=None, field=None):
         labels=("X", "Y", "Z"))
     rep = (mat_identity(F, p), _y_matrix(F, p, a), _z_matrix(F, p))
     return g, rep
-
-
-def _is_pth_power(F, a):
-    if hasattr(F, "pth_components"):
-        comps = F.pth_components(a)
-        return all(F.is_zero(c) for i, c in enumerate(comps) if i >= 1)
-    return True  # perfect fields
 
 
 def _y_matrix(F, p, a):

@@ -39,24 +39,13 @@ those of the full scan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import (StructureConstants, Subspace, kron, kron_product,
-                     lin_comb, nullspace, sc_accumulate, vec_is_zero,
-                     vec_scale, vec_terms)
-
-
-@dataclass
-class HopfValidationReport:
-    passed: bool
-    failures: list = dc_field(default_factory=list)
-
-    def __bool__(self):
-        return self.passed
-
-    def first(self):
-        return self.failures[0] if self.failures else None
+from .lie import ValidationReport
+from .linalg import (StructureConstants, Subspace, descending_chain, kron,
+                     kron_product, lin_comb, nullspace, sc_accumulate,
+                     vec_is_zero, vec_scale, vec_terms)
 
 
 def _dense(F, n, terms):
@@ -252,9 +241,6 @@ class SCAlgebra(StructureConstants):
                         and S.contains_vector(lin_comb(F, C[i], vs, d))):
                     return v, i
         return None
-
-    def is_ideal(self, S):
-        return self._ideal_escape(S) is None
 
     # -- tensor square helpers ----------------------------------------------
 
@@ -511,7 +497,7 @@ class HopfAlgebra(SCAlgebra):
                 if tuple(conv_l) != target or tuple(conv_r) != target:
                     failures.append(("antipode-convolution", i))
                     break
-        return HopfValidationReport(not failures, failures)
+        return ValidationReport(not failures, failures)
 
     def require_valid(self):
         rep = self.validate_hopf()
@@ -667,17 +653,14 @@ def is_unipotent_subgroup(H, span):
     local, that is when the augmentation ideal J = span ∩ ker ε is
     nilpotent under H's product.  J² ⊆ J, so J ⊇ J² ⊇ J³ ⊇ ... falls until
     it reaches 0 or repeats; no Lie-side p-power is used."""
-    F = H.field
     J = span.intersect(H.augmentation_ideal())
-    power = J
-    while power.dim:
-        nxt = Subspace.from_vectors(F, H.dim, [H.mul(x, y)
-                                               for x in power.basis
-                                               for y in J.basis])
-        if nxt.dim == power.dim:
-            return False
-        power = nxt
-    return True
+
+    def times_J(P):
+        return Subspace.from_vectors(H.field, H.dim, [H.mul(x, y)
+                                                      for x in P.basis
+                                                      for y in J.basis])
+
+    return descending_chain(J, times_J)[-1].dim == 0
 
 
 def frobenius_kernel(A, r):

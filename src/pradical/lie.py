@@ -25,8 +25,9 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldHom, PolynomialRing, UnsupportedKindError
-from .linalg import (StructureConstants, Subspace, lin_comb, mat_pow,
-                     nullspace, vec_add, vec_is_zero, vec_terms, vec_zero)
+from .linalg import (StructureConstants, Subspace, descending_chain,
+                     lin_comb, mat_pow, nullspace, vec_add, vec_is_zero,
+                     vec_terms, vec_zero)
 
 
 class NotPIdealError(ValueError):
@@ -279,11 +280,6 @@ class RLieAlgebra(StructureConstants):
         return all(S.contains_vector(self.bracket(u, v))
                    for u in S.basis for v in S.basis)
 
-    def is_ideal(self, S):
-        n = self.dim
-        return all(S.contains_vector(self.bracket(self.basis_vector(i), v))
-                   for i in range(n) for v in S.basis)
-
     def is_p_closed(self, S):
         """Basis p-powers land in S (enough once S is a subalgebra)."""
         return all(S.contains_vector(self.p_power(v)) for v in S.basis)
@@ -292,7 +288,19 @@ class RLieAlgebra(StructureConstants):
         return self.is_subalgebra(S) and self.is_p_closed(S)
 
     def is_p_ideal(self, S):
-        return self.is_ideal(S) and self.is_p_closed(S)
+        return self._p_ideal_escape(S) is None
+
+    def _p_ideal_escape(self, S, within=None):
+        """How S first fails to be a p-ideal of the subalgebra `within`
+        (default g): ("ideal", i) when [u_i, v] leaves S for the basis
+        vector u_i of `within` of least index i and some v in S.basis, else
+        ("p-closed", None) when some v^[p] does; None when S is a p-ideal
+        of `within`."""
+        within = within if within is not None else self.full_subspace()
+        for i, u in enumerate(within.basis):
+            if not all(S.contains_vector(self.bracket(u, v)) for v in S.basis):
+                return "ideal", i
+        return None if self.is_p_closed(S) else ("p-closed", None)
 
     def spin_p_ideal(self, S):
         """Smallest p-ideal containing S: the `Subspace.closure` of S under
@@ -341,22 +349,8 @@ class RLieAlgebra(StructureConstants):
 
     def characteristic_series(self):
         full = self.full_subspace()
-        derived = [full]
-        while True:
-            nxt = self.bracket_span(derived[-1], derived[-1])
-            if nxt == derived[-1]:
-                break
-            derived.append(nxt)
-            if nxt.dim == 0:
-                break
-        lower = [full]
-        while True:
-            nxt = self.bracket_span(full, lower[-1])
-            if nxt == lower[-1]:
-                break
-            lower.append(nxt)
-            if nxt.dim == 0:
-                break
+        derived = descending_chain(full, lambda S: self.bracket_span(S, S))
+        lower = descending_chain(full, lambda S: self.bracket_span(full, S))
         return {
             "center": self.center(),
             "derived_series": derived,
@@ -373,17 +367,13 @@ class RLieAlgebra(StructureConstants):
         S = S if S is not None else self.full_subspace()
         if not self.is_restricted_subalgebra(S):
             raise ValueError("is_unipotent needs a restricted subalgebra")
-        cur = S
-        for _ in range(self.dim + 1):
-            if cur.dim == 0:
-                return True
-            vecs = [self.bracket(u, v) for u in cur.basis for v in cur.basis]
-            vecs.extend(self.p_power(v) for v in cur.basis)
-            nxt = self.subspace(vecs)
-            if nxt == cur:
-                return False
-            cur = nxt
-        return cur.dim == 0
+
+        def step(T):
+            return self.subspace([self.bracket(u, v) for u in T.basis
+                                  for v in T.basis]
+                                 + [self.p_power(v) for v in T.basis])
+
+        return descending_chain(S, step)[-1].dim == 0
 
     def is_abelian(self, S=None):
         S = S if S is not None else self.full_subspace()
@@ -410,9 +400,12 @@ class RLieAlgebra(StructureConstants):
     def quotient(self, I):
         """Quotient by a p-ideal; returns (algebra, project, section)."""
         self.require_valid()
-        if not self.is_p_ideal(I):
-            witness = self._p_ideal_witness(I)
-            raise NotPIdealError("not a p-ideal: %s" % witness)
+        escape = self._p_ideal_escape(I)
+        if escape is not None:
+            kind, i = escape
+            raise NotPIdealError("not a p-ideal: " + (
+                "[%s, v] escapes the subspace" % self.labels[i]
+                if kind == "ideal" else "v^[p] escapes the subspace"))
         comp, project, section = I.quotient_data()
         m = len(comp)
         F = self.field
@@ -428,18 +421,6 @@ class RLieAlgebra(StructureConstants):
         # a quotient of a valid algebra by a p-ideal is valid
         q._validated = ValidationReport(True)
         return q, project, section
-
-    def _p_ideal_witness(self, S):
-        F = self.field
-        for i in range(self.dim):
-            for v in S.basis:
-                w = self.bracket(self.basis_vector(i), v)
-                if not S.contains_vector(w):
-                    return "[%s, v] escapes the subspace" % self.labels[i]
-        for v in S.basis:
-            if not S.contains_vector(self.p_power(v)):
-                return "v^[p] escapes the subspace"
-        return "unknown"
 
     # -- series classification -----------------------------------------------
 
@@ -457,16 +438,11 @@ class RLieAlgebra(StructureConstants):
         for lo, hi in zip(chain, chain[1:]):
             if not hi.contains(lo):
                 raise ValueError("chain does not ascend")
-            # lo must be a p-ideal inside hi
-            for u in hi.basis:
-                for v in lo.basis:
-                    if not lo.contains_vector(self.bracket(u, v)):
-                        raise NotPIdealError(
-                            "chain step is not an ideal in its successor")
-            for v in lo.basis:
-                if not lo.contains_vector(self.p_power(v)):
-                    raise NotPIdealError(
-                        "chain step is not p-closed in its successor")
+            escape = self._p_ideal_escape(lo, hi)
+            if escape is not None:
+                raise NotPIdealError("chain step is not %s in its successor"
+                                     % ("an ideal" if escape[0] == "ideal"
+                                        else "p-closed"))
             d = hi.dim - lo.dim
             if d != 1:
                 out.append({"kind": "unclassified", "dim": d})

@@ -12,7 +12,10 @@ combination `lin_comb` (e_i·y and x·e_j combine a row or a column of a
 table), the bilinear product `sc_accumulate` (the `product` of
 `StructureConstants`, which is both the Lie bracket and the associative
 product), the Kronecker product `kron` (with `kron_product`, the product in
-a tensor square), and `Subspace.coordinates`.
+a tensor square), and `Subspace.coordinates`.  Both sides also run their
+descending chains of subspaces (derived and lower central series, the
+unipotency chains of a p-subalgebra and of an augmentation ideal) through
+`descending_chain`.
 """
 
 from __future__ import annotations
@@ -409,6 +412,19 @@ class Subspace:
         """A matrix whose nullspace is exactly this subspace."""
         ann = self.annihilator()
         return ann.basis if ann.basis else ((self.field.zero,) * self.ambient,)
+
+
+def descending_chain(S, step):
+    """The chain S, step(S), step(step(S)), ... of subspaces, as a list,
+    up to the first term that is 0 or that `step` maps to itself.  For a
+    `step` with step(T) ⊆ T it ends within dim S steps."""
+    chain = [S]
+    while S.dim:
+        S = step(S)
+        if S == chain[-1]:
+            break
+        chain.append(S)
+    return chain
 
 
 def all_subspaces(F, n):

@@ -12,10 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import (
-    Subspace, SemilinearMap, mat_mul, mat_pow, nullspace, projective_points,
-    semilinear_kernel, vec_is_zero,
-)
+from .linalg import (SemilinearMap, mat_pow, nullspace, projective_points,
+                     vec_is_zero)
 
 EXACT = "exact"
 UNDECIDED = "undecided-fragment"
@@ -208,11 +206,17 @@ def _s4_split_weights(g, trace):
     `weight_decomposition`, along whose weight spaces every p-ideal splits.
 
     Spin the vectors of the nonzero weight spaces (lines, or planes scanned
-    over the prime field) and report the first unipotent spin; then settle
-    the zero-weight space.  Complete when the split is: every nonzero
-    weight space is a line and the zero-weight space is abelian.  None when
-    it does not settle g (no split pivot, a weight space wider than a
-    plane, or an incomplete split with no unipotent weight spin).
+    over the prime field) and report the first unipotent spin; then report
+    the final radical from the centre.  Complete when the split is: every
+    nonzero weight space is a line and the zero-weight space E_0 is
+    abelian.  Then rad_p(g) splits along the weight spaces and holds no
+    weight line, as each spins to a p-ideal that is not unipotent, so it
+    lies in E_0, which brackets it to 0, and is central.  The
+    p-nilpotent part of the centre Z is a central, abelian, p-closed and
+    p-nilpotent subspace, hence a unipotent p-ideal, so rad_p(g) is that
+    part: the rational unipotent part of the p-map on Z.  None when s4
+    does not settle g (no split pivot, a weight space wider than a plane,
+    or an incomplete split with no unipotent weight spin).
     """
     dec = weight_decomposition(g)
     if dec is None:
@@ -236,8 +240,9 @@ def _s4_split_weights(g, trace):
             or not g.is_abelian(zero_space)):
         return None
 
-    # all unipotent p-ideals now live inside the abelian zero-weight space
-    J = _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero)
+    Z = g.center()
+    part = SemilinearMap(g.field, g.p_power_matrix(Z)).rational_unipotent_part()
+    J = g.subspace([Z.lift(v) for v in part.basis])
     trace.append({"step": "s4-zero-weight", "pivot_basis": pivot,
                   "dim": J.dim})
     return J, True
@@ -251,49 +256,6 @@ _LADDER = (
     ("s3", _s3_enumerate, "s3 forced over an infinite field"),
     ("s4", _s4_split_weights, "s4 fragment does not apply"),
 )
-
-
-def _largest_unipotent_ideal_in_abelian(g, zero_space, nonzero_spaces):
-    """Largest unipotent p-ideal of g contained in the abelian zero-weight
-    space: start from its p-nilpotent part, then shrink to the greatest
-    subspace killed by the nonzero-weight operators and stable under the
-    p-operation."""
-    F = g.field
-    if zero_space.dim == 0:
-        return g.zero_subspace()
-    B0 = g.p_power_matrix(zero_space)
-    W_local = SemilinearMap(F, B0).rational_unipotent_part()
-    W = g.subspace([zero_space.lift(lv) for lv in W_local.basis])
-    # bracket with nonzero-weight vectors must vanish (it leaves weight 0)
-    rows = [row for _, E in sorted(nonzero_spaces.items())
-            for w in E.basis for row in g.ad_matrix(w)]
-    C = W.intersect(nullspace(F, rows, g.dim)) if rows else W
-    # greatest p-stable subspace of C: J <- {x in J : x^[p] in J}
-    J = C
-    for _ in range(g.dim + 1):
-        if J.dim == 0:
-            break
-        A = J.constraint_matrix()
-        # x ranges over the zero-weight space; express the p-power map there
-        pre = _semilinear_preimage_in_subspace(g, zero_space, B0, A)
-        nxt = J.intersect(pre)
-        if nxt == J:
-            break
-        J = nxt
-    return J
-
-
-def _semilinear_preimage_in_subspace(g, space, B_local, constraint_rows):
-    """{x in `space` : constraint_rows . x^[p] = 0}, in ambient coordinates."""
-    F = g.field
-    d = space.dim
-    # constraint on the p-power expressed in local coordinates: rows . lift(B_local . x^(p))
-    lifted_cols = [space.lift(tuple(B_local[k][j] for k in range(d)))
-                   for j in range(d)]
-    # matrix M with M . x_local^(p) = constraint_rows . p_power(x): rows x d
-    rows = mat_mul(F, constraint_rows, tuple(zip(*lifted_cols)))
-    local = semilinear_kernel(F, rows) if rows else Subspace.full(F, d)
-    return g.subspace([space.lift(lv) for lv in local.basis])
 
 
 def _probe_lower_bound(g, samples=64, seed=20260826):
@@ -365,12 +327,11 @@ def is_p_reductive(g):
     nothing more to learn:
     - A zero final radical comes only from s4's zero-weight step, on a
       complete split: nonzero weight spaces are lines and the zero-weight
-      space E_0 is abelian.  A p-nilpotent u in E_0 ⊗ k̄ acts on each
-      weight line by a scalar λ with λ^(p^n) = 0, so λ = 0 and u is
-      central; the centre step has ruled such u out.  The geometric
-      radical splits along the weight spaces, and a weight line inside it
-      would spin to a unipotent p-ideal that s4 has already tested.  So
-      the geometric radical is 0.
+      space E_0 is abelian.  Its radical is the rational p-nilpotent part
+      of Z(g), which the centre step has already shown to be 0 over k̄.
+      The split stays complete over k̄, whose weight lines are spanned by
+      the same rational vectors, so s4's argument holds there too: the
+      geometric radical is the p-nilpotent part of Z ⊗ k̄, which is 0.
     - An inseparable base change t ↦ s^(p^m) changes no report.  The
       whole-unipotent test, s2's derived p-closure, the weight split, its
       completeness and its line and plane spins are spans of the same

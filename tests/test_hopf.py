@@ -758,7 +758,7 @@ def test_ideal_generators_generate_greedily(rng):
     seen_none = seen_ideal = 0
     for A, I in _subgroup_ideal_cases() + _other_subspace_cases(rng):
         gens = A.ideal_generators(I)
-        if not A.is_ideal(I):
+        if A.ideal_closure(I.basis) != I:
             assert gens is None
             seen_none += 1
             continue

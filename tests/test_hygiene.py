@@ -125,7 +125,6 @@ ALLOWED_UNCALLED = {
         "the subspace reference for in_right_tensor",
     "hopf.tensor_intersection_identity": "acceptance criterion 08",
     "survey.unipotent_restricted_subalgebras": "acceptance criterion 06",
-    "lie.RLieAlgebra.base_change_subspace": "acceptance criterion 05",
     "hopf.is_unipotent_subgroup":
         "the Hopf-side Rad_u test (ROADMAP item 4)",
 }

@@ -695,3 +695,26 @@ def test_s2_makes_no_unipotency_test_on_a_perfect_algebra(monkeypatch):
 
     monkeypatch.setattr(RLieAlgebra, "is_unipotent", forbidden)
     assert radical._s2_derived(g, []) is None
+
+
+def test_s4_zero_weight_radical_matches_the_oracle(monkeypatch):
+    # g + alpha over GF(2)(t), for every GF(2) dimension-3 algebra g: where
+    # s4's zero-weight step reports a nonzero radical (of the algebra or of
+    # a quotient on the walk), rad_p is exact and is the base change of the
+    # brute-force radical over GF(2), which is perfect.  The probe's lower
+    # bounds are not checked here, so it is cut short.
+    monkeypatch.setattr(radical, "_probe_lower_bound",
+                        lambda g: g.zero_subspace())
+    F = PrimeField(2)
+    hom = base_change_map(F, RationalFunctionField(2))
+    hits = 0
+    for g in enumerate_algebras(F, 3):
+        h = direct_sum(g, alpha_lie(2))
+        cert = rad_p(h.base_change(hom))
+        if any(step["step"] == "s4-zero-weight" and step["dim"]
+               for step in cert.trace):
+            hits += 1
+            assert cert.is_exact
+            assert cert.radical == h.base_change_subspace(
+                hom, brute_force_radical(h))
+    assert hits >= 80
