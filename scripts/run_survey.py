@@ -43,7 +43,7 @@ def main():
     radical_dims = {}
     no_nilpotents_abelian = 0
     for g in grid:
-        cert = rad_p(g, strategy="s3")
+        cert = rad_p(g)
         oracle = brute_force_radical(g)
         total += 1
         if cert.radical != oracle:

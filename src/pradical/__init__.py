@@ -4,7 +4,7 @@ strategies, p-reductivity, Hopf-side subgroup ideals and Frobenius kernels.
 """
 
 from .fields import (ExtensionField, FieldHom, PolynomialRing, PrimeField,
-                     RationalFunctionField, base_change_map, pth_root)
+                     RationalFunctionField, base_change_map)
 from .hopf import (HopfAlgebra, SCAlgebra, SubgroupIdeal, frobenius_kernel,
                    is_normal, is_subgroup_ideal, schematic_union,
                    tensor_intersection_identity, tensor_product_hopf)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExtensionField", "FieldHom", "PolynomialRing", "PrimeField",
-    "RationalFunctionField", "base_change_map", "pth_root",
+    "RationalFunctionField", "base_change_map",
     "HopfAlgebra", "SCAlgebra", "SubgroupIdeal", "frobenius_kernel",
     "is_normal", "is_subgroup_ideal", "schematic_union",
     "tensor_intersection_identity", "tensor_product_hopf",

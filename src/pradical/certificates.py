@@ -10,6 +10,8 @@ import os
 import tempfile
 import time
 
+from .textio import element_str
+
 TOOL = "pradical"
 VERSION = "0.1.0"
 
@@ -68,6 +70,4 @@ def write_atomic(path, text):
 
 def subspace_payload(F, labels, S):
     """A subspace as a list of canonical element strings."""
-    from .textio import element_str
-
     return [element_str(F, labels, v) for v in S.basis]

@@ -23,6 +23,7 @@ from .hopf import (HopfAlgebra, NonDirectedFamilyError, NotSubgroupIdealError,
 from .lie import RLieAlgebra
 from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
+from .survey import enumerate_algebras, oracle_compare
 from .textio import (ParseError, element_str, parse_algebra, parse_element,
                      parse_field, parse_hopf, print_hopf, safe_labels,
                      tensor_str)
@@ -54,9 +55,7 @@ def _build_parser():
 
     add("validate", help="check the defining axioms")
     add("report", help="center, series and structural flags")
-    p = add("radical", help="largest unipotent normal part")
-    p.add_argument("--strategy", choices=("s1", "s2", "s3", "s4"),
-                   default=None)
+    add("radical", help="largest unipotent normal part")
     add("unipotent", help="is the whole algebra unipotent?")
     add("mult-type", help="is the algebra of multiplicative type?")
     add("p-reductive", help="is the radical geometrically trivial?")
@@ -169,7 +168,7 @@ def _run_command(args):
         return "ok", payload, input_data, lines
     if cmd == "radical":
         g = _need(obj, RLieAlgebra, cmd)
-        cert = rad_p(g, strategy=args.strategy)
+        cert = rad_p(g)
         payload = {
             "radical_basis": _subspace_strings(g, cert.radical),
             "radical_dim": cert.radical.dim,
@@ -306,8 +305,6 @@ def _subspace_count(q, n):
 
 
 def _cmd_oracle_compare(args):
-    from .survey import enumerate_algebras, oracle_compare
-
     if args.dim < 0:
         raise CliError("oracle-compare needs --dim >= 0, got %d" % args.dim)
     if args.cap < 1:

@@ -118,6 +118,22 @@ def prime_power(n: int):
     return (n, 1) if is_prime(n) else None
 
 
+def power(mul, x, e, one):
+    """x^e under the product `mul` by square-and-multiply: about 2·log2(e)
+    products, none of them with `one`, which is x^0.  A negative e is a
+    ValueError."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Z/p, as tuples of ints (low degree first)
 # ---------------------------------------------------------------------------
@@ -293,15 +309,8 @@ def pmulmod(a, b, f, p):
 
 def ppowmod(a, e, f, p):
     """a^e mod f by square-and-multiply, e >= 0, f of degree >= 1."""
-    out = (1,)
-    base = pdivmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = pmulmod(out, base, f, p)
-        e >>= 1
-        if e:
-            base = pmulmod(base, base, f, p)
-    return out
+    return power(lambda x, y: pmulmod(x, y, f, p), pdivmod(a, f, p)[1], e,
+                 (1,))
 
 
 def _irreducible(poly, p):
@@ -356,16 +365,7 @@ class Ring:
         return a == b
 
     def pow_int(self, a, e):
-        if e < 0:
-            raise ValueError("negative exponent in a ring")
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return power(self.mul, a, e, self.one)
 
     def sum(self, xs):
         out = self.zero
@@ -554,7 +554,8 @@ class RationalFunctionField(Ring):
         p = self.p
         num, den = a
         # a = num * den^(p-1) / den^p ; split the numerator by exponent mod p
-        top = pmul(num, _ppow(den, p - 1, p), p)
+        top = pmul(num, power(lambda x, y: pmul(x, y, p), den, p - 1, (1,)),
+                   p)
         buckets = [[] for _ in range(p)]
         for e, c in enumerate(top):
             if c:
@@ -587,13 +588,6 @@ class RationalFunctionField(Ring):
         ds = poly_str(den, self.var)
         ds = "(%s)" % ds if "+" in ds else ds
         return "%s/%s" % (ns, ds)
-
-
-def _ppow(a, e, p):
-    out = (1,)
-    for _ in range(e):
-        out = pmul(out, a, p)
-    return out
 
 
 # GF(q) with q at most this reads log/antilog and Zech tables; above it the
@@ -910,15 +904,8 @@ class PolynomialRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# pth root (public op) and base-change homomorphisms
+# base-change homomorphisms
 # ---------------------------------------------------------------------------
-
-def pth_root(field, x):
-    """r with r^p = x in the same field, or None.  Field kinds only."""
-    if not field.is_field:
-        raise UnsupportedKindError("pth_root needs a field, got %r" % field)
-    return field.pth_root(x)
-
 
 class FieldHom:
     """An injective ring homomorphism between scalar domains."""

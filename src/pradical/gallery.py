@@ -15,6 +15,7 @@ Gallery names (CLI-addressable):
 
 from __future__ import annotations
 
+from .envelope import dual_hopf, u_env
 from .fields import (PrimeField, RationalFunctionField, is_prime,
                      prime_power)
 from .hopf import HopfAlgebra, tensor_product_hopf
@@ -224,13 +225,11 @@ def resolve(name, hopf_cap=128):
             return out
         raise UnknownGalleryName("product mixes Lie and Hopf entries")
     if name.startswith("env(") and name.endswith(")"):
-        from .envelope import u_env
         g = resolve(name[4:-1], hopf_cap)
         if not isinstance(g, RLieAlgebra):
             raise UnknownGalleryName("env(...) needs a Lie entry")
         return u_env(g, cap=hopf_cap)
     if name.startswith("dual(") and name.endswith(")"):
-        from .envelope import dual_hopf
         h = resolve(name[5:-1], hopf_cap)
         if not isinstance(h, HopfAlgebra):
             raise UnknownGalleryName("dual(...) needs a Hopf entry")

@@ -42,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from .fields import power
 from .lie import ValidationReport
 from .linalg import (StructureConstants, Subspace, descending_chain, kron,
                      kron_product, lin_comb, nullspace, sc_accumulate,
@@ -102,17 +103,8 @@ class SCAlgebra(StructureConstants):
         return "%s(dim=%d over %r)" % (type(self).__name__, self.dim, self.field)
 
     def power(self, x, e):
-        """x^e by square-and-multiply, as `linalg.mat_pow`."""
-        if e < 0:
-            raise ValueError("negative exponent %d" % e)
-        out = None
-        while e:
-            if e & 1:
-                out = x if out is None else self.mul(out, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return self.unit if out is None else out
+        """x^e by square-and-multiply (`fields.power`)."""
+        return power(self.mul, x, e, self.unit)
 
     def is_commutative(self):
         T = self._terms

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 
+from .fields import power
+
 
 # ---------------------------------------------------------------------------
 # vectors and matrices, generic over a descriptor
@@ -167,15 +169,10 @@ def mat_sub(F, A, B):
 
 def mat_pow(F, A, e):
     """A^e by square-and-multiply: about 2 log2(e) products, not e."""
-    out = None
-    base = tuple(tuple(row) for row in A)
-    while e:
-        if e & 1:
-            out = base if out is None else mat_mul(F, out, base)
-        e >>= 1
-        if e:
-            base = mat_mul(F, base, base)
-    return mat_identity(F, len(A)) if out is None else out
+    if e == 0:
+        return mat_identity(F, len(A))
+    return power(lambda X, Y: mat_mul(F, X, Y),
+                 tuple(tuple(row) for row in A), e, None)
 
 
 def mat_frobenius(F, A, e=1):

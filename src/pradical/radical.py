@@ -31,29 +31,21 @@ class RadicalCertificate:
         return self.verdict == EXACT
 
 
-def rad_p(g, strategy=None, trace=None):
-    """Largest unipotent p-ideal, with a derivation trace.
-
-    strategy: optional name ("s1".."s4") to force a single rung of the
-    ladder (used by the oracle-compare mode); default tries them in order.
-    Any other name is a ValueError, raised before any work.
-    """
-    if strategy not in (None,) + tuple(name for name, _, _ in _LADDER):
-        raise ValueError("strategy %r is not s1, s2, s3 or s4" % (strategy,))
+def rad_p(g, trace=None):
+    """Largest unipotent p-ideal, with a derivation trace."""
     g.require_valid()
     trace = trace if trace is not None else []
-    sub, used, exact = _rad_search(g, strategy, trace)
+    sub, used, exact = _rad_search(g, trace)
     return RadicalCertificate(sub, used, EXACT if exact else UNDECIDED, trace)
 
 
-def _first_report(g, strategy, trace):
+def _first_report(g, trace):
     """The ladder's first report on g: (strategy, subspace, final), or None
     when no rung settles g.
 
-    The first rung of `_LADDER` that settles g answers; a forced `strategy`
-    runs only its own rung and raises that rung's refusal if it does not.
-    final: the subspace is rad_p(g).  Otherwise it is a nonzero unipotent
-    p-ideal I, so I lies in rad_p(g) and rad_p(g)/I = rad_p(g/I).
+    The first rung of `_LADDER` that settles g answers.  final: the
+    subspace is rad_p(g).  Otherwise it is a nonzero unipotent p-ideal I,
+    so I lies in rad_p(g) and rad_p(g)/I = rad_p(g/I).
     """
     if g.dim == 0:
         return "trivial", g.zero_subspace(), True
@@ -62,24 +54,21 @@ def _first_report(g, strategy, trace):
         trace.append({"step": "whole-algebra-unipotent"})
         return "unipotent-whole", g.full_subspace(), True
 
-    for name, rung, refusal in _LADDER:
-        if strategy in (None, name):
-            found = rung(g, trace)
-            if found is not None:
-                return (name,) + found
-            if strategy == name:
-                raise ValueError(refusal)
+    for name, rung in _LADDER:
+        found = rung(g, trace)
+        if found is not None:
+            return (name,) + found
     return None
 
 
-def _rad_search(g, strategy, trace):
+def _rad_search(g, trace):
     """One walk down the ladder: (radical, strategy, exact).
 
     The walk alone descends: on a unipotent p-ideal I reported by a rung it
     takes the radical of g/I and pulls it back, so the answer is exact
     exactly when the quotient's is.  When no rung reports it runs the probe.
     """
-    report = _first_report(g, strategy, trace)
+    report = _first_report(g, trace)
     if report is None:
         # no complete strategy: probe for unipotent p-ideals, report a
         # lower bound
@@ -90,7 +79,7 @@ def _rad_search(g, strategy, trace):
     if final:
         return sub, name, True
     q, project, section = g.quotient(sub)
-    inner, _, exact = _rad_search(q, None, trace)
+    inner, _, exact = _rad_search(q, trace)
     return _pullback(g, sub, section, inner), name, exact
 
 
@@ -100,29 +89,43 @@ def _pullback(g, I, section, inner):
     return g.subspace(vecs)
 
 
-def _unipotent_spin(g, v, rejected):
-    """The p-ideal spun from v when it is proper and unipotent, else None.
+def _unipotent_spins(g, candidates):
+    """(key, I) for each candidate (key, v), in order, whose spun p-ideal I
+    is proper and unipotent.
 
-    `rejected` is the caller's set of proper spins already found not
-    unipotent in one scan.  A spin that is all of g or already in it is
-    not tested; a new proper spin is tested once and added on failure.
+    One `rejected` set serves the scan: a spin that is all of g, or that
+    the scan has already found not unipotent, is not tested, so each
+    distinct proper spin that is not unipotent is tested once.
     """
-    I = g.spin_p_ideal(g.subspace([v]))
-    if I.dim < g.dim and I not in rejected:
-        if g.is_unipotent(I):
-            return I
-        rejected.add(I)
-    return None
+    rejected = set()
+    for key, v in candidates:
+        I = g.spin_p_ideal(g.subspace([v]))
+        if I.dim < g.dim and I not in rejected:
+            if g.is_unipotent(I):
+                yield key, I
+            else:
+                rejected.add(I)
+
+
+def _centre_unipotent_part(g, Z):
+    """The rational unipotent part of the p-map on a central subspace Z,
+    or on g itself when g is abelian: a unipotent p-ideal of g."""
+    part = SemilinearMap(g.field, g.p_power_matrix(Z)).rational_unipotent_part()
+    if Z.dim == g.dim:
+        # Z's basis is the identity, so part is already in g's coordinates
+        return part
+    return g.subspace([Z.lift(v) for v in part.basis])
 
 
 def _s1_abelian(g, trace):
-    """Abelian g: the rational unipotent part of the p-power map.
+    """Abelian g: the rational unipotent part of the p-power map, the
+    centre step that s4's zero-weight step takes on Z(g), here on Z = g.
 
     Complete whenever g is abelian; None otherwise.
     """
     if not g.is_abelian():
         return None
-    part = SemilinearMap(g.field, g.p_power_matrix()).rational_unipotent_part()
+    part = _centre_unipotent_part(g, g.full_subspace())
     trace.append({"step": "s1-abelian", "dim": part.dim})
     return part, True
 
@@ -145,22 +148,24 @@ def _s3_enumerate(g, trace):
     """Finite field: scan projective points for a unipotent p-ideal and
     report the first one found, or radical 0 when the scan is exhausted.
 
-    Complete over a finite field: a nonzero radical contains a minimal
-    unipotent p-ideal, hence a point whose spin is a unipotent p-ideal.
-    None over an infinite field.  One `rejected` set serves the scan, so
-    each distinct proper spin is tested for unipotency once; the points
-    scanned and the first hit are those of testing every spin.
+    Complete over a finite field on a g that is not unipotent, which
+    `_first_report` tests first: a nonzero radical is then proper and
+    contains a minimal unipotent p-ideal, hence a point whose spin is a
+    proper unipotent p-ideal.  (On α_p every point spins to all of g, and
+    the scan alone would report 0.)  None over an infinite field.  The
+    points scanned and the first hit are those of testing every spin
+    (`_unipotent_spins`).
     """
     if g.field.kind not in ("prime", "extension"):
         return None
-    rejected = set()
-    for idx, v in enumerate(projective_points(g.field, g.dim)):
-        I = _unipotent_spin(g, v, rejected)
-        if I is not None:
-            trace.append({"step": "s3-point", "index": idx, "ideal_dim": I.dim})
-            return I, False
-    trace.append({"step": "s3-exhausted"})
-    return g.zero_subspace(), True
+    points = enumerate(projective_points(g.field, g.dim))
+    hit = next(_unipotent_spins(g, points), None)
+    if hit is None:
+        trace.append({"step": "s3-exhausted"})
+        return g.zero_subspace(), True
+    idx, I = hit
+    trace.append({"step": "s3-point", "index": idx, "ideal_dim": I.dim})
+    return I, False
 
 
 def weight_decomposition(g):
@@ -226,55 +231,43 @@ def _s4_split_weights(g, trace):
     if any(E.dim > 2 for E in nonzero.values()):
         return None
 
-    rejected = set()
-    for c, E in sorted(nonzero.items()):
-        for v in _weight_vectors(g.field, E):
-            I = _unipotent_spin(g, v, rejected)
-            if I is not None:
-                trace.append({"step": "s4-weight-line", "weight": c,
-                              "pivot_basis": pivot, "ideal_dim": I.dim})
-                return I, False
+    vectors = ((c, v) for c, E in sorted(nonzero.items())
+               for v in _weight_vectors(g.field, E))
+    hit = next(_unipotent_spins(g, vectors), None)
+    if hit is not None:
+        c, I = hit
+        trace.append({"step": "s4-weight-line", "weight": c,
+                      "pivot_basis": pivot, "ideal_dim": I.dim})
+        return I, False
 
     zero_space = spaces.get(0, g.zero_subspace())
     if (any(E.dim > 1 for E in nonzero.values())
             or not g.is_abelian(zero_space)):
         return None
 
-    Z = g.center()
-    part = SemilinearMap(g.field, g.p_power_matrix(Z)).rational_unipotent_part()
-    J = g.subspace([Z.lift(v) for v in part.basis])
+    J = _centre_unipotent_part(g, g.center())
     trace.append({"step": "s4-zero-weight", "pivot_basis": pivot,
                   "dim": J.dim})
     return J, True
 
 
 # each rung returns None, or (subspace, final) as `_first_report` reads it
-_LADDER = (
-    ("s1", _s1_abelian, "s1 forced on a non-abelian algebra"),
-    ("s2", _s2_derived,
-     "s2 forced but the derived p-closure is not unipotent"),
-    ("s3", _s3_enumerate, "s3 forced over an infinite field"),
-    ("s4", _s4_split_weights, "s4 fragment does not apply"),
-)
+_LADDER = (("s1", _s1_abelian), ("s2", _s2_derived),
+           ("s3", _s3_enumerate), ("s4", _s4_split_weights))
 
 
 def _probe_lower_bound(g, samples=64, seed=20260826):
     """Randomized search for unipotent p-ideals; a lower bound only."""
     F = g.field
     rng = random.Random(seed)
-    best = g.zero_subspace()
-    rejected = set()
-    candidates = []
-    for i in range(g.dim):
-        candidates.append(g.basis_vector(i))
-    for _ in range(samples):
-        candidates.append(tuple(F.random_element(rng) for _ in range(g.dim)))
-    for v in candidates:
-        if vec_is_zero(F, v):
-            continue
-        I = _unipotent_spin(g, v, rejected)
-        if I is not None and I.dim > best.dim:
-            best = I
+    candidates = [g.basis_vector(i) for i in range(g.dim)]
+    candidates += [tuple(F.random_element(rng) for _ in range(g.dim))
+                   for _ in range(samples)]
+    spins = _unipotent_spins(g, ((None, v) for v in candidates
+                                 if not vec_is_zero(F, v)))
+    # the first of the largest
+    best = max((I for _, I in spins), key=lambda I: I.dim,
+               default=g.zero_subspace())
     if best.dim:
         q, project, section = g.quotient(best)
         inner = _probe_lower_bound(q, samples=samples // 2 or 1)
@@ -346,7 +339,7 @@ def is_p_reductive(g):
         return False
     if Z.dim == g.dim:
         return True
-    report = _first_report(g, None, [])
+    report = _first_report(g, [])
     if report is None:
         return None
     return report[1].dim == 0

@@ -22,6 +22,7 @@ import itertools
 
 from .lie import RLieAlgebra, ValidationReport, jacobi_failures
 from .linalg import all_subspaces, lin_comb, mat_pow, rref, vec_add, vec_terms
+from .radical import rad_p
 
 
 def all_vectors(F, n, nonzero=False):
@@ -142,14 +143,12 @@ def has_nonzero_p_nilpotent(g):
 
 
 def oracle_compare(instances):
-    """Run rad_p with s3 forced against the brute-force oracle; returns
+    """Run rad_p's default ladder against the brute-force oracle; returns
     (total, mismatches)."""
-    from .radical import rad_p
-
     total = 0
     mismatches = []
     for g in instances:
-        cert = rad_p(g, strategy="s3")
+        cert = rad_p(g)
         oracle = brute_force_radical(g)
         total += 1
         if cert.radical != oracle or not cert.is_exact:

@@ -78,10 +78,11 @@ def test_certificates_are_deterministic(capsys, tmp_path):
 
 
 # calls whose flags must not reach the next call in the same process
+UNION = ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"]
 REENTRANT_SEQUENCE = [
-    ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"],
-    ["hopf-union", ALPHA4, "--ideal", "x_2,x_3", "--ideal", "x,x_2,x_3"],
-    ["radical", "gallery:torus@2^2", "--strategy", "s3"],
+    UNION,
+    UNION + ["--force-nondirected"],
+    UNION,
     ["radical", "gallery:torus@2^2"],
     ["p-reductive", PAPER_G],
 ]
@@ -103,9 +104,10 @@ def test_main_is_reentrant(capsys, tmp_path):
         cli._build_parser.cache_clear()
         assert _run_certificate(argv, tmp_path / "fresh.json", capsys) == seen
     certs = [cert for _, cert in shared]
-    assert certs[0] == certs[1]
+    assert certs[0] == certs[2]
     assert certs[0]["options"]["ideal"] == ["x_2,x_3", "x,x_2,x_3"]
-    assert certs[2]["payload"]["strategy"] == "s3"
+    assert certs[0]["options"]["force_nondirected"] is False
+    assert certs[1]["options"]["force_nondirected"] is True
     assert certs[3]["payload"]["strategy"] == "s1"
     assert "strategy" not in certs[3]["options"]
     assert certs[4]["verdict"] == "true"
@@ -237,13 +239,16 @@ def test_p_reductive_rejects_the_inseparable_exponent_flag(
 
 def test_refused_command_lines_return_argparse_codes(capsys, tmp_path):
     """`main` returns argparse's exit code instead of raising SystemExit:
-    2 for a flag it refuses, such as the removed --seed, with no
-    certificate written, and 0 for --help."""
+    2 for a flag it refuses, such as the removed --seed and --strategy,
+    with no certificate written, and 0 for --help."""
     cert = tmp_path / "radical.json"
-    assert main(["radical", PAPER_G, "--json", str(cert), "--seed", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "unrecognized arguments: --seed 1" in err
-    assert not cert.exists()
+    for flag, value in (("--seed", "1"), ("--strategy", "s3")):
+        assert main(["radical", PAPER_G, "--json", str(cert), flag,
+                     value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: %s %s" % (flag, value) in err
+        assert not cert.exists()
     assert main(["radical", "--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: pradical radical") and err == ""

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import fields_reference as ref
 from pradical import fields, gallery, radical
-from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PolynomialRing,
-                             PrimeField, RationalFunctionField,
-                             UnsupportedKindError, base_change_map,
+from pradical.fields import (TABLE_MAX_ORDER, ExtensionField, PrimeField,
+                             RationalFunctionField, base_change_map,
                              find_irreducible, is_prime, pdivmod, pmul,
-                             prime_power, pth_root, ptrim)
+                             prime_power, ptrim)
 from pradical.textio import ParseError, parse_field
 
 FIELDS = [PrimeField(2), PrimeField(5), ExtensionField(2, 2),
@@ -82,12 +81,6 @@ def test_pth_root_detects_non_powers(K2t):
     t = K2t.t
     assert K2t.pth_root(K2t.mul(t, t)) == t
     assert K2t.pth_root(t) is None
-
-
-def test_pth_root_unsupported_on_polynomial_rings(F2):
-    R = PolynomialRing(F2, ("x",))
-    with pytest.raises(UnsupportedKindError):
-        pth_root(R, R.var(0))
 
 
 def _brute_force_irreducible(p, m):

@@ -69,19 +69,26 @@ def _units(tree):
             yield None, None, node
 
 
-def _names(node, strings=False):
-    """The names `node` reads; with `strings`, also its string constants
-    that are identifiers, as in a table of attributes to bind."""
-    out = set()
+def _reads(node, strings=False):
+    """(names, attributes) that `node` reads.  names holds its bare names,
+    each `<owner>.<attr>` read as "owner.attr", and with `strings` its
+    identifier string constants, as in a table of attributes to bind;
+    attributes holds the attribute of every `x.attr` read."""
+    names, attributes = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            attributes.add(n.attr)
+            owner = n.value
+            owner = (owner.id if isinstance(owner, ast.Name)
+                     else getattr(owner, "attr", None))
+            if owner is not None:
+                names.add(owner + "." + n.attr)
         elif (strings and isinstance(n, ast.Constant)
               and isinstance(n.value, str) and n.value.isidentifier()):
-            out.add(n.value)
-    return out
+            names.add(n.value)
+    return names, attributes
 
 
 def unused_private_helpers(sources):
@@ -93,7 +100,7 @@ def unused_private_helpers(sources):
         for _, name, node in _units(ast.parse(source)):
             if name is not None and _is_private(name):
                 defined.add(name)
-            used.update(_names(node) - {name})
+            used |= set().union(*_reads(node)) - {name}
     return sorted(defined - used)
 
 
@@ -131,31 +138,45 @@ ALLOWED_UNCALLED = {
 
 
 def _public_defs_and_reads(module, source, strings=False):
-    """({qualified name: name} of the public top-level functions, classes
-    and methods of `source`, the names its code reads).  A function or
+    """({qualified name: (name, is a method)} of the public top-level
+    functions, classes and methods of `source`, and the names and
+    attributes its code reads, as `_reads` gives them).  A function or
     method does not read itself, nor a class's body the class."""
-    defined, used = {}, set()
+    defined, names, attributes = {}, set(), set()
     for cls, name, node in _units(ast.parse(source)):
-        for qualified, public in (((module, cls), cls),
-                                  ((module, cls, name), name)):
+        for qualified, public, method in (((module, cls), cls, False),
+                                          ((module, cls, name), name,
+                                           cls is not None)):
             if public is not None and not public.startswith("_"):
-                defined[".".join(filter(None, qualified))] = public
-        used |= _names(node, strings) - {cls, name}
-    return defined, used
+                defined[".".join(filter(None, qualified))] = public, method
+        node_names, node_attributes = _reads(node, strings)
+        names |= node_names - {cls, name}
+        attributes |= node_attributes - {cls, name}
+    return defined, names, attributes
 
 
 def uncalled_public_names(package, callers):
     """The qualified public names defined in `package` ({module: source})
-    that neither other package code nor a source of `callers` names; the
-    string names of the callers count."""
-    defined, used = {}, set()
+    that neither other package code nor a source of `callers` reads; the
+    string names of the callers count.  A method is read by any read of
+    its name, attributes included; a top-level function or class only by
+    its bare name or as `<module>.<name>`, not as an attribute of any other
+    object, which can be a method of the same name."""
+    defined, names, attributes = {}, set(), set()
     for module, source in package.items():
-        names, reads = _public_defs_and_reads(module, source)
-        defined.update(names)
-        used |= reads
+        found, node_names, node_attributes = _public_defs_and_reads(module,
+                                                                     source)
+        defined.update(found)
+        names |= node_names
+        attributes |= node_attributes
     for source in callers:
-        used |= _public_defs_and_reads("", source, strings=True)[1]
-    return sorted(q for q, name in defined.items() if name not in used)
+        _, node_names, node_attributes = _public_defs_and_reads(
+            "", source, strings=True)
+        names |= node_names
+        attributes |= node_attributes
+    return sorted(q for q, (name, method) in defined.items()
+                  if name not in names
+                  and (name not in attributes if method else q not in names))
 
 
 def test_checker_flags_an_uncalled_public_name():
@@ -163,17 +184,20 @@ def test_checker_flags_an_uncalled_public_name():
         "a": ("def used(): return 0\n"
               "def recursive(n): return recursive(n - 1)\n"
               "def bound(): return 0\n"
+              "def hidden(): return 0\n"
+              "def qualified(): return 0\n"
               "class C:\n"
               "    def live(self): return used()\n"
               "    def dead(self): return self.dead\n"
               "    def _private(self): return C\n"),
-        "b": "def caller(): return C().live()\n",
+        "b": ("import a\n"
+              "def caller(F): return C().live(), F.hidden(), a.qualified()\n"),
     }
     callers = ["import a\nTABLE = ((a, 'bound'),)\n"]
     assert uncalled_public_names(package, callers) == [
-        "a.C.dead", "a.recursive", "b.caller"]
+        "a.C.dead", "a.hidden", "a.recursive", "b.caller"]
     assert uncalled_public_names(package, []) == [
-        "a.C.dead", "a.bound", "a.recursive", "b.caller"]
+        "a.C.dead", "a.bound", "a.hidden", "a.recursive", "b.caller"]
 
 
 def test_every_public_name_has_a_caller():

@@ -69,6 +69,14 @@ def test_sparse_mat_mul_and_pow_match_dense(name):
     assert mat_mul(F, ((),), ()) == _dense_mul(F, ((),), ()) == ((),)
 
 
+def test_mat_pow_refuses_a_negative_exponent():
+    # the shared square-and-multiply (`fields.power`) raises before its
+    # loop, which a negative exponent would never leave
+    F = PrimeField(3)
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
+        mat_pow(F, ((F.one, F.one), (F.zero, F.one)), -1)
+
+
 # -- rref and nullspace against the dense elimination ---------------------
 
 def _dense_rref(F, rows):

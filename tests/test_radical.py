@@ -5,7 +5,6 @@ import itertools
 import os
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
@@ -299,7 +298,7 @@ def _assert_first_report_agrees(g):
     report is rad_p's exact radical; any other is a nonzero unipotent
     p-ideal inside rad_p's radical.  No report means rad_p probed."""
     cert = rad_p(g)
-    report = _first_report(g, None, [])
+    report = _first_report(g, [])
     if report is None:
         assert (cert.strategy, cert.is_exact) == ("probe", False)
         return cert
@@ -338,7 +337,7 @@ def test_first_report_decides_before_the_quotient(K2t, monkeypatch):
     cert = rad_p(g)
     assert cert.strategy == "s4" and not cert.is_exact
     assert cert.radical.dim == 1
-    assert _first_report(g, None, []) == ("s4", cert.radical, False)
+    assert _first_report(g, []) == ("s4", cert.radical, False)
     _forbid_descent(monkeypatch)
     assert is_p_reductive(g) is False
 
@@ -387,12 +386,12 @@ def test_first_report_ignores_inseparable_base_change(K2t):
     assert (len(twisted), len(algebras)) == (262, 96)
     rungs = collections.Counter()
     for g in algebras:
-        report = _first_report(g, None, [])
+        report = _first_report(g, [])
         rungs[report and report[0]] += 1
         for m in (1, 2):
             insep = base_change_map(
                 g.field, RationalFunctionField(g.field.p, "@s"), m)
-            changed = _first_report(g.base_change(insep), None, [])
+            changed = _first_report(g.base_change(insep), [])
             if report is None:
                 assert changed is None
                 continue
@@ -483,30 +482,37 @@ def test_p_reductive_paper_g_squared_p3_is_undecided():
     assert is_p_reductive(g) is None
 
 
-@pytest.mark.parametrize("strategy", ["s5", "S3", "probe"])
-def test_unknown_strategy_is_refused_before_any_work(monkeypatch, strategy):
-    def forbidden(*args):
-        raise AssertionError("the ladder ran")
-
-    monkeypatch.setattr(radical, "_rad_search", forbidden)
-    with pytest.raises(ValueError) as refused:
-        rad_p(resolve("sl2-kernel@2"), strategy=strategy)
-    assert str(refused.value) == (
-        "strategy %r is not s1, s2, s3 or s4" % strategy)
-
-
-def test_forced_rung_refusals(K2t):
+def test_each_rung_returns_none_where_it_does_not_settle(K2t):
     cases = [
-        (sl2_kernel_char2(), "s1", "s1 forced on a non-abelian algebra"),
-        (sl2_kernel_char2(), "s2",
-         "s2 forced but the derived p-closure is not unipotent"),
-        (paper_g(2)[0], "s3", "s3 forced over an infinite field"),
-        (_heisenberg_t(K2t), "s4", "s4 fragment does not apply"),
+        (radical._s1_abelian, sl2_kernel_char2()),     # not abelian
+        (radical._s2_derived, sl2_kernel_char2()),     # D not unipotent
+        (radical._s3_enumerate, paper_g(2)[0]),        # infinite field
+        (radical._s4_split_weights, _heisenberg_t(K2t)),   # no split pivot
     ]
-    for g, strategy, message in cases:
-        with pytest.raises(ValueError) as refused:
-            rad_p(g, strategy=strategy)
-        assert str(refused.value) == message
+    for rung, g in cases:
+        trace = []
+        assert rung(g, trace) is None and trace == []
+
+
+def test_s3_reports_the_radical_or_a_unipotent_p_ideal_inside_it():
+    """Over the GF(2) dim-3 grid, a final s3 report is the brute-force
+    radical, and any other is a nonzero unipotent p-ideal inside it."""
+    finals = hits = 0
+    for g in enumerate_algebras(PrimeField(2), 3):
+        if g.is_unipotent():
+            # the ladder answers these before any rung; s3 alone would
+            # miss a radical that is all of g, as on alpha
+            continue
+        sub, final = radical._s3_enumerate(g, [])
+        oracle = brute_force_radical(g)
+        if final:
+            finals += 1
+            assert sub == oracle
+        else:
+            hits += 1
+            assert sub.dim > 0 and g.is_p_ideal(sub) and g.is_unipotent(sub)
+            assert oracle.contains(sub)
+    assert finals and hits
 
 
 # GF(2) dim-3 grid positions (enumerate_algebras order) whose GF(2)(t) base
@@ -678,8 +684,9 @@ def test_s3_tests_each_distinct_proper_spin_once(monkeypatch):
 
     monkeypatch.setattr(RLieAlgebra, "spin_p_ideal", recording_spin)
     monkeypatch.setattr(RLieAlgebra, "is_unipotent", recording_test)
-    cert = rad_p(g, strategy="s3")
-    assert cert.trace[0] == {"step": "s3-point", "index": 35, "ideal_dim": 1}
+    trace = []
+    radical._s3_enumerate(g, trace)
+    assert trace == [{"step": "s3-point", "index": 35, "ideal_dim": 1}]
     assert (len(spins), len(set(spins))) == (10, 2)
     assert len(tested) == len(set(tested)) and set(tested) == set(spins)
 
