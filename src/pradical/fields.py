@@ -350,13 +350,26 @@ class UnsupportedKindError(TypeError):
 
 
 class Ring:
-    """Descriptor base: characteristic-p ring with opaque canonical elements."""
+    """Descriptor base: characteristic-p ring with opaque canonical elements.
 
-    kind = "ring"
+    Two descriptors are equal when they have one type and one `_ident`,
+    which each sets in `__init__`.  The defaults of `pth_components` and
+    `pth_basis` are those of a perfect field, where every element is a
+    p-th power."""
+
     is_field = False
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._ident == self._ident
+
+    def __hash__(self):
+        return hash(self._ident)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return a == self.zero
@@ -373,28 +386,30 @@ class Ring:
             out = self.add(out, x)
         return out
 
+    def pth_components(self, a):
+        """[c_0, ...] with a = sum b_i * c_i^p over the `pth_basis` b."""
+        return [self.pth_root(a)]
+
+    @property
+    def pth_basis(self):
+        return [self.one]
+
 
 class PrimeField(Ring):
     """GF(p); elements are ints in [0, p)."""
 
-    kind = "prime"
     is_field = True
 
     def __init__(self, p):
         if not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         self.p = p
+        self._ident = (p,)
         self.zero = 0
         self.one = 1 % p
 
     def __repr__(self):
         return "GF(%d)" % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -410,22 +425,12 @@ class PrimeField(Ring):
             raise ZeroDivisionError("inverse of 0 in %r" % self)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n):
         return n % self.p
 
     def pth_root(self, a):
         # Frobenius is the identity on the prime field.
         return a
-
-    def pth_components(self, a):
-        return [a]
-
-    @property
-    def pth_basis(self):
-        return [self.one]
 
     def elements(self):
         return range(self.p)
@@ -444,7 +449,6 @@ class RationalFunctionField(Ring):
     """GF(p)(t); elements are reduced fractions (num, den) of coefficient
     tuples with monic denominator."""
 
-    kind = "rational-function"
     is_field = True
 
     def __init__(self, p, var="t"):
@@ -452,18 +456,12 @@ class RationalFunctionField(Ring):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         self.p = p
         self.var = var
+        self._ident = (p, var)
         self.zero = ((), (1,))
         self.one = ((1,), (1,))
 
     def __repr__(self):
         return "GF(%d)(%s)" % (self.p, self.var)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunctionField)
-                and other.p == self.p and other.var == self.var)
-
-    def __hash__(self):
-        return hash(("ratfunc", self.p, self.var))
 
     def frac(self, num, den):
         p = self.p
@@ -535,9 +533,6 @@ class RationalFunctionField(Ring):
             return den, num
         c = (pow(lead, self.p - 2, self.p),)
         return pmul(den, c, self.p), pmul(num, c, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n):
         n %= self.p
@@ -653,22 +648,23 @@ class ExtensionField(Ring):
 
     Up to TABLE_MAX_ORDER every operation is a lookup in the log/antilog and
     Zech tables of `_log_tables`, shared by all descriptors of one (p, m):
-    mul, div, inv and neg add logs, add and sub add a Zech logarithm, and
-    pow_int and pth_root multiply a log mod q - 1.  Above it,
-    mul is the polynomial product mod f and inv the extended Euclid.
+    mul, inv and neg add logs, add adds a Zech logarithm, and pow_int and
+    pth_root multiply a log mod q - 1; sub and div go through `Ring`.
+    Above it, mul is the polynomial product mod f and inv the extended
+    Euclid.
     """
 
-    kind = "extension"
     is_field = True
+    var = "u"
 
-    def __init__(self, p, m, var="u"):
+    def __init__(self, p, m):
         if not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         if m < 1:
             raise ValueError("degree must be >= 1")
         self.p = p
         self.m = m
-        self.var = var
+        self._ident = (p, m)
         self.modulus, tables = _extension_data(p, m)
         self._log, self._exp, self._zech = tables or (None, None, None)
         self._n = p ** m - 1
@@ -679,13 +675,6 @@ class ExtensionField(Ring):
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.m)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField)
-                and other.p == self.p and other.m == self.m)
-
-    def __hash__(self):
-        return hash(("ext", self.p, self.m))
 
     def _pad(self, c):
         c = list(ptrim(c))
@@ -721,19 +710,6 @@ class ExtensionField(Ring):
         # a + b = g^la (1 + g^(lb-la)); a negative index wraps mod q - 1
         return self._exp[la + self._zech[lb - la]]
 
-    def sub(self, a, b):
-        log = self._log
-        if log is None:
-            return tuple((x - y) % self.p for x, y in zip(a, b))
-        lb = log[b]
-        if lb == self._zero_log:
-            return a
-        lb = (lb + self._neg_log) % self._n            # log(-b)
-        la = log[a]
-        if la == self._zero_log:
-            return self._exp[lb]
-        return self._exp[la + self._zech[lb - la]]
-
     def neg(self, a):
         log = self._log
         if log is None:
@@ -753,11 +729,6 @@ class ExtensionField(Ring):
             return self._poly_inv(a)
         return self._exp[self._n - self._log[a]]
 
-    def div(self, a, b):
-        if self._log is None or b == self.zero:
-            return self.mul(a, self.inv(b))
-        return self._exp[self._log[a] + self._n - self._log[b]]
-
     def pow_int(self, a, e):
         log = self._log
         if log is None or e < 0:
@@ -772,13 +743,6 @@ class ExtensionField(Ring):
 
     def pth_root(self, a):
         return self.pow_int(a, self.p ** (self.m - 1))
-
-    def pth_components(self, a):
-        return [self.pth_root(a)]
-
-    @property
-    def pth_basis(self):
-        return [self.one]
 
     def elements(self):
         for tup in itertools.product(range(self.p), repeat=self.m):
@@ -802,12 +766,10 @@ class PolynomialRing(Ring):
     ring operations and equality, no division.
     """
 
-    kind = "coordinate-ring"
-    is_field = False
-
     def __init__(self, base, varnames):
         self.base = base
         self.varnames = tuple(varnames)
+        self._ident = (base, self.varnames)
         self.nvars = len(self.varnames)
         self.p = base.p
         self.zero = ()
@@ -815,13 +777,6 @@ class PolynomialRing(Ring):
 
     def __repr__(self):
         return "%r[%s]" % (self.base, ", ".join(self.varnames))
-
-    def __eq__(self, other):
-        return (isinstance(other, PolynomialRing)
-                and other.base == self.base and other.varnames == self.varnames)
-
-    def __hash__(self):
-        return hash(("polyring", self.base, self.varnames))
 
     @staticmethod
     def _key(exps):
@@ -881,26 +836,6 @@ class PolynomialRing(Ring):
             e = tuple(rng.randrange(max_deg + 1) for _ in range(self.nvars))
             terms[e] = self.base.random_element(rng)
         return self._canon(terms)
-
-    def to_str(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for e, c in a:
-            factors = []
-            cs = self.base.to_str(c)
-            if any(e):
-                if cs != "1":
-                    factors.append("(%s)" % cs if ("+" in cs or "/" in cs) else cs)
-                for name, exp in zip(self.varnames, e):
-                    if exp == 1:
-                        factors.append(name)
-                    elif exp > 1:
-                        factors.append("%s^%d" % (name, exp))
-            else:
-                factors.append("(%s)" % cs if "+" in cs else cs)
-            parts.append("*".join(factors))
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,15 @@ from .radical import rad_p, is_p_reductive
 # -- constructors ------------------------------------------------------------
 
 
-def paper_g(p, a=None, field=None):
-    """The 3-dimensional solvable family: basis (X, Y, Z) with [Z,Y] = Y,
-    X^[p] = X, Y^[p] = aX, Z^[p] = Z, where a is not a p-th power.
+def paper_g(p, a=None):
+    """The 3-dimensional solvable family over GF(p)(t): basis (X, Y, Z)
+    with [Z,Y] = Y, X^[p] = X, Y^[p] = aX, Z^[p] = Z, where a is not a p-th
+    power.
 
-    Returns (algebra, representation matrices).  Default a = t over GF(p)(t).
+    Returns (algebra, representation matrices).  Default a = t.
     """
-    if field is None:
-        field = RationalFunctionField(p)
-    F = field
-    if F.p != p:
-        raise ValueError("field characteristic %d != %d" % (F.p, p))
+    F = RationalFunctionField(p)
     if a is None:
-        if not isinstance(F, RationalFunctionField):
-            raise ValueError("need an explicit non-p-th-power a over %r" % F)
         a = F.t
     if F.pth_root(a) is not None:
         raise ValueError("parameter a = %s is a p-th power" % F.to_str(a))

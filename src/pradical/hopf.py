@@ -491,11 +491,6 @@ class HopfAlgebra(SCAlgebra):
                     break
         return ValidationReport(not failures, failures)
 
-    def require_valid(self):
-        rep = self.validate_hopf()
-        if not rep:
-            raise ValueError("invalid Hopf algebra: %r" % (rep.first(),))
-
 
 @dataclass
 class SubgroupIdeal:

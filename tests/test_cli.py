@@ -123,6 +123,28 @@ def test_series_verify_and_p_reductive(capsys):
     assert code == 0 and "verdict: true" in out
 
 
+def test_report_on_paper_g(capsys):
+    code, out, err = run(["report", "paper-G@p=2"], capsys)
+    assert code == 0
+    assert "center: ['X']" in out
+    assert "derived_series_dims: [3, 1, 0]" in out
+    assert "solvable: True" in out and "nilpotent: False" in out
+
+
+def test_lie_commands_refuse_a_hopf_target(capsys):
+    code, out, err = run(["radical", "alpha4"], capsys)
+    assert code == 1 and "radical needs a Lie algebra target" in err
+
+
+def test_p_reductive_undecided_and_unclassified_series(capsys):
+    code, out, err = run(["p-reductive",
+                          "product(paper-G@p=2,paper-G@p=2)"], capsys)
+    assert code == 0 and "verdict: undecided" in out
+    code, out, err = run(["series-verify", "paper-G@p=2", "--chain", "X"],
+                         capsys)
+    assert code == 0 and "quotient kinds: mu-form, unclassified" in out
+
+
 def test_hopf_commands(capsys, tmp_path):
     code, out, err = run(["hopf-frobenius", ALPHA4, "r=1"], capsys)
     assert code == 0 and "kernel order 2" in out and "x_2" in out

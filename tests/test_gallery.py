@@ -1,6 +1,6 @@
 import pytest
 
-from pradical.fields import PrimeField, RationalFunctionField
+from pradical.fields import RationalFunctionField
 from pradical.gallery import (FIXTURE_TABLES, UnknownGalleryName, alpha_hopf,
                               alpha_lie, mu_hopf, mu_lie, paper_g,
                               rep_of_element, resolve, run_fixture,
@@ -23,8 +23,6 @@ def test_paper_g_rejects_p_th_power_parameter():
     t = K.t
     with pytest.raises(ValueError):
         paper_g(2, a=K.mul(t, t))
-    with pytest.raises(ValueError):
-        paper_g(2, field=PrimeField(2), a=PrimeField(2).one)
 
 
 def test_paper_g_displayed_matrices_at_p2():

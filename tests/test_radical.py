@@ -4,16 +4,18 @@ import hashlib
 import itertools
 import os
 import random
+import typing
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pradical.fields import ExtensionField, PrimeField, RationalFunctionField, \
     base_change_map
 from pradical.gallery import alpha_lie, mu_lie, paper_g, resolve, \
     sl2_kernel_char2, torus_lie
-from pradical.lie import RLieAlgebra, direct_sum
+from pradical.lie import RLieAlgebra, ValidationReport, direct_sum
 from pradical.linalg import nullspace, rref
-from pradical import radical
+from pradical import hopf, radical
 from pradical.radical import (_first_report, is_mult_type, is_p_reductive,
                               rad_p, weight_decomposition)
 from pradical.survey import (brute_force_radical, enumerate_algebras,
@@ -725,3 +727,45 @@ def test_s4_zero_weight_radical_matches_the_oracle(monkeypatch):
             assert cert.radical == h.base_change_subspace(
                 hom, brute_force_radical(h))
     assert hits >= 80
+
+
+def test_result_classes_resolve_their_type_hints():
+    for cls in (radical.RadicalCertificate, hopf.SubgroupIdeal,
+                ValidationReport):
+        assert typing.get_type_hints(cls)
+
+
+def _weight_plane(p):
+    """Basis (h, v1, v2, v3, c) over GF(p)(t): [h, v_i] = v_i, h^[p] = h,
+    v1^[p] = c, c^[p] = c, and every other p-power 0.  The weight-1 space
+    of h is three-dimensional, and rad_p is span(v2, v3)."""
+    F = RationalFunctionField(p)
+    zero = (F.zero,) * 5
+
+    def e(i):
+        return tuple(F.one if j == i else F.zero for j in range(5))
+
+    return RLieAlgebra.from_upper(F, 5, {(0, i): e(i) for i in (1, 2, 3)},
+                                  [e(0), e(4), zero, zero, e(4)],
+                                  labels=("h", "v1", "v2", "v3", "c"))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_s4_refuses_a_wide_weight_space_and_the_probe_descends(p,
+                                                               monkeypatch):
+    g = _weight_plane(p)
+    assert g.validate()
+    assert radical._s4_split_weights(g, []) is None
+    dims = []
+    probe = radical._probe_lower_bound
+
+    def recorded(q, samples=64):
+        dims.append(q.dim)
+        return probe(q, samples)
+
+    monkeypatch.setattr(radical, "_probe_lower_bound", recorded)
+    cert = rad_p(g)
+    assert cert.strategy == "probe" and not cert.is_exact
+    assert cert.radical == g.subspace([g.basis_vector(2), g.basis_vector(3)])
+    # the probe recursed into a quotient by the unipotent p-ideal it found
+    assert dims[0] == 5 and len(dims) > 1
