@@ -42,38 +42,27 @@ def _build_parser():
         description="Analyze restricted Lie algebras and finite "
                     "group-scheme coordinate rings.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, target=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if target:
+    parsers = {}
+    for name, (help_text, kind, _) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        if kind not in (None, "name"):
             p.add_argument("target", help="input file or gallery name")
         p.add_argument("--json", metavar="OUT", default=None,
                        help="write a JSON certificate")
         p.add_argument("--hopf-cap", type=int, default=128,
                        help="dimension cap for enveloping algebras")
-        return p
-
-    add("validate", help="check the defining axioms")
-    add("report", help="center, series and structural flags")
-    add("radical", help="largest unipotent normal part")
-    add("unipotent", help="is the whole algebra unipotent?")
-    add("mult-type", help="is the algebra of multiplicative type?")
-    add("p-reductive", help="is the radical geometrically trivial?")
-    p = add("series-verify", help="classify a subnormal series")
-    p.add_argument("--chain", required=True,
-                   help="intermediate terms, e.g. 'X | X,Y' (0 and the "
-                        "whole algebra are implicit)")
-    add("hopf-dual", help="dual Hopf algebra")
-    p = add("hopf-union", help="schematic union of subgroups")
+    parsers["series-verify"].add_argument(
+        "--chain", required=True,
+        help="intermediate terms, e.g. 'X | X,Y' (0 and the whole algebra "
+             "are implicit)")
+    p = parsers["hopf-union"]
     p.add_argument("--ideal", action="append", required=True,
                    metavar="ELEMS", help="ideal basis, comma-separated")
     p.add_argument("--force-nondirected", action="store_true")
-    p = add("hopf-frobenius", help="Frobenius kernel ideal")
-    p.add_argument("r", nargs="?", default="r=1", help="exponent, e.g. r=1")
-    p = add("gallery", target=False, help="list or run gallery fixtures")
-    p.add_argument("target", nargs="?", default=None)
-    p = add("oracle-compare", target=False,
-            help="exhaustive radical oracle comparison over a finite field")
+    parsers["hopf-frobenius"].add_argument("r", nargs="?", default="r=1",
+                                           help="exponent, e.g. r=1")
+    parsers["gallery"].add_argument("target", nargs="?", default=None)
+    p = parsers["oracle-compare"]
     p.add_argument("--field", default="GF(2)",
                    help="field literal, e.g. GF(4) (default GF(2))")
     p.add_argument("--dim", type=int, default=3)
@@ -83,8 +72,6 @@ def _build_parser():
 
 def _load_target(name, hopf_cap):
     """Returns (object, input text for the digest)."""
-    if name.startswith("gallery:"):
-        name = name[len("gallery:"):]
     if os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -104,151 +91,144 @@ def _elements(F, labels, spec):
             for piece in spec.split(",") if piece.strip()]
 
 
-def _need(obj, cls, command):
-    if not isinstance(obj, cls):
-        want = "a Lie algebra" if cls is RLieAlgebra else "a Hopf algebra"
-        raise CliError("%s needs %s target" % (command, want))
-    return obj
-
-
-def _valid_hopf(obj, command):
-    """The Hopf target of a subgroup-ideal command.  The subgroup-ideal
-    tests presume the Hopf axioms, so a table that fails them is refused."""
-    H = _need(obj, HopfAlgebra, command)
-    report = H.validate_hopf()
-    if not report:
-        raise CliError("%s needs a valid Hopf algebra; validate fails: %r"
-                       % (command, report.first()))
-    return H
-
-
 def _flag_verdict(value):
     if value is None:
         return "undecided"
     return "true" if value else "false"
 
 
-def _subspace_strings(g, S):
-    return certificates.subspace_payload(g.field, safe_labels(g.labels), S)
+def _basis_strings(A, S):
+    """The basis of a subspace S of the algebra A as element strings."""
+    return certificates.subspace_payload(A.field, safe_labels(A.labels), S)
 
 
 def _run_command(args):
-    """Returns (verdict, payload, input_data, extra_lines)."""
+    """Returns (verdict, payload, input_data, extra_lines).
+
+    A command's target kind (see `_COMMANDS`) is checked here, once: a Lie
+    algebra, a Hopf algebra, or a Hopf algebra that passes `validate_hopf`,
+    which the subgroup-ideal tests presume.
+    """
     cmd = args.command
-    if cmd == "gallery":
-        return _cmd_gallery(args)
-    if cmd == "oracle-compare":
-        return _cmd_oracle_compare(args)
-    obj, input_data = _load_target(args.target, args.hopf_cap)
-    if cmd == "validate":
-        if isinstance(obj, HopfAlgebra):
+    _, kind, run = _COMMANDS[cmd]
+    if kind is None:
+        return run(args)
+    name = args.target and args.target.removeprefix("gallery:")
+    if kind == "name":
+        obj, input_data = name, "gallery" if name is None else name
+    else:
+        obj, input_data = _load_target(name, args.hopf_cap)
+        cls, want = ((RLieAlgebra, "a Lie algebra") if kind == "lie"
+                     else (HopfAlgebra, "a Hopf algebra"))
+        if kind != "any" and not isinstance(obj, cls):
+            raise CliError("%s needs %s target" % (cmd, want))
+        if kind == "valid hopf":
             report = obj.validate_hopf()
-        else:
-            report = obj.validate()
-        verdict = "pass" if report else "fail"
-        return verdict, {"failures": [repr(f) for f in report.failures]}, \
-            input_data, []
-    if cmd == "report":
-        g = _need(obj, RLieAlgebra, cmd)
-        series = g.characteristic_series()
-        payload = {
-            "dim": g.dim,
-            "field": repr(g.field),
-            "center": _subspace_strings(g, series["center"]),
-            "derived_series_dims": [S.dim for S in series["derived_series"]],
-            "lower_central_dims":
-                [S.dim for S in series["lower_central_series"]],
-            "solvable": series["solvable"],
-            "nilpotent": series["nilpotent"],
-            "abelian": g.is_abelian(),
-            "unipotent": g.is_unipotent(),
-            "mult_type": is_mult_type(g),
-        }
-        lines = ["%s: %s" % (k, v) for k, v in payload.items()]
-        return "ok", payload, input_data, lines
-    if cmd == "radical":
-        g = _need(obj, RLieAlgebra, cmd)
-        cert = rad_p(g)
-        payload = {
-            "radical_basis": _subspace_strings(g, cert.radical),
-            "radical_dim": cert.radical.dim,
-            "strategy": cert.strategy,
-            "trace": [repr(step) for step in cert.trace],
-        }
-        lines = ["radical dim %d (%s, %s)" % (cert.radical.dim,
-                                              cert.strategy, cert.verdict)]
-        lines += ["  %s" % s for s in payload["radical_basis"]]
-        return cert.verdict, payload, input_data, lines
-    if cmd == "unipotent":
-        g = _need(obj, RLieAlgebra, cmd)
-        return _flag_verdict(g.is_unipotent()), {}, input_data, []
-    if cmd == "mult-type":
-        g = _need(obj, RLieAlgebra, cmd)
-        return _flag_verdict(is_mult_type(g)), {}, input_data, []
-    if cmd == "p-reductive":
-        g = _need(obj, RLieAlgebra, cmd)
-        return _flag_verdict(is_p_reductive(g)), {}, input_data, []
-    if cmd == "series-verify":
-        g = _need(obj, RLieAlgebra, cmd)
-        labels = safe_labels(g.labels)
-        chain = [g.zero_subspace()]
-        for part in args.chain.split("|"):
-            chain.append(g.subspace(_elements(g.field, labels, part)))
-        chain.append(g.full_subspace())
-        steps = g.verify_subnormal_series(chain)
-        kinds = [step["kind"] for step in steps]
-        verdict = ("classified" if all(k != "unclassified" for k in kinds)
-                   else "unclassified")
-        return verdict, {"kinds": kinds, "dims": [S.dim for S in chain]}, \
-            input_data, ["quotient kinds: %s" % ", ".join(kinds)]
-    if cmd == "hopf-dual":
-        H = _need(obj, HopfAlgebra, cmd)
-        text = print_hopf(dual_hopf(H))
-        return "ok", {"document": text}, input_data, [text.rstrip()]
-    if cmd == "hopf-union":
-        H = _valid_hopf(obj, cmd)
-        labels = safe_labels(H.labels)
-        ideals = [Subspace.from_vectors(H.field, H.dim,
-                                        _elements(H.field, labels, spec))
-                  for spec in args.ideal]
-        try:
-            union, ok, witness = schematic_union(
-                H, ideals, force=args.force_nondirected)
-        except NotSubgroupIdealError as exc:
-            strings = _witness_strings(H, labels, exc.witness)
-            # a dict display: names quoted, elements as rendered
-            raise CliError(
-                "the intersection of the directed family is not a subgroup "
-                "ideal; witness {%s}" % ", ".join(
-                    "%r: %s" % (k, repr(s) if isinstance(exc.witness[k], str)
-                                else s)
-                    for k, s in strings.items())) from exc
-        payload = {
-            "ideal_basis": certificates.subspace_payload(
-                H.field, labels, union.ideal),
-            "is_subgroup_ideal": ok,
-            "witness": _witness_strings(H, labels, witness),
-        }
-        lines = ["union ideal dim %d; subgroup ideal: %s"
-                 % (union.ideal.dim, ok)]
-        return _flag_verdict(ok), payload, input_data, lines
-    if cmd == "hopf-frobenius":
-        H = _valid_hopf(obj, cmd)
-        rtxt = args.r
-        r = int(rtxt.split("=", 1)[1] if "=" in rtxt else rtxt)
-        kernel = frobenius_kernel(H, r)
-        labels = safe_labels(H.labels)
-        payload = {
-            "r": r,
-            "ideal_basis": certificates.subspace_payload(
-                H.field, labels, kernel.ideal),
-            "kernel_order": kernel.subgroup_dim,
-        }
-        lines = ["Frobenius kernel ideal dim %d, kernel order %d"
-                 % (kernel.ideal.dim, kernel.subgroup_dim)]
-        lines += ["  %s" % s for s in payload["ideal_basis"]]
-        return "ok", payload, input_data, lines
-    raise CliError("unknown command %r" % cmd)
+            if not report:
+                raise CliError("%s needs a valid Hopf algebra; validate "
+                               "fails: %r" % (cmd, report.first()))
+    verdict, payload, lines = run(obj, args)
+    return verdict, payload, input_data, lines
+
+
+def _validate(obj, args):
+    if isinstance(obj, HopfAlgebra):
+        report = obj.validate_hopf()
+    else:
+        report = obj.validate()
+    return ("pass" if report else "fail",
+            {"failures": [repr(f) for f in report.failures]}, [])
+
+
+def _report(g, args):
+    series = g.characteristic_series()
+    payload = {
+        "dim": g.dim,
+        "field": repr(g.field),
+        "center": _basis_strings(g, series["center"]),
+        "derived_series_dims": [S.dim for S in series["derived_series"]],
+        "lower_central_dims":
+            [S.dim for S in series["lower_central_series"]],
+        "solvable": series["solvable"],
+        "nilpotent": series["nilpotent"],
+        "abelian": g.is_abelian(),
+        "unipotent": g.is_unipotent(),
+        "mult_type": is_mult_type(g),
+    }
+    return "ok", payload, ["%s: %s" % (k, v) for k, v in payload.items()]
+
+
+def _radical(g, args):
+    cert = rad_p(g)
+    payload = {
+        "radical_basis": _basis_strings(g, cert.radical),
+        "radical_dim": cert.radical.dim,
+        "strategy": cert.strategy,
+        "trace": [repr(step) for step in cert.trace],
+    }
+    lines = ["radical dim %d (%s, %s)" % (cert.radical.dim,
+                                          cert.strategy, cert.verdict)]
+    lines += ["  %s" % s for s in payload["radical_basis"]]
+    return cert.verdict, payload, lines
+
+
+def _series_verify(g, args):
+    labels = safe_labels(g.labels)
+    chain = [g.zero_subspace()]
+    for part in args.chain.split("|"):
+        chain.append(g.subspace(_elements(g.field, labels, part)))
+    chain.append(g.full_subspace())
+    kinds = [step["kind"] for step in g.verify_subnormal_series(chain)]
+    verdict = ("classified" if all(k != "unclassified" for k in kinds)
+               else "unclassified")
+    return verdict, {"kinds": kinds, "dims": [S.dim for S in chain]}, \
+        ["quotient kinds: %s" % ", ".join(kinds)]
+
+
+def _hopf_dual(H, args):
+    text = print_hopf(dual_hopf(H))
+    return "ok", {"document": text}, [text.rstrip()]
+
+
+def _hopf_union(H, args):
+    labels = safe_labels(H.labels)
+    ideals = [Subspace.from_vectors(H.field, H.dim,
+                                    _elements(H.field, labels, spec))
+              for spec in args.ideal]
+    try:
+        union, ok, witness = schematic_union(
+            H, ideals, force=args.force_nondirected)
+    except NotSubgroupIdealError as exc:
+        strings = _witness_strings(H, labels, exc.witness)
+        # a dict display: names quoted, elements as rendered
+        raise CliError(
+            "the intersection of the directed family is not a subgroup "
+            "ideal; witness {%s}" % ", ".join(
+                "%r: %s" % (k, repr(s) if isinstance(exc.witness[k], str)
+                            else s)
+                for k, s in strings.items())) from exc
+    payload = {
+        "ideal_basis": _basis_strings(H, union.ideal),
+        "is_subgroup_ideal": ok,
+        "witness": _witness_strings(H, labels, witness),
+    }
+    return _flag_verdict(ok), payload, [
+        "union ideal dim %d; subgroup ideal: %s" % (union.ideal.dim, ok)]
+
+
+def _hopf_frobenius(H, args):
+    rtxt = args.r
+    r = int(rtxt.split("=", 1)[1] if "=" in rtxt else rtxt)
+    kernel = frobenius_kernel(H, r)
+    payload = {
+        "r": r,
+        "ideal_basis": _basis_strings(H, kernel.ideal),
+        "kernel_order": kernel.subgroup_dim,
+    }
+    lines = ["Frobenius kernel ideal dim %d, kernel order %d"
+             % (kernel.ideal.dim, kernel.subgroup_dim)]
+    lines += ["  %s" % s for s in payload["ideal_basis"]]
+    return "ok", payload, lines
 
 
 def _witness_strings(H, labels, witness):
@@ -270,25 +250,22 @@ def _witness_strings(H, labels, witness):
     return out
 
 
-def _cmd_gallery(args):
-    if args.target is None:
+def _gallery(name, args):
+    if name is None:
         names = sorted(gallery.FIXTURE_TABLES)
-        return "ok", {"fixtures": names}, "gallery", names
-    name = args.target
-    if name.startswith("gallery:"):
-        name = name[len("gallery:"):]
+        return "ok", {"fixtures": names}, names
     if name in gallery.FIXTURE_TABLES:
         rows = gallery.run_fixture(name)
         verdict = "pass" if all(r["passed"] for r in rows) else "fail"
         lines = ["%-22s %-9s %s (expected %s) [%s]"
                  % (r["assertion"], "pass" if r["passed"] else "FAIL",
                     r["actual"], r["expected"], r["tag"]) for r in rows]
-        return verdict, {"rows": rows}, name, lines
+        return verdict, {"rows": rows}, lines
     obj = gallery.resolve(name, hopf_cap=args.hopf_cap)
     kind = "hopf" if isinstance(obj, HopfAlgebra) else "lie"
     payload = {"kind": kind, "dim": obj.dim, "field": repr(obj.field)}
-    return "ok", payload, name, ["%s object, dim %d over %s"
-                                 % (kind, obj.dim, payload["field"])]
+    return "ok", payload, ["%s object, dim %d over %s"
+                           % (kind, obj.dim, payload["field"])]
 
 
 _ORACLE_MAX_VECTORS = 1 << 16
@@ -304,7 +281,7 @@ def _subspace_count(q, n):
     return total
 
 
-def _cmd_oracle_compare(args):
+def _oracle_compare(args):
     if args.dim < 0:
         raise CliError("oracle-compare needs --dim >= 0, got %d" % args.dim)
     if args.cap < 1:
@@ -331,6 +308,35 @@ def _cmd_oracle_compare(args):
     input_data = "oracle-compare:field=%r,dim=%d,cap=%d" % (F, args.dim,
                                                             args.cap)
     return verdict, payload, input_data, lines
+
+
+# name: (help, target kind, handler), in the order of the help listing.
+# The target kind is "lie", "hopf", "valid hopf" or "any" for a command on
+# a loaded target, "name" for an optional gallery name, and None for a
+# command without one, whose handler takes the arguments alone and also
+# returns the input data.  Handlers name the analyses at call time, so a
+# rebinding of `rad_p` or `is_p_reductive` reaches them.
+_COMMANDS = {
+    "validate": ("check the defining axioms", "any", _validate),
+    "report": ("center, series and structural flags", "lie", _report),
+    "radical": ("largest unipotent normal part", "lie", _radical),
+    "unipotent": ("is the whole algebra unipotent?", "lie",
+                  lambda g, args: (_flag_verdict(g.is_unipotent()), {}, [])),
+    "mult-type": ("is the algebra of multiplicative type?", "lie",
+                  lambda g, args: (_flag_verdict(is_mult_type(g)), {}, [])),
+    "p-reductive": ("is the radical geometrically trivial?", "lie",
+                    lambda g, args: (_flag_verdict(is_p_reductive(g)), {},
+                                     [])),
+    "series-verify": ("classify a subnormal series", "lie", _series_verify),
+    "hopf-dual": ("dual Hopf algebra", "hopf", _hopf_dual),
+    "hopf-union": ("schematic union of subgroups", "valid hopf",
+                   _hopf_union),
+    "hopf-frobenius": ("Frobenius kernel ideal", "valid hopf",
+                       _hopf_frobenius),
+    "gallery": ("list or run gallery fixtures", "name", _gallery),
+    "oracle-compare": ("exhaustive radical oracle comparison over a finite "
+                       "field", None, _oracle_compare),
+}
 
 
 def main(argv=None):

@@ -232,8 +232,6 @@ def envelope_subalgebra_span(g, S, H):
     F = g.field
     # the straightener that built H has its products memoized
     st = H._straightener
-    if st.g is not g:
-        st = _Straightener(g)
     elems = [{0: F.one}]
     for s in S.basis:
         terms = vec_terms(F, s)

@@ -15,6 +15,8 @@ Gallery names (CLI-addressable):
 
 from __future__ import annotations
 
+import math
+
 from .envelope import dual_hopf, u_env
 from .fields import (PrimeField, RationalFunctionField, is_prime,
                      prime_power)
@@ -135,64 +137,39 @@ def torus_lie(p, n):
     return out
 
 
+def _power_labels(d):
+    """The labels 1, x, x^2, ..., x^(d-1) of the powers of x."""
+    return tuple("1" if k == 0 else ("x" if k == 1 else "x^%d" % k)
+                 for k in range(d))
+
+
 def alpha_hopf(p, r):
     """Coordinate ring k[x]/(x^{p^r}) of the order-p^r additive kernel,
-    x primitive."""
+    x primitive: Δ(x^k) = Σ C(k,i) x^i ⊗ x^{k-i} and S(x^k) = (-1)^k x^k."""
     F = PrimeField(p)
     d = p ** r
-    mult = tuple(tuple(
-        _monomial(F, d, i + j) for j in range(d)) for i in range(d))
-    unit = _monomial(F, d, 0)
-    comult = []
-    for k in range(d):
-        # Δ(x^k) = Σ C(k,i) x^i ⊗ x^{k-i}
-        dv = [F.zero] * (d * d)
-        c = 1
-        for i in range(k + 1):
-            dv[i * d + (k - i)] = F.from_int(c)
-            c = c * (k - i) // (i + 1)
-        comult.append(tuple(dv))
-    counit = tuple(F.one if k == 0 else F.zero for k in range(d))
-    minus = F.from_int(-1)
-    antipode = []
-    for k in range(d):
-        c = F.one
-        for _ in range(k % 2):
-            c = F.mul(c, minus)
-        v = [F.zero] * d
-        v[k] = c
-        antipode.append(tuple(v))
-    labels = tuple("1" if k == 0 else ("x" if k == 1 else "x^%d" % k)
+    mult = tuple(tuple(((i + j, F.one),) if i + j < d else ()
+                       for j in range(d)) for i in range(d))
+    comult = tuple(tuple((i * d + k - i, F.from_int(math.comb(k, i)))
+                         for i in range(k + 1) if math.comb(k, i) % p)
                    for k in range(d))
-    return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
-
-
-def _monomial(F, d, k):
-    """x^k in k[x]/(x^d)."""
-    return tuple(F.one if i == k and k < d else F.zero for i in range(d))
+    antipode = tuple(((k, F.from_int((-1) ** k)),) for k in range(d))
+    unit = (F.one,) + (F.zero,) * (d - 1)
+    return HopfAlgebra.from_terms(F, d, mult, unit, comult, unit, antipode,
+                                  _power_labels(d))
 
 
 def mu_hopf(p):
     """Coordinate ring k[x]/(x^p - 1) of the p-th roots of unity,
     x group-like."""
     F = PrimeField(p)
-    d = p
-    mult = tuple(tuple(
-        tuple(F.one if k == (i + j) % p else F.zero for k in range(d))
-        for j in range(d)) for i in range(d))
-    unit = tuple(F.one if k == 0 else F.zero for k in range(d))
-    comult = []
-    for k in range(d):
-        dv = [F.zero] * (d * d)
-        dv[k * d + k] = F.one
-        comult.append(tuple(dv))
-    counit = (F.one,) * d
-    antipode = tuple(
-        tuple(F.one if k == (-i) % p else F.zero for k in range(d))
-        for i in range(d))
-    labels = tuple("1" if k == 0 else ("x" if k == 1 else "x^%d" % k)
-                   for k in range(d))
-    return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
+    mult = tuple(tuple((((i + j) % p, F.one),) for j in range(p))
+                 for i in range(p))
+    comult = tuple(((k * p + k, F.one),) for k in range(p))
+    antipode = tuple((((-k) % p, F.one),) for k in range(p))
+    return HopfAlgebra.from_terms(F, p, mult, (F.one,) + (F.zero,) * (p - 1),
+                                  comult, (F.one,) * p, antipode,
+                                  _power_labels(p))
 
 
 # -- name resolution ---------------------------------------------------------

@@ -12,10 +12,14 @@ optional REP (A = [[...],[...]]).  Unspecified brackets and p-powers are 0.
 
 .hopf sections: FIELD, BASIS, UNIT, MULT (a*b = expr), COMULT
 (delta(a) = x # y + ...), COUNIT (eps(a) = scalar), ANTIPODE (S(a) = expr).
+
+Each section's left-hand side is written once, in `_ALG_SECTIONS` and
+`_HOPF_SECTIONS`, which the parser and the printer both read.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .fields import (ExtensionField, PrimalityUndecided, PrimeField,
@@ -161,19 +165,18 @@ class _ExprParser:
     def parse_sum(self, close="end"):
         """Returns (scalar, coeff-vector, tensor-terms) of a sum that runs to
         `close`: the end of the text, or ")" for a parenthesized scalar,
-        whose terms may not carry labels."""
+        whose terms may not carry labels.  A "-" is the unary minus of the
+        next factor, so only a "+" separates terms here."""
         F = self.F
         scalar = F.zero
         vec = [F.zero] * self.n
         tens = []
         while True:
-            sign = F.one
-            if self.peek() in ("+", "-") and self.next()[0] == "-":
-                sign = F.mul(sign, F.from_int(-1))
+            if self.peek() == "+":
+                self.next()
             c, idx, pair = self.parse_term()
             if close == ")" and (idx is not None or pair is not None):
                 self.fail("parenthesized labels are not supported")
-            c = F.mul(sign, c)
             if pair is not None:
                 tens.append((c,) + pair)
             elif idx is None:
@@ -256,7 +259,7 @@ class _ExprParser:
                                  self.line, c2 + 1)
             out = F.pow_int(out, v2)
         if neg:
-            out = F.mul(F.from_int(-1), out)
+            out = F.neg(out)
         return out, idx
 
     def _named_scalar(self, name, col):
@@ -354,28 +357,59 @@ def safe_labels(labels):
 # -- document structure --------------------------------------------------------
 
 
-_ALG_SECTIONS = ("BRACKETS", "PPOWERS", "REP")
-_HOPF_SECTIONS = ("MULT", "COMULT", "COUNIT", "ANTIPODE")
+# Each section's left-hand side, one %s per basis label.  The reader matches
+# a line against it and the printer fills it in, so the two cannot differ.
+_ALG_SECTIONS = {"BRACKETS": "[%s,%s]", "PPOWERS": "%s^[p]", "REP": "%s"}
+_HOPF_SECTIONS = {"MULT": "%s*%s", "COMULT": "delta(%s)", "COUNIT": "eps(%s)",
+                  "ANTIPODE": "S(%s)"}
 
 
-def _split_sections(text, section_names):
-    """Returns (header lines, {section: [(lineno, line), ...]})."""
-    header = []
-    sections = {}
-    current = None
+@functools.cache
+def _lhs_pattern(shape):
+    """The regular expression of a left-hand side of the given shape, each
+    label a group without surrounding whitespace."""
+    return re.compile(r"\s*%s\s*" % r"\s*(.*?)\s*".join(
+        map(re.escape, shape.split("%s"))))
+
+
+def _read_document(text, shapes, unit=False):
+    """Reads the header of a document, whose sections are the keys of
+    `shapes`, and with unit=True its UNIT line.
+
+    Returns (field, labels, unit vector or None, lines): lines(section)
+    yields (lineno, label indices, right-hand side) for each line
+    `lhs = rhs` of the section, lhs of the section's shape.
+    """
+    header, sections, current = [], {}, None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("//", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped in section_names:
-            current = stripped
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            header.append((lineno, stripped))
-        else:
-            sections[current].append((lineno, stripped))
-    return header, sections
+        if stripped in shapes:
+            current = sections.setdefault(stripped, [])
+        elif stripped:
+            (header if current is None else current).append((lineno,
+                                                              stripped))
+    F, labels, vec = _read_header(header, unit)
+    index = {lb: i for i, lb in enumerate(labels)}
+
+    def lines(section):
+        shape = shapes[section]
+        lhs_shape = _lhs_pattern(shape)
+        for lineno, line in sections.get(section, ()):
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise ParseError("expected '='", lineno)
+            match = lhs_shape.fullmatch(lhs)
+            if match is None:
+                raise ParseError("expected '%s = ...'" % (
+                    shape % ("A", "B")[:lhs_shape.groups]), lineno)
+            try:
+                indices = [index[name] for name in match.groups()]
+            except KeyError as exc:
+                raise ParseError("unknown basis label %r" % exc.args[0],
+                                 lineno) from None
+            yield lineno, indices, rhs.strip()
+
+    return F, labels, vec, lines
 
 
 def _read_header(header, unit=False):
@@ -408,24 +442,16 @@ def _read_header(header, unit=False):
     return F, labels, vec
 
 
-def _label_lines(sections, section, index, head="", tail=""):
-    """Yields (lineno, label index, right-hand side) for each line
-    `head A tail = ...` of a section: `A^[p]`, `A` (REP) or `fn(a)`.
-
-    A line that starts with its label fails on a missing '=' first.
-    """
-    shape = "expected '%s%s%s = ...'" % (head, "a" if head else "A", tail)
-    for lineno, line in sections.get(section, ()):
-        lhs, eq, rhs = line.partition("=")
-        lhs = lhs.strip()
-        if not eq and not head:
-            raise ParseError("expected '='", lineno)
-        if not eq or not (lhs.startswith(head) and lhs.endswith(tail)):
-            raise ParseError(shape, lineno)
-        name = lhs[len(head):len(lhs) - len(tail)].strip()
-        if name not in index:
-            raise ParseError("unknown basis label %r" % name, lineno)
-        yield lineno, index[name], rhs.strip()
+def _print_document(F, labels, header, shapes, rows):
+    """The FIELD and BASIS lines, the `header` lines, then each section of
+    `shapes` that `rows` ({section: [(label indices, rhs), ...]}) holds."""
+    out = ["FIELD %r" % F, "BASIS %s" % " ".join(labels)] + header
+    for section, shape in shapes.items():
+        if section in rows:
+            out.append(section)
+            out += ["%s = %s" % (shape % tuple(labels[i] for i in idx), rhs)
+                    for idx, rhs in rows[section]]
+    return "\n".join(out) + "\n"
 
 
 # -- .alg documents -------------------------------------------------------------
@@ -433,121 +459,88 @@ def _label_lines(sections, section, index, head="", tail=""):
 
 def parse_algebra(text):
     """Parse an .alg document; returns (RLieAlgebra, rep matrices or None)."""
-    header, sections = _split_sections(text, _ALG_SECTIONS)
-    F, labels, _ = _read_header(header)
+    F, labels, _, lines = _read_document(text, _ALG_SECTIONS)
     n = len(labels)
-    index = {lb: i for i, lb in enumerate(labels)}
     upper = {}
-    for lineno, line in sections.get("BRACKETS", []):
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise ParseError("expected '='", lineno)
-        lhs = lhs.strip()
-        if not (lhs.startswith("[") and lhs.endswith("]") and "," in lhs):
-            raise ParseError("expected '[A,B] = ...'", lineno)
-        a, _, b = lhs[1:-1].partition(",")
-        a, b = a.strip(), b.strip()
-        for name in (a, b):
-            if name not in index:
-                raise ParseError("unknown basis label %r" % name, lineno)
-        i, j = index[a], index[b]
-        vec = parse_element(F, labels, rhs.strip(), lineno)
+    for lineno, (i, j), rhs in lines("BRACKETS"):
+        vec = parse_element(F, labels, rhs, lineno)
         if i == j:
-            if any(not F.is_zero(c) for c in vec):
-                raise ParseError("[%s,%s] must be 0" % (a, a), lineno)
+            if vec_terms(F, vec):
+                raise ParseError("[%s,%s] must be 0" % (labels[i], labels[i]),
+                                 lineno)
             continue
-        if i > j:
-            i, j = j, i
-            vec = tuple(F.sub(F.zero, c) for c in vec)
-        if (i, j) in upper:
-            raise ParseError("duplicate bracket [%s,%s]" % (a, b), lineno)
-        upper[(i, j)] = vec
+        key = (i, j) if i < j else (j, i)
+        if key in upper:
+            raise ParseError("duplicate bracket [%s,%s]"
+                             % (labels[i], labels[j]), lineno)
+        upper[key] = vec if i < j else tuple(F.neg(c) for c in vec)
     ppowers = [(F.zero,) * n] * n
-    for lineno, i, rhs in _label_lines(sections, "PPOWERS", index,
-                                       tail="^[p]"):
+    for lineno, (i,), rhs in lines("PPOWERS"):
         ppowers[i] = parse_element(F, labels, rhs, lineno)
     g = RLieAlgebra.from_upper(F, n, upper, ppowers, labels=labels)
-    rep = None
-    if sections.get("REP"):
-        rep_map = {}
-        for lineno, i, rhs in _label_lines(sections, "REP", index):
-            rep_map[i] = _parse_matrix(F, rhs, lineno)
-        if sorted(rep_map) != list(range(n)):
-            raise ParseError("REP must assign a matrix to every basis label")
-        sizes = {len(M) for M in rep_map.values()}
-        if len(sizes) != 1:
-            raise ParseError("REP matrices must share a size")
-        rep = tuple(rep_map[i] for i in range(n))
-    return g, rep
+    rep = {i: _parse_matrix(F, rhs, lineno)
+           for lineno, (i,), rhs in lines("REP")}
+    if not rep:
+        return g, None
+    if sorted(rep) != list(range(n)):
+        raise ParseError("REP must assign a matrix to every basis label")
+    if len({len(M) for M in rep.values()}) != 1:
+        raise ParseError("REP matrices must share a size")
+    return g, tuple(rep[i] for i in range(n))
+
+
+_MATRIX = re.compile(r"\[\s*\[(.*)\]\s*\]")
+_ROW_BREAK = re.compile(r"\]\s*,\s*\[")
 
 
 def _parse_matrix(F, text, lineno):
-    text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
+    """A matrix `[[a,b],[c,d]]`, with whitespace allowed around every
+    bracket and comma."""
+    match = _MATRIX.fullmatch(text)
+    if match is None:
         raise ParseError("expected '[[...],[...]]'", lineno)
-    rows = []
-    for chunk in text[2:-2].split("],["):
-        row = [parse_scalar(F, cell, lineno) for cell in chunk.split(",")]
-        rows.append(tuple(row))
+    rows = [tuple(parse_scalar(F, cell, lineno) for cell in chunk.split(","))
+            for chunk in _ROW_BREAK.split(match.group(1))]
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix must be square", lineno)
     return tuple(rows)
 
 
 def print_algebra(g, rep=None):
+    """The canonical document of g, written from its sparse tables."""
     F = g.field
     labels = safe_labels(g.labels)
-    out = ["FIELD %r" % F, "BASIS %s" % " ".join(labels), "BRACKETS"]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            vec = g.brackets[i][j]
-            if any(not F.is_zero(c) for c in vec):
-                out.append("[%s,%s] = %s" % (labels[i], labels[j],
-                                             element_str(F, labels, vec)))
-    out.append("PPOWERS")
-    for i in range(g.dim):
-        vec = g.ppowers[i]
-        if any(not F.is_zero(c) for c in vec):
-            out.append("%s^[p] = %s" % (labels[i],
-                                        element_str(F, labels, vec)))
+    label = labels.__getitem__
+    rows = {"BRACKETS": [((i, j), _terms_str(F, terms, label))
+                         for i, row in enumerate(g._terms)
+                         for j, terms in enumerate(row) if i < j and terms],
+            "PPOWERS": [((i,), _terms_str(F, terms, label))
+                        for i, terms in enumerate(g._pterms) if terms]}
     if rep:
-        out.append("REP")
-        for i in range(g.dim):
-            rows = ",".join("[%s]" % ",".join(F.to_str(c) for c in row)
-                            for row in rep[i])
-            out.append("%s = [%s]" % (labels[i], rows))
-    return "\n".join(out) + "\n"
+        rows["REP"] = [((i,), "[%s]" % ",".join(
+            "[%s]" % ",".join(F.to_str(c) for c in row) for row in M))
+            for i, M in enumerate(rep)]
+    return _print_document(F, labels, [], _ALG_SECTIONS, rows)
 
 
 # -- .hopf documents -------------------------------------------------------------
 
 
 def parse_hopf(text):
-    header, sections = _split_sections(text, _HOPF_SECTIONS)
-    F, labels, unit = _read_header(header, unit=True)
+    F, labels, unit, lines = _read_document(text, _HOPF_SECTIONS, unit=True)
     d = len(labels)
-    index = {lb: i for i, lb in enumerate(labels)}
     zero = (F.zero,) * d
     mult = [[zero] * d for _ in range(d)]
-    for lineno, line in sections.get("MULT", []):
-        lhs, eq, rhs = line.partition("=")
-        if not eq:
-            raise ParseError("expected '='", lineno)
-        a, star, b = lhs.strip().partition("*")
-        a, b = a.strip(), b.strip()
-        if not star or a not in index or b not in index:
-            raise ParseError("expected 'a*b = ...' with basis labels", lineno)
-        mult[index[a]][index[b]] = parse_element(F, labels, rhs.strip(),
-                                                 lineno)
+    for lineno, (i, j), rhs in lines("MULT"):
+        mult[i][j] = parse_element(F, labels, rhs, lineno)
     comult = [(F.zero,) * (d * d)] * d
     counit = [F.zero] * d
     antipode = [zero] * d
-    for lineno, i, rhs in _label_lines(sections, "COMULT", index,
-                                       "delta(", ")"):
+    for lineno, (i,), rhs in lines("COMULT"):
         comult[i] = parse_tensor(F, labels, rhs, lineno)
-    for lineno, i, rhs in _label_lines(sections, "COUNIT", index, "eps(", ")"):
+    for lineno, (i,), rhs in lines("COUNIT"):
         counit[i] = parse_scalar(F, rhs, lineno)
-    for lineno, i, rhs in _label_lines(sections, "ANTIPODE", index, "S(", ")"):
+    for lineno, (i,), rhs in lines("ANTIPODE"):
         antipode[i] = parse_element(F, labels, rhs, lineno)
     return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
 
@@ -559,27 +552,16 @@ def print_hopf(H):
     F = H.field
     labels = safe_labels(H.labels)
     label = labels.__getitem__
-    out = ["FIELD %r" % F,
-           "BASIS %s" % " ".join(labels),
-           "UNIT %s" % element_str(F, labels, H.unit),
-           "MULT"]
-    for i, row in enumerate(H._terms):
-        for j, terms in enumerate(row):
-            if terms:
-                out.append("%s*%s = %s" % (labels[i], labels[j],
-                                           _terms_str(F, terms, label)))
-    out.append("COMULT")
     pair = _tensor_label(labels)
-    for i, terms in enumerate(H._coflat):
-        if terms:
-            out.append("delta(%s) = %s" % (labels[i],
-                                           _terms_str(F, terms, pair)))
-    out.append("COUNIT")
-    for i in range(H.dim):
-        if not F.is_zero(H.counit[i]):
-            out.append("eps(%s) = %s" % (labels[i], F.to_str(H.counit[i])))
-    out.append("ANTIPODE")
-    for i, terms in enumerate(H._antipode_terms):
-        if terms:
-            out.append("S(%s) = %s" % (labels[i], _terms_str(F, terms, label)))
-    return "\n".join(out) + "\n"
+    rows = {"MULT": [((i, j), _terms_str(F, terms, label))
+                     for i, row in enumerate(H._terms)
+                     for j, terms in enumerate(row) if terms],
+            "COMULT": [((i,), _terms_str(F, terms, pair))
+                       for i, terms in enumerate(H._coflat) if terms],
+            "COUNIT": [((i,), F.to_str(c)) for i, c in vec_terms(F, H.counit)],
+            "ANTIPODE": [((i,), _terms_str(F, terms, label))
+                         for i, terms in enumerate(H._antipode_terms)
+                         if terms]}
+    return _print_document(F, labels,
+                           ["UNIT %s" % element_str(F, labels, H.unit)],
+                           _HOPF_SECTIONS, rows)

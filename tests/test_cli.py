@@ -5,12 +5,14 @@ import time
 import pytest
 
 from pradical import cli
-from pradical.certificates import comparable
+from pradical.certificates import comparable, input_digest
 from pradical.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PAPER_G = os.path.join(FIXTURES, "paper-G.alg")
 ALPHA4 = os.path.join(FIXTURES, "alpha4.hopf")
+SCHEMA = os.path.join(os.path.dirname(__file__), "..", "docs",
+                      "certificate.schema.json")
 
 
 def run(args, capsys):
@@ -33,6 +35,32 @@ def test_gallery_targets_and_listing(capsys):
     assert code == 0 and "verdict: pass" in out
     code, out, err = run(["radical", "gallery:paper-G@p=2"], capsys)
     assert code == 0 and "s4" in out and "verdict: exact" in out
+
+
+def test_gallery_command_takes_a_prefixed_name(capsys, tmp_path):
+    certs = []
+    for name in ("paper-G@p=2", "gallery:paper-G@p=2"):
+        path = tmp_path / "gallery.json"
+        code, out, err = run(["gallery", name, "--json", str(path)], capsys)
+        assert code == 0 and "verdict: pass" in out and err == ""
+        certs.append((out, json.loads(path.read_text())))
+    assert certs[0][0] == certs[1][0]
+    assert (certs[0][1]["input_digest"] == certs[1][1]["input_digest"]
+            == input_digest("paper-G@p=2"))
+
+
+def test_gallery_command_summarizes_a_non_fixture_object(capsys):
+    code, out, err = run(["gallery", "env(alpha@2)"], capsys)
+    assert code == 0 and err == ""
+    assert out == "hopf object, dim 2 over GF(2)\nverdict: ok\n"
+
+
+def test_schema_lists_every_command():
+    """The certificate schema's operations are the CLI's commands, in the
+    order of the help listing."""
+    with open(SCHEMA, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    assert schema["properties"]["operation"]["enum"] == list(cli._COMMANDS)
 
 
 def test_false_and_undecided_verdicts_exit_zero(capsys):

@@ -15,8 +15,8 @@ from pradical.gallery import (alpha_hopf, mu_hopf, paper_g, resolve,
 from pradical.lie import RLieAlgebra
 from pradical.survey import enumerate_algebras
 from pradical.textio import (ParseError, parse_algebra, parse_element,
-                             parse_field, parse_hopf, print_algebra,
-                             print_hopf)
+                             parse_field, parse_hopf, parse_tensor,
+                             print_algebra, print_hopf)
 
 PAPER_G_TEXT = """\
 FIELD GF(2)(t)
@@ -108,6 +108,101 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra("FIELD GF(2)\nBASIS X\nPPOWERS\nX^[p] = X + %s*X\n"
                       % ("1" * 5000))
     assert (err.value.line, err.value.column) == (4, 5)
+
+
+def test_a_zero_self_bracket_is_accepted():
+    g, _ = parse_algebra("FIELD GF(2)\nBASIS X Y\nBRACKETS\n[X,X] = 0\n"
+                         "[X,Y] = Y\n")
+    h, _ = parse_algebra("FIELD GF(2)\nBASIS X Y\nBRACKETS\n[Y,X] = Y\n")
+    assert g.brackets == h.brackets and g.ppowers == h.ppowers
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("--X", (1, 0)),
+    ("2*-X", (-2, 0)),
+    ("X - -Y", (1, 1)),
+    ("X - Y", (1, -1)),
+    ("-X + -2*Y", (-1, -2)),
+    # the minus applies to the power: -(2^2), not (-2)^2
+    ("-2^2*X", (-4, 0)),
+])
+def test_a_minus_sign_negates_the_next_factor(text, expected):
+    F = PrimeField(5)
+    assert parse_element(F, ("X", "Y"), text) == tuple(map(F.from_int,
+                                                           expected))
+
+
+def test_a_minus_sign_before_a_tensor_term():
+    F = PrimeField(5)
+    assert parse_tensor(F, ("a", "b"), "- a # b") == (0, F.from_int(-1), 0, 0)
+    assert parse_tensor(F, ("a", "b"), "b # a - 2*a # b") == (
+        0, F.from_int(-2), 1, 0)
+
+
+ALG = "FIELD GF(3)\nBASIS X Y\n"
+HOPF = "FIELD GF(3)\nBASIS a b\nUNIT a\n"
+
+
+@pytest.mark.parametrize("parse,text,message,line,column", [
+    (parse_algebra, ALG + "REP\nX = [[1,0],[0]]\nY = [[1,0],[0,1]]\n",
+     "matrix must be square", 4, None),
+    (parse_algebra, ALG + "REP\nX = [[1,0],[0,1]]\n",
+     "REP must assign a matrix to every basis label", None, None),
+    (parse_algebra, ALG + "REP\nX = [[1,0],[0,1]]\nY = [[1]]\n",
+     "REP matrices must share a size", None, None),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] X\n", "expected '='", 4, None),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = X # Y\n",
+     "tensor term outside comultiplication", 4, 3),
+    (parse_hopf, HOPF + "COMULT\ndelta(a) = a # b # a\n", "nested tensor",
+     5, 10),
+    (parse_hopf, HOPF + "COMULT\ndelta(a) = 2 # b\n",
+     "tensor legs must be basis labels", 5, None),
+    (parse_hopf, HOPF + "COMULT\ndelta(a) = a # b + b\n",
+     "non-tensor term in comultiplication", 5, None),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = 2^X\n",
+     "exponent must be an integer", 4, 3),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = X^2\n",
+     "cannot exponentiate a basis label", 4, 3),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = X/(3 + 0)\n", "division by zero",
+     4, 10),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = (1 + X)*Y\n",
+     "parenthesized labels are not supported", 4, 7),
+    # a left-hand side is matched against its section's shape
+    (parse_algebra, ALG + "BRACKETS\n[X;Y] = X\n", "expected '[A,B] = ...'",
+     4, None),
+    (parse_algebra, ALG + "PPOWERS\nX^p = X\n", "expected 'A^[p] = ...'", 4,
+     None),
+    (parse_hopf, HOPF + "MULT\na*c = a\n", "unknown basis label 'c'", 5,
+     None),
+    (parse_hopf, HOPF + "MULT\na+b = a\n", "expected 'A*B = ...'", 5, None),
+    (parse_hopf, HOPF + "COMULT\ndelta(a) a # a\n", "expected '='", 5, None),
+    (parse_hopf, HOPF + "COUNIT\neps(a, b) = 1\n",
+     "unknown basis label 'a, b'", 5, None),
+    (parse_hopf, HOPF + "ANTIPODE\nS[a] = a\n", "expected 'S(A) = ...'", 5,
+     None),
+])
+def test_parse_errors_name_line_and_column(parse, text, message, line,
+                                           column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    where = "" if line is None else " at line %d" % line
+    where += "" if column is None else ", column %d" % column
+    assert str(err.value) == message + where
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_rep_matrices_may_carry_whitespace():
+    g, rep = parse_algebra(ALG + "BRACKETS\n[X,Y] = Y\nREP\n"
+                           "X = [[1, 0], [0, 1]]\nY = [ [0 ,1] ,[0, 0 ] ]\n")
+    h, compact = parse_algebra(ALG + "BRACKETS\n[X,Y] = Y\nREP\n"
+                               "X = [[1,0],[0,1]]\nY = [[0,1],[0,0]]\n")
+    assert rep == compact
+    assert print_algebra(g, rep).endswith(
+        "REP\nX = [[1,0],[0,1]]\nY = [[0,1],[0,0]]\n")
+    # a space is not a separator inside a row
+    with pytest.raises(ParseError, match="trailing input") as err:
+        parse_algebra(ALG + "REP\nX = [[1 0],[0,1]]\nY = [[1,0],[0,1]]\n")
+    assert (err.value.line, err.value.column) == (4, 3)
 
 
 def test_alg_roundtrip_is_byte_identical():
