@@ -11,15 +11,16 @@ over the benchmark's hopf algebras; figures in `u_env`).  The
 straightener's elements go into the Hopf algebra as their index-sorted
 (k, c) terms, and the dual transposes those terms (`dual_hopf`), so no
 dense table is built on the way.  A p-subalgebra S of g yields a subgroup
-ideal of the dual of u(g) as the annihilator of u(S), spanned with the
-straightener, and its memo, that built u(g).
+ideal of the dual of u(g) as the annihilator of u(S), the closure of 1
+under right multiplication by S's basis in u(g)
+(`envelope_subalgebra_span`).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .hopf import HopfAlgebra, SubgroupIdeal, _dense
+from .hopf import HopfAlgebra, SubgroupIdeal
 from .linalg import Subspace, vec_terms
 
 
@@ -186,11 +187,8 @@ def u_env(g, cap=128):
         "*".join("%s%s" % (g.labels[i], "" if a[i] == 1 else "^%d" % a[i])
                  for i in range(g.dim) if a[i] > 0)
         for a in st.digits)
-    H = HopfAlgebra.from_terms(F, d, tuple(mult), counit,
-                               terms(tensors), counit, terms(antipodes),
-                               labels)
-    H._straightener = st
-    return H
+    return HopfAlgebra(F, d, tuple(mult), counit, terms(tensors), counit,
+                       terms(antipodes), labels)
 
 
 def dual_hopf(H):
@@ -215,35 +213,30 @@ def dual_hopf(H):
         for i, c in terms:
             antipode[i].append((k, c))
     labels = tuple("%s'" % lb for lb in H.labels)
-    return HopfAlgebra.from_terms(H.field, d, mult, H.counit,
-                                  tuple(map(tuple, comult)), H.unit,
-                                  tuple(map(tuple, antipode)), labels)
+    return HopfAlgebra(H.field, d, mult, H.counit, tuple(map(tuple, comult)),
+                       H.unit, tuple(map(tuple, antipode)), labels)
 
 
 def envelope_subalgebra_span(g, S, H):
     """The span of u(S) inside H = u(g), as a subspace of H.
 
     S must be a p-subalgebra; `subgroup_ideal_from_p_subalgebra` checks it.
-    Then u(S) embeds in u(g) with the restricted PBW basis of ordered
-    monomials s_1^a_1 ⋯ s_k^a_k, 0 ≤ a_i < p, over the basis s_1, ..., s_k
-    of S.  They are built by right-multiplying the monomials found so far
-    by each s_i in turn: p^dim S products, not every word in the s_i.
+    Then u(S) is the unital subalgebra of u(g) generated by S, whose basis
+    is carried into H with e_i going to the monomial of index p^(n−1−i).
+    It is spanned by the words in those generators, so it is the closure
+    of 1 under right multiplication by them: the closure that
+    `SCAlgebra.algebra_generators` and `ideal_closure` use.
     """
     F = g.field
-    # the straightener that built H has its products memoized
-    st = H._straightener
-    elems = [{0: F.one}]
+    n = g.dim
+    gens = []
     for s in S.basis:
-        terms = vec_terms(F, s)
-        for elem in list(elems):
-            for _ in range(F.p - 1):
-                prod = {}
-                for j, c in terms:
-                    st._add_into(prod, st.elem_times_gen(elem, j), c)
-                elem = prod
-                elems.append(elem)
-    return Subspace.from_vectors(
-        F, H.dim, [_dense(F, H.dim, elem.items()) for elem in elems])
+        v = [F.zero] * H.dim
+        for i, c in vec_terms(F, s):
+            v[F.p ** (n - 1 - i)] = c
+        gens.append(tuple(v))
+    return Subspace.zero(F, H.dim).closure(
+        [H.unit], lambda v, _: [H.mul(v, s) for s in gens])
 
 
 def subgroup_ideal_from_p_subalgebra(g, S, cap=128):

@@ -672,6 +672,8 @@ class ExtensionField(Ring):
         self._neg_log = 0 if p == 2 else self._n // 2      # log(-1)
         self.zero = (0,) * m
         self.one = tuple([1 % p] + [0] * (m - 1))
+        # the generator u mod f, which is a constant when m = 1
+        self.u = self._pad(pdivmod((0, 1), self.modulus, p)[1])
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.m)
@@ -861,8 +863,8 @@ class FieldHom:
 def base_change_map(source, target, m=0):
     """Transport map between scalar domains.
 
-    GF(p)(t) -> GF(p)(s) sends t to s^(p^m); GF(p) embeds into GF(p),
-    GF(p^m) or GF(p)(t) with the identity rule (m must be 0).
+    GF(p)(t) -> GF(p)(s) sends t to s^(p^m); GF(p) embeds into any field
+    of characteristic p by `from_int`, the identity rule (m must be 0).
     """
     if source.p != target.p:
         raise ValueError("incompatible characteristics: %r vs %r" % (source, target))
@@ -870,15 +872,10 @@ def base_change_map(source, target, m=0):
     if isinstance(source, PrimeField):
         if m != 0:
             raise ValueError("prime-field base change takes the identity rule")
-        if isinstance(target, PrimeField):
-            return FieldHom(source, target, lambda x: x, "id on GF(%d)" % p)
-        if isinstance(target, ExtensionField):
-            return FieldHom(source, target, target.from_int,
-                            "GF(%d) -> GF(%d^%d)" % (p, p, target.m))
-        if isinstance(target, RationalFunctionField):
-            return FieldHom(source, target, target.from_int,
-                            "GF(%d) -> %r" % (p, target))
-        raise ValueError("unsupported target %r" % target)
+        if not target.is_field:
+            raise ValueError("unsupported target %r" % target)
+        return FieldHom(source, target, target.from_int,
+                        "GF(%d) -> %r" % (p, target))
     if isinstance(source, RationalFunctionField):
         if not isinstance(target, RationalFunctionField):
             raise ValueError("unsupported target %r" % target)

@@ -155,8 +155,8 @@ def alpha_hopf(p, r):
                    for k in range(d))
     antipode = tuple(((k, F.from_int((-1) ** k)),) for k in range(d))
     unit = (F.one,) + (F.zero,) * (d - 1)
-    return HopfAlgebra.from_terms(F, d, mult, unit, comult, unit, antipode,
-                                  _power_labels(d))
+    return HopfAlgebra(F, d, mult, unit, comult, unit, antipode,
+                       _power_labels(d))
 
 
 def mu_hopf(p):
@@ -167,9 +167,8 @@ def mu_hopf(p):
                  for i in range(p))
     comult = tuple(((k * p + k, F.one),) for k in range(p))
     antipode = tuple((((-k) % p, F.one),) for k in range(p))
-    return HopfAlgebra.from_terms(F, p, mult, (F.one,) + (F.zero,) * (p - 1),
-                                  comult, (F.one,) * p, antipode,
-                                  _power_labels(p))
+    return HopfAlgebra(F, p, mult, (F.one,) + (F.zero,) * (p - 1), comult,
+                       (F.one,) * p, antipode, _power_labels(p))
 
 
 # -- name resolution ---------------------------------------------------------

@@ -9,19 +9,18 @@ e_a⊗e_b at index a·d + b, as `linalg.kron` lays them out.  The tables are
 stored only as their nonzero (k, c) terms, in increasing k: the product
 e_i·e_j (`_terms`, with its columns `_cols`), Δ(e_i) as flat a·d + b terms
 (`_coflat`) and as (a, b, c) triples c·e_a⊗e_b (`_coterms`), and S(e_i)
-(`_antipode_terms`).  `from_terms` takes them as they are, and the dense
-constructor is `vec_terms` of its tables followed by the same path.
-`_cols` and `_coterms` are built on first read, so a u(g) that only feeds
-`envelope.dual_hopf` never builds them.  The dense `mult`, `comult` and
-`antipode` are views, built on first read (by `tensor_product_hopf` and
-the tests); the algebra's own maps and checks, and `textio.print_hopf`,
-never read them.  The algebra is a `linalg.StructureConstants` on
-`_terms`, so `mul` is the one sparse structure-constant product that the
-Lie side uses too.  Δ and S act as `linalg` linear combinations of their
-sparse rows, e_i·y and x·e_j as combinations of a row or a column of the
-table, and a product in A⊗A is `linalg.kron_product` over the Kronecker
-square of the table.  Membership in A⊗I and in A⊗I + I⊗A goes through the
-quotient map π: A → A/I, so no subspace of the d²-space is built.
+(`_antipode_terms`).  The constructors take these tables and keep them as
+they are; no dense table is stored or built, and every producer (`u_env`,
+`dual_hopf`, `tensor_product_hopf`, the gallery and `textio.parse_hopf`)
+writes terms.  `_cols` and `_coterms` are built on first read, so a u(g)
+that only feeds `envelope.dual_hopf` never builds them.  The algebra is a
+`linalg.StructureConstants` on `_terms`, so `mul` is the one sparse
+structure-constant product that the Lie side uses too.  Δ and S act as
+`linalg` linear combinations of their sparse rows, e_i·y and x·e_j as
+combinations of a row or a column of the table, and a product in A⊗A is
+`linalg.kron_product` over the Kronecker square of the table.  Membership
+in A⊗I and in A⊗I + I⊗A goes through the quotient map π: A → A/I, so no
+subspace of the d²-space is built.
 `validate_hopf` checks associativity, coassociativity, the counit laws and
 the multiplicativity of Δ and ε on a few algebra generators, and reruns the
 full basis scan only when one of those checks fails.  Its checks do work
@@ -49,33 +48,16 @@ from .linalg import (StructureConstants, Subspace, descending_chain, kron,
                      vec_is_zero, vec_scale, vec_terms)
 
 
-def _dense(F, n, terms):
-    """The n-tuple with the given nonzero (k, c) terms: `vec_terms`
-    inverted."""
-    out = [F.zero] * n
-    for k, c in terms:
-        out[k] = c
-    return tuple(out)
-
-
 class SCAlgebra(StructureConstants):
-    """Associative unital algebra by structure constants."""
+    """Associative unital algebra by structure constants.
+
+    `terms[i][j]` is e_i·e_j as its nonzero (k, c) terms in increasing k
+    (`linalg.vec_terms` of its coordinates), tuples throughout, and `unit`
+    the coordinates of 1."""
 
     mul = StructureConstants.product
 
-    def __init__(self, field, dim, mult, unit, labels=None):
-        terms = tuple(tuple(vec_terms(field, v) for v in row) for row in mult)
-        self._set_terms(field, dim, terms, unit, labels)
-
-    @classmethod
-    def from_terms(cls, *tables, **kwargs):
-        """The algebra on sparse tables: the constructor's arguments with
-        each dense table given as its `vec_terms`, tuples throughout."""
-        A = cls.__new__(cls)
-        A._set_terms(*tables, **kwargs)
-        return A
-
-    def _set_terms(self, field, dim, terms, unit, labels=None):
+    def __init__(self, field, dim, terms, unit, labels=None):
         self.field = field
         self.dim = dim
         self._terms = terms
@@ -91,13 +73,6 @@ class SCAlgebra(StructureConstants):
         the table and x·e_j = Σ x_i·(e_i·e_j) column j.  Built on first
         read, so an algebra that only feeds `dual_hopf` never builds it."""
         return tuple(zip(*self._terms))
-
-    @cached_property
-    def mult(self):
-        """The dense product table, [i][j] the coordinates of e_i·e_j."""
-        F, d = self.field, self.dim
-        return tuple(tuple(_dense(F, d, t) for t in row)
-                     for row in self._terms)
 
     def __repr__(self):
         return "%s(dim=%d over %r)" % (type(self).__name__, self.dim, self.field)
@@ -279,21 +254,19 @@ class SCAlgebra(StructureConstants):
 
 
 class HopfAlgebra(SCAlgebra):
+    """A Hopf algebra by the sparse terms of its structure maps.
 
-    def __init__(self, field, dim, mult, unit, comult, counit, antipode,
-                 labels=None):
-        def terms(vectors):
-            return tuple(vec_terms(field, v) for v in vectors)
+    `terms` and `unit` are those of `SCAlgebra`.  `coflat[i]` is Δ(e_i) as
+    its nonzero (a·d + b, c) terms, c·e_a⊗e_b, in increasing a·d + b;
+    `counit` is the d scalars ε(e_i); `antipode_terms[i]` is S(e_i) as its
+    nonzero (k, c) terms in increasing k."""
 
-        self._set_terms(field, dim, tuple(terms(row) for row in mult), unit,
-                        terms(comult), counit, terms(antipode), labels)
-
-    def _set_terms(self, field, dim, terms, unit, coflat, counit,
-                   antipode_terms, labels=None):
-        super()._set_terms(field, dim, terms, unit, labels)
-        self._coflat = coflat                   # Δ(e_i), a·d + b terms
-        self.counit = tuple(counit)             # ε(e_i) scalars
-        self._antipode_terms = antipode_terms   # S(e_i) terms
+    def __init__(self, field, dim, terms, unit, coflat, counit,
+                 antipode_terms, labels=None):
+        super().__init__(field, dim, terms, unit, labels)
+        self._coflat = coflat
+        self.counit = tuple(counit)
+        self._antipode_terms = antipode_terms
 
     @cached_property
     def _coterms(self):
@@ -301,18 +274,6 @@ class HopfAlgebra(SCAlgebra):
         d = self.dim
         return tuple(tuple(divmod(k, d) + (c,) for k, c in t)
                      for t in self._coflat)
-
-    @cached_property
-    def comult(self):
-        """Δ(e_i) as dense d²-vectors."""
-        n = self.dim ** 2
-        return tuple(_dense(self.field, n, t) for t in self._coflat)
-
-    @cached_property
-    def antipode(self):
-        """S(e_i) as dense d-vectors."""
-        return tuple(_dense(self.field, self.dim, t)
-                     for t in self._antipode_terms)
 
     def delta(self, x):
         F = self.field
@@ -582,7 +543,8 @@ def schematic_union(A, ideals, force=False):
     The family must be pairwise comparable unless `force` is set (testing
     hook for the non-directed counterexample), and without `force` its
     intersection must be a subgroup ideal (NotSubgroupIdealError otherwise).
-    Returns a SubgroupIdeal.
+    A pairwise comparable finite family is a chain, so its intersection is
+    its smallest member.  Returns a SubgroupIdeal.
     """
     if not ideals:
         raise ValueError("need at least one subgroup ideal")
@@ -596,13 +558,8 @@ def schematic_union(A, ideals, force=False):
     for J in ideals[1:]:
         inter = inter.intersect(J)
     ok, witness = is_subgroup_ideal(A, inter)
-    if not force:
-        if not ok:
-            raise NotSubgroupIdealError(witness)
-        # for a finite directed family the union is the smallest ideal
-        smallest = min(ideals, key=lambda J: J.dim)
-        if inter != smallest:
-            raise AssertionError("directed union is not the minimal ideal")
+    if not (force or ok):
+        raise NotSubgroupIdealError(witness)
     return SubgroupIdeal(A, inter), ok, witness
 
 
@@ -680,26 +637,35 @@ def frobenius_kernel(A, r):
 def tensor_product_hopf(A, B):
     """A ⊗ B with componentwise structure (product of group schemes): every
     structure map is the Kronecker product of the factors' maps, with
-    e_a⊗e_b at index a·dim B + b."""
+    e_a⊗e_b at index a·dim B + b.  The maps are built on the factors'
+    terms: x·dim B + y runs in increasing order over sorted term lists, and
+    no product of nonzero scalars is zero, so the product and antipode
+    terms come out as they are stored."""
     if A.field != B.field:
         raise ValueError("tensor product needs a common field")
     F = A.field
+    mul = F.mul
     da, db = A.dim, B.dim
+    d = da * db
+
+    def kron_terms(xs, ys):
+        return tuple((x * db + y, mul(c, t)) for x, c in xs for y, t in ys)
 
     def comult(a, b):
-        # Δ(e_a⊗e_b) = Σ (x⊗y) ⊗ (Δ(e_a)_x ⊗ Δ(e_b)_y) over the slices
-        # Δ(e_a)_x = Σ_x' c·e_x' of Δ(e_a) = Σ c·e_x⊗e_x'
-        return tuple(itertools.chain.from_iterable(
-            kron(F, A.comult[a][x * da:(x + 1) * da],
-                 B.comult[b][y * db:(y + 1) * db])
-            for x in range(da) for y in range(db)))
+        # Δ(e_a⊗e_b) = Σ c·t·(e_x1⊗e_y1)⊗(e_x2⊗e_y2) over the terms
+        # c·e_x1⊗e_x2 of Δ(e_a) and t·e_y1⊗e_y2 of Δ(e_b); the indices are
+        # distinct, so the sort never compares scalars
+        return tuple(sorted(((x1 * db + y1) * d + x2 * db + y2, mul(c, t))
+                            for x1, x2, c in A._coterms[a]
+                            for y1, y2, t in B._coterms[b]))
 
     pairs = [(a, b) for a in range(da) for b in range(db)]
-    mult = [[kron(F, A.mult[a1][a2], B.mult[b1][b2]) for a2, b2 in pairs]
-            for a1, b1 in pairs]
+    terms = tuple(tuple(kron_terms(A._terms[a1][a2], B._terms[b1][b2])
+                        for a2, b2 in pairs) for a1, b1 in pairs)
     labels = tuple("%s*%s" % (la, lb) for la in A.labels for lb in B.labels)
-    return HopfAlgebra(F, da * db, mult, kron(F, A.unit, B.unit),
-                       [comult(a, b) for a, b in pairs],
+    return HopfAlgebra(F, d, terms, kron(F, A.unit, B.unit),
+                       tuple(comult(a, b) for a, b in pairs),
                        kron(F, A.counit, B.counit),
-                       [kron(F, A.antipode[a], B.antipode[b])
-                        for a, b in pairs], labels)
+                       tuple(kron_terms(A._antipode_terms[a],
+                                        B._antipode_terms[b])
+                             for a, b in pairs), labels)

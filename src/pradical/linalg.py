@@ -482,17 +482,18 @@ class SemilinearMap:
         return K
 
     def stable_rank(self):
-        """Rank of B . B^(p) . B^(p^2) ... at stabilization (m <= n steps)."""
+        """Rank of B . B^(p) . B^(p^2) ... at stabilization.  A pass that
+        does not return lowers the rank by at least 1, and a full-rank B
+        returns on the first pass, so some pass up to max(n, 1) returns."""
         F = self.field
         M = self.matrix
         r = mat_rank(F, M)
-        for i in range(1, self.n + 1):
+        for i in itertools.count(1):
             M = mat_mul(F, M, mat_frobenius(F, self.matrix, i))
             r2 = mat_rank(F, M)
             if r2 == r:
                 return r
             r = r2
-        return r
 
 
 def semilinear_kernel(F, B):

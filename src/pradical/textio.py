@@ -267,9 +267,7 @@ class _ExprParser:
         if isinstance(F, RationalFunctionField) and name == F.var:
             return F.t
         if isinstance(F, ExtensionField) and name == F.var:
-            gen = [0] * F.m
-            gen[1 if F.m > 1 else 0] = 1
-            return tuple(gen)
+            return F.u
         raise ParseError("unknown name %r" % name, self.line, col + 1)
 
 
@@ -529,20 +527,20 @@ def print_algebra(g, rep=None):
 def parse_hopf(text):
     F, labels, unit, lines = _read_document(text, _HOPF_SECTIONS, unit=True)
     d = len(labels)
-    zero = (F.zero,) * d
-    mult = [[zero] * d for _ in range(d)]
+    mult = [[()] * d for _ in range(d)]
     for lineno, (i, j), rhs in lines("MULT"):
-        mult[i][j] = parse_element(F, labels, rhs, lineno)
-    comult = [(F.zero,) * (d * d)] * d
+        mult[i][j] = vec_terms(F, parse_element(F, labels, rhs, lineno))
+    comult = [()] * d
     counit = [F.zero] * d
-    antipode = [zero] * d
+    antipode = [()] * d
     for lineno, (i,), rhs in lines("COMULT"):
-        comult[i] = parse_tensor(F, labels, rhs, lineno)
+        comult[i] = vec_terms(F, parse_tensor(F, labels, rhs, lineno))
     for lineno, (i,), rhs in lines("COUNIT"):
         counit[i] = parse_scalar(F, rhs, lineno)
     for lineno, (i,), rhs in lines("ANTIPODE"):
-        antipode[i] = parse_element(F, labels, rhs, lineno)
-    return HopfAlgebra(F, d, mult, unit, comult, counit, antipode, labels)
+        antipode[i] = vec_terms(F, parse_element(F, labels, rhs, lineno))
+    return HopfAlgebra(F, d, tuple(map(tuple, mult)), unit, tuple(comult),
+                       counit, tuple(antipode), labels)
 
 
 def print_hopf(H):

@@ -12,7 +12,10 @@ the package's straightener is checked against an independent one.
 terms from them by `vec_terms`; `u_env` built dense rows and `dual_hopf`
 transposed the dense tables with `zip`.  `dense_tables` keeps both forms
 side by side, so the sparse construction can be compared with it table by
-table and through `print_hopf`.
+table and through `print_hopf`.  The package keeps only the terms: `dense`
+writes out the dense tables of a Hopf algebra, as `dense_tables`, and
+`from_dense` builds one from dense tables, so the dense loops here and in
+the tests read and write the tables they always did.
 
 `dense_print_hopf` is `print_hopf` as it was when it scanned the dense
 `mult`, `comult` and `antipode` views.
@@ -28,12 +31,14 @@ report.
 import itertools
 from types import SimpleNamespace
 
+from pradical.hopf import HopfAlgebra
 from pradical.linalg import (kron, kron_product, lin_comb, sc_accumulate,
                              vec_scale, vec_terms)
 from pradical.textio import element_str, print_hopf, safe_labels, tensor_str
 
+DENSE = ("mult", "comult", "antipode")
 COMPARED = ("_terms", "_cols", "_coflat", "_coterms", "_antipode_terms",
-            "mult", "unit", "comult", "counit", "antipode", "labels")
+            "unit", "counit", "labels") + DENSE
 
 
 class _Straightener:
@@ -148,6 +153,33 @@ def dense_tables(F, d, mult, unit, comult, counit, antipode, labels):
         _antipode_terms=tuple(vec_terms(F, v) for v in antipode))
 
 
+def dense(H):
+    """The dense tables of H beside its terms, as `dense_tables`: entry
+    [i][j] of `mult` the coordinates of e_i·e_j, Δ(e_i) as a d²-vector and
+    S(e_i) as a d-vector."""
+    F, d = H.field, H.dim
+
+    def vec(terms, n):
+        out = [F.zero] * n
+        for k, c in terms:
+            out[k] = c
+        return tuple(out)
+
+    return dense_tables(F, d, [[vec(t, d) for t in row] for row in H._terms],
+                        H.unit, [vec(t, d * d) for t in H._coflat], H.counit,
+                        [vec(t, d) for t in H._antipode_terms], H.labels)
+
+
+def from_dense(F, d, mult, unit, comult, counit, antipode, labels=None):
+    """The HopfAlgebra on dense tables, each vector given as its
+    `vec_terms`."""
+    def terms(vectors):
+        return tuple(vec_terms(F, v) for v in vectors)
+
+    return HopfAlgebra(F, d, tuple(terms(row) for row in mult), unit,
+                       terms(comult), counit, terms(antipode), labels)
+
+
 def monomial_index(g):
     """{exponent tuple: basis index} of u(g)'s monomials e^α, in the
     exponent-lex order of `itertools.product`."""
@@ -197,6 +229,7 @@ def dense_u_env(g):
 
 def zip_dual_hopf(H):
     """dual_hopf by `zip` transposes of the dense tables."""
+    H = dense(H)
     d = H.dim
     products = list(zip(*H.comult))
     mult = [products[a * d:(a + 1) * d] for a in range(d)]
@@ -207,8 +240,11 @@ def zip_dual_hopf(H):
 
 
 def assert_same_hopf(got, want):
+    """got's terms and dense tables equal want's, as does its document."""
+    views = dense(got)
     for name in COMPARED:
-        assert getattr(got, name) == getattr(want, name), name
+        assert (getattr(views if name in DENSE else got, name)
+                == getattr(want, name)), name
     assert print_hopf(got) == print_hopf(want)
 
 
@@ -298,6 +334,7 @@ def validate_failures(H):
 
 def dense_print_hopf(H):
     """The canonical document of H from its dense tables."""
+    H = dense(H)
     F = H.field
     labels = safe_labels(H.labels)
     out = ["FIELD %r" % F,

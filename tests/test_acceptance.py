@@ -176,11 +176,12 @@ def test_criterion_08_hopf_layer():
         eq, lhs, rhs = tensor_intersection_identity(big, [I1, I2])
         assert eq
     from pradical.hopf import SCAlgebra
-    zero3 = (F.zero,) * 3
     e = lambda i: tuple(F.one if j == i else F.zero for j in range(3))
-    mult = [[e(j) if i == 0 else (e(i) if j == 0 else zero3)
-             for j in range(3)] for i in range(3)]
-    small = SCAlgebra(F, 3, mult, e(0))
+    # k[x,y]/(x,y)^2: 1·e_j = e_j and e_i·1 = e_i, every other product 0
+    terms = tuple(tuple((((j, F.one),) if i == 0 else
+                         ((i, F.one),) if j == 0 else ())
+                        for j in range(3)) for i in range(3))
+    small = SCAlgebra(F, 3, terms, e(0))
     eq, lhs, rhs = tensor_intersection_identity(
         small, [Subspace.from_vectors(F, 3, [e(1)]),
                 Subspace.from_vectors(F, 3, [e(2)])])

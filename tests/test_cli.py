@@ -331,8 +331,8 @@ def test_subgroup_commands_refuse_an_invalid_hopf_table(capsys, tmp_path):
     from pradical.textio import print_hopf
     X = tensor_product_hopf(alpha_hopf(2, 1), alpha_hopf(2, 1))
     Y = tensor_product_hopf(mu_hopf(2), mu_hopf(2))
-    mixed = HopfAlgebra(X.field, X.dim, X.mult, X.unit, Y.comult, Y.counit,
-                        Y.antipode, X.labels)
+    mixed = HopfAlgebra(X.field, X.dim, X._terms, X.unit, Y._coflat,
+                        Y.counit, Y._antipode_terms, X.labels)
     path = tmp_path / "mixed.hopf"
     path.write_text(print_hopf(mixed))
     code, out, err = run(["validate", str(path)], capsys)

@@ -394,6 +394,20 @@ def test_base_change_maps_compose(F2, F8, K2t):
         assert insep(ap) == insep.target.mul(insep(a), insep(a))
 
 
+def test_base_change_from_the_prime_field_is_from_int():
+    """GF(p) embeds into GF(p), GF(p^m) and GF(p)(t) alike, by the
+    target's `from_int`; a target that is not a field is refused."""
+    F3 = PrimeField(3)
+    for K in (PrimeField(3), ExtensionField(3, 2), RationalFunctionField(3)):
+        hom = base_change_map(F3, K)
+        assert [hom(x) for x in range(3)] == [K.from_int(x) for x in range(3)]
+        assert repr(hom) == "FieldHom(GF(3) -> %r)" % K
+    with pytest.raises(ValueError, match="unsupported target"):
+        base_change_map(F3, fields.PolynomialRing(F3, ("x",)))
+    with pytest.raises(ValueError, match="identity rule"):
+        base_change_map(F3, PrimeField(3), m=1)
+
+
 def test_prime_power_split():
     assert prime_power(2) == (2, 1)
     assert prime_power(9) == (3, 2)

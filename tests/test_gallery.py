@@ -65,6 +65,11 @@ def test_resolve_gallery_names():
     assert isinstance(resolve("alpha8"), HopfAlgebra)
     assert isinstance(resolve("env(alpha@2)"), HopfAlgebra)
     assert isinstance(resolve("dual(mu2)"), HopfAlgebra)
+    # a comma inside nested parentheses does not split the outer arguments
+    nested = resolve("product(product(alpha@p=2,mu@p=2),alpha@p=2)")
+    assert isinstance(nested, RLieAlgebra) and nested.dim == 3
+    env = resolve("product(env(alpha@p=2),mu2)")
+    assert isinstance(env, HopfAlgebra) and env.dim == 4
     for bad in ("paper-G@p=4", "alpha6", "mu4", "nonsense", "alpha0",
                 "alpha1", "mu0", "mu1", "torus@2^0", "torus@3^-1"):
         with pytest.raises(UnknownGalleryName):

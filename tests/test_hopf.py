@@ -18,8 +18,9 @@ from pradical.radical import rad_p
 from pradical.survey import enumerate_algebras
 from pradical.textio import print_hopf
 
-from hopf_reference import (assert_same_hopf, dense_print_hopf, dense_tables,
-                            validate_failures, zip_dual_hopf)
+from hopf_reference import (assert_same_hopf, dense, dense_print_hopf,
+                            dense_tables, from_dense, validate_failures,
+                            zip_dual_hopf)
 
 
 def basis_vec(F, d, i):
@@ -33,18 +34,18 @@ def test_validate_hopf_on_standard_objects():
 
 
 def test_validate_hopf_catches_broken_antipode():
-    H = mu_hopf(3)
+    H = dense(mu_hopf(3))
     bad = list(H.antipode)
     bad[1] = basis_vec(H.field, H.dim, 1)  # S(x) = x instead of x^2
-    broken = HopfAlgebra(H.field, H.dim, H.mult, H.unit, H.comult, H.counit,
-                         bad, H.labels)
+    broken = from_dense(H.field, H.dim, H.mult, H.unit, H.comult, H.counit,
+                        bad, H.labels)
     report = broken.validate_hopf()
     assert not report
     assert report.first()[0] == "antipode-convolution"
 
 
 def test_validate_hopf_catches_broken_comult():
-    H = alpha_hopf(2, 2)
+    H = dense(alpha_hopf(2, 2))
     F = H.field
     bad = list(H.comult)
     # drop the mixed terms of delta(x^3): no longer multiplicative
@@ -54,8 +55,8 @@ def test_validate_hopf_catches_broken_comult():
         if a != 0 and b != 0:
             v[idx] = F.zero
     bad[3] = tuple(v)
-    broken = HopfAlgebra(F, H.dim, H.mult, H.unit, bad, H.counit,
-                         H.antipode, H.labels)
+    broken = from_dense(F, H.dim, H.mult, H.unit, bad, H.counit,
+                        H.antipode, H.labels)
     report = broken.validate_hopf()
     assert not report
     # x generates: the generator check fails at (x^2, x), and the full
@@ -84,11 +85,12 @@ def test_subgroup_ideal_witnesses():
 def _kxy_mod_squares():
     """k[x,y]/(x,y)^2 over GF(2): basis 1, x, y."""
     F = PrimeField(2)
-    zero3 = (F.zero,) * 3
     e = lambda i: basis_vec(F, 3, i)
-    mult = [[e(j) if i == 0 else (e(i) if j == 0 else zero3)
-             for j in range(3)] for i in range(3)]
-    return SCAlgebra(F, 3, mult, e(0), labels=("1", "x", "y")), F, e
+    # 1·e_j = e_j and e_i·1 = e_i; every other product is 0
+    terms = tuple(tuple((((j, F.one),) if i == 0 else
+                         ((i, F.one),) if j == 0 else ())
+                        for j in range(3)) for i in range(3))
+    return SCAlgebra(F, 3, terms, e(0), labels=("1", "x", "y")), F, e
 
 
 def test_tensor_intersection_counterexample():
@@ -253,10 +255,11 @@ def _full_scan_first_failure(H):
     """First failing multiplicativity pair by the definition, over all
     basis pairs."""
     F, d = H.field, H.dim
+    comult = dense(H).comult
     for i in range(d):
         for j in range(d):
             prod = H.mul(basis_vec(F, d, i), basis_vec(F, d, j))
-            if H.delta(prod) != H.tensor_mul(H.comult[i], H.comult[j]):
+            if H.delta(prod) != H.tensor_mul(comult[i], comult[j]):
                 return ("comult-multiplicative", (i, j))
             if not F.eq(H.counit_of(prod),
                         F.mul(H.counit[i], H.counit[j])):
@@ -275,8 +278,8 @@ def test_validate_hopf_mixed_structures_report_full_scan_failure():
     seen = set()
     for X in family:
         for Y in family:
-            H = HopfAlgebra(X.field, X.dim, X.mult, X.unit, Y.comult,
-                            Y.counit, Y.antipode)
+            H = HopfAlgebra(X.field, X.dim, X._terms, X.unit, Y._coflat,
+                            Y.counit, Y._antipode_terms)
             report = H.validate_hopf()
             expected = _full_scan_first_failure(H)
             if expected is not None:
@@ -297,6 +300,7 @@ def test_validate_hopf_dual_torus_dim32():
 def _single_entry_corruptions(H, stride=1):
     """H with one table entry raised by 1, for every `stride`-th entry of
     the product, coproduct, counit and antipode tables in turn."""
+    H = dense(H)
     F, d = H.field, H.dim
 
     def bumped(vectors, n):
@@ -312,10 +316,10 @@ def _single_entry_corruptions(H, stride=1):
     for name, vectors in tables.items():
         for n in range(0, len(vectors) * len(vectors[0]), stride):
             t = dict(tables, **{name: bumped(vectors, n)})
-            yield HopfAlgebra(F, d, [t["mult"][i * d:(i + 1) * d]
-                                     for i in range(d)],
-                              H.unit, t["comult"], t["counit"][0],
-                              t["antipode"], H.labels)
+            yield from_dense(F, d, [t["mult"][i * d:(i + 1) * d]
+                                    for i in range(d)],
+                             H.unit, t["comult"], t["counit"][0],
+                             t["antipode"], H.labels)
 
 
 def _two_points():
@@ -325,10 +329,10 @@ def _two_points():
     F = PrimeField(3)
     e = [basis_vec(F, 2, i) for i in range(2)]
     zero = (F.zero, F.zero)
-    return HopfAlgebra(F, 2, [[e[0], zero], [zero, e[1]]],
-                       (F.one, F.one), [basis_vec(F, 4, 0),
-                                        basis_vec(F, 4, 3)],
-                       (F.one, F.one), e)
+    return from_dense(F, 2, [[e[0], zero], [zero, e[1]]],
+                      (F.one, F.one), [basis_vec(F, 4, 0),
+                                       basis_vec(F, 4, 3)],
+                      (F.one, F.one), e)
 
 
 def _sweedler():
@@ -346,9 +350,9 @@ def _sweedler():
               vec_add(F, kron(F, e[2], e[0]), kron(F, e[1], e[2])),
               vec_add(F, kron(F, e[3], e[1]), kron(F, e[0], e[3]))]
     antipode = [e[0], e[1], vec_scale(F, e[3], minus), e[2]]
-    return HopfAlgebra(F, 4, mult, e[0], comult,
-                       (F.one, F.one, F.zero, F.zero), antipode,
-                       ("1", "g", "x", "gx"))
+    return from_dense(F, 4, mult, e[0], comult,
+                      (F.one, F.one, F.zero, F.zero), antipode,
+                      ("1", "g", "x", "gx"))
 
 
 def test_validate_hopf_reports_what_the_dense_loops_report():
@@ -480,6 +484,7 @@ def test_algebra_generators_match_the_fixed_point_loop():
 def _dense_tensor_product_hopf(A, B):
     """tensor_product_hopf as it was before the Kronecker kernel: every
     structure map built by loops over the dense coordinates."""
+    A, B = dense(A), dense(B)
     F = A.field
     da, db = A.dim, B.dim
     d = da * db
@@ -582,7 +587,7 @@ def _loop_mul(A, x, y):
     """SCAlgebra.mul before the shared kernel, on its own sparse table of
     the dense `mult`."""
     F = A.field
-    table = [[vec_terms(F, v) for v in row] for row in A.mult]
+    table = [[vec_terms(F, v) for v in row] for row in dense(A).mult]
     out = [F.zero] * A.dim
     ys = vec_terms(F, y)
     for i, a in vec_terms(F, x):
@@ -596,13 +601,14 @@ def _loop_tensor_mul(A, u, v):
     """The product in A ⊗ A from the dense tables:
     (e_a⊗e_b)(e_c⊗e_e) = e_a·e_c ⊗ e_b·e_e."""
     F, d = A.field, A.dim
+    mult = dense(A).mult
     out = [F.zero] * (d * d)
     for i, x in vec_terms(F, u):
         a, b = divmod(i, d)
         for j, y in vec_terms(F, v):
             c, e = divmod(j, d)
-            for k, s in vec_terms(F, A.mult[a][c]):
-                for m, t in vec_terms(F, A.mult[b][e]):
+            for k, s in vec_terms(F, mult[a][c]):
+                for m, t in vec_terms(F, mult[b][e]):
                     pos = k * d + m
                     out[pos] = F.add(out[pos],
                                      F.mul(F.mul(x, y), F.mul(s, t)))

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every private helper it defines is used by package code, and every public
-name it defines has a caller or a stated reason to stay."""
+nor a private name of another package module, every private helper it
+defines is used by package code, and every public name it defines has a
+caller or a stated reason to stay."""
 
 import ast
 import pathlib
@@ -49,6 +50,45 @@ def test_module_uses_every_import(name):
 
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source):
+    """The private names that `source` takes from another package module:
+    imported by a relative or `pradical` import, or read as an attribute
+    of a package module that `from . import` binds."""
+    tree = ast.parse(source)
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pradical"):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.add(alias.name)
+                elif node.module in (None, "pradical"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(node.value.id + "." + node.attr)
+    return sorted(found)
+
+
+def test_checker_flags_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from os.path import _get_sep\n"
+              "from .hopf import HopfAlgebra, _dense as dense\n"
+              "from . import gallery, _util\n"
+              "from pradical.lie import _walk\n"
+              "def f(x): return gallery._split_args, gallery.resolve, x._y\n")
+    assert private_imports(source) == ["_dense", "_util", "_walk",
+                                       "gallery._split_args"]
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
+def test_module_imports_no_private_name(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert private_imports(source) == []
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -1,12 +1,14 @@
 """Survey grid enumeration: the cap, the cost per bracket table and the
 p-power variants that share one table."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from pradical import survey
+from pradical.cli import main
 from pradical.fields import PrimeField
 from pradical.lie import RLieAlgebra, ValidationReport
 from pradical.survey import all_vectors, enumerate_algebras
@@ -105,3 +107,25 @@ def test_shared_variants_are_independent_algebras(p, dim):
     assert not a.validate() and b.validate()
     assert b._ad_basis is ad_b and b._ad_terms is not None
     assert a.ad_basis() == ad_b and a.ad_basis() is not ad_b
+
+
+def test_oracle_compare_reports_a_dropped_radical(monkeypatch, capsys):
+    """With rad_p made to drop the radical, every grid algebra with a
+    nonzero radical is a mismatch, and the command says `disagree`."""
+    real = survey.rad_p
+
+    def dropped(g, trace=None):
+        return dataclasses.replace(real(g, trace), radical=g.zero_subspace())
+
+    monkeypatch.setattr(survey, "rad_p", dropped)
+    grid = list(enumerate_algebras(PrimeField(2), 2))
+    total, mismatches = survey.oracle_compare(grid)
+    assert total == len(grid)
+    expected = [g for g in grid if survey.brute_force_radical(g).dim]
+    assert [g for g, _, _ in mismatches] == expected and expected
+    assert all(cert.radical.dim == 0 and oracle.dim
+               for _, cert, oracle in mismatches)
+    assert main(["oracle-compare", "--dim", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "%d instances, %d mismatches" % (total, len(expected)) in out
+    assert "verdict: disagree" in out

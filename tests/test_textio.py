@@ -15,8 +15,8 @@ from pradical.gallery import (alpha_hopf, mu_hopf, paper_g, resolve,
 from pradical.lie import RLieAlgebra
 from pradical.survey import enumerate_algebras
 from pradical.textio import (ParseError, parse_algebra, parse_element,
-                             parse_field, parse_hopf, parse_tensor,
-                             print_algebra, print_hopf)
+                             parse_field, parse_hopf, parse_scalar,
+                             parse_tensor, print_algebra, print_hopf)
 
 PAPER_G_TEXT = """\
 FIELD GF(2)(t)
@@ -239,13 +239,32 @@ def test_element_expressions():
         parse_element(K, ("X",), "1/X")
 
 
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (2, 3), (3, 2)])
+def test_the_extension_generator_is_u_mod_f(p, m):
+    """`u` parses to u mod f: the class of u in GF(p)[u]/(f), which is the
+    constant −f(0) when f has degree 1, so 0 for f = u."""
+    F = ExtensionField(p, m)
+    u = F.u
+    assert parse_scalar(F, "u") == u
+    # f(u) = 0, summed by Horner's rule from the top coefficient
+    acc = F.zero
+    for c in reversed(F.modulus):
+        acc = F.add(F.mul(acc, u), F.from_int(c))
+    assert acc == F.zero
+    if m == 1:
+        assert u == F.from_int(-F.modulus[0])
+    else:
+        assert u == (0, 1) + (0,) * (m - 2)
+
+
 def test_hopf_roundtrip():
     for H in (alpha_hopf(2, 2), mu_hopf(3), u_env(sl2_kernel_char2()),
               dual_hopf(u_env(sl2_kernel_char2()))):
         text = print_hopf(H)
         H2 = parse_hopf(text)
-        assert (H2.mult, H2.unit, H2.comult, H2.counit, H2.antipode) == \
-            (H.mult, H.unit, H.comult, H.counit, H.antipode)
+        assert (H2._terms, H2.unit, H2._coflat, H2.counit,
+                H2._antipode_terms) == \
+            (H._terms, H.unit, H._coflat, H.counit, H._antipode_terms)
         assert print_hopf(H2) == text
         assert H2.validate_hopf()
 
