@@ -10,7 +10,8 @@ from .hopf import (HopfAlgebra, SCAlgebra, SubgroupIdeal, frobenius_kernel,
                    tensor_intersection_identity, tensor_product_hopf)
 from .envelope import dual_hopf, subgroup_ideal_from_p_subalgebra, u_env
 from .lie import NotPIdealError, RLieAlgebra, direct_sum
-from .linalg import SemilinearMap, Subspace, semilinear_kernel
+from .linalg import (Subspace, rational_unipotent_part, semilinear_kernel,
+                     stable_rank)
 from .radical import (RadicalCertificate, is_mult_type, is_p_reductive,
                       rad_p, weight_decomposition)
 
@@ -24,7 +25,7 @@ __all__ = [
     "tensor_intersection_identity", "tensor_product_hopf",
     "dual_hopf", "subgroup_ideal_from_p_subalgebra", "u_env",
     "NotPIdealError", "RLieAlgebra", "direct_sum",
-    "SemilinearMap", "Subspace", "semilinear_kernel",
+    "Subspace", "rational_unipotent_part", "semilinear_kernel", "stable_rank",
     "RadicalCertificate", "is_mult_type", "is_p_reductive",
     "rad_p", "weight_decomposition",
 ]

@@ -10,8 +10,6 @@ import os
 import tempfile
 import time
 
-from .textio import element_str
-
 TOOL = "pradical"
 VERSION = "0.1.0"
 
@@ -66,8 +64,3 @@ def write_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def subspace_payload(F, labels, S):
-    """A subspace as a list of canonical element strings."""
-    return [element_str(F, labels, v) for v in S.basis]

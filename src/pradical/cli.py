@@ -25,12 +25,29 @@ from .linalg import Subspace
 from .radical import is_mult_type, is_p_reductive, rad_p
 from .survey import enumerate_algebras, oracle_compare
 from .textio import (ParseError, element_str, parse_algebra, parse_element,
-                     parse_field, parse_hopf, print_hopf, safe_labels,
-                     tensor_str)
+                     parse_field, parse_hopf, parse_unsigned, print_hopf,
+                     safe_labels, tensor_str)
 
 
 class CliError(Exception):
     pass
+
+
+def _integer(text):
+    """An integer on the command line: unsigned ASCII digits, as
+    `textio.parse_unsigned` reads them, after an optional minus sign, which
+    the commands refuse with their own messages; None for other text."""
+    value = parse_unsigned(text.removeprefix("-"))
+    return -value if value is not None and text.startswith("-") else value
+
+
+def _integer_option(text):
+    """argparse's reader of the integer options."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError("expected an integer in ASCII "
+                                         "digits, got %r" % text)
+    return value
 
 
 @functools.cache
@@ -49,8 +66,9 @@ def _build_parser():
             p.add_argument("target", help="input file or gallery name")
         p.add_argument("--json", metavar="OUT", default=None,
                        help="write a JSON certificate")
-        p.add_argument("--hopf-cap", type=int, default=128,
-                       help="dimension cap for enveloping algebras")
+        if kind is not None:
+            p.add_argument("--hopf-cap", type=_integer_option, default=128,
+                           help="dimension cap for enveloping algebras")
     parsers["series-verify"].add_argument(
         "--chain", required=True,
         help="intermediate terms, e.g. 'X | X,Y' (0 and the whole algebra "
@@ -65,8 +83,8 @@ def _build_parser():
     p = parsers["oracle-compare"]
     p.add_argument("--field", default="GF(2)",
                    help="field literal, e.g. GF(4) (default GF(2))")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--cap", type=int, default=10000)
+    p.add_argument("--dim", type=_integer_option, default=3)
+    p.add_argument("--cap", type=_integer_option, default=10000)
     return parser
 
 
@@ -99,7 +117,8 @@ def _flag_verdict(value):
 
 def _basis_strings(A, S):
     """The basis of a subspace S of the algebra A as element strings."""
-    return certificates.subspace_payload(A.field, safe_labels(A.labels), S)
+    labels = safe_labels(A.labels, A.field)
+    return [element_str(A.field, labels, v) for v in S.basis]
 
 
 def _run_command(args):
@@ -173,7 +192,7 @@ def _radical(g, args):
 
 
 def _series_verify(g, args):
-    labels = safe_labels(g.labels)
+    labels = safe_labels(g.labels, g.field)
     chain = [g.zero_subspace()]
     for part in args.chain.split("|"):
         chain.append(g.subspace(_elements(g.field, labels, part)))
@@ -191,7 +210,7 @@ def _hopf_dual(H, args):
 
 
 def _hopf_union(H, args):
-    labels = safe_labels(H.labels)
+    labels = safe_labels(H.labels, H.field)
     ideals = [Subspace.from_vectors(H.field, H.dim,
                                     _elements(H.field, labels, spec))
               for spec in args.ideal]
@@ -217,8 +236,10 @@ def _hopf_union(H, args):
 
 
 def _hopf_frobenius(H, args):
-    rtxt = args.r
-    r = int(rtxt.split("=", 1)[1] if "=" in rtxt else rtxt)
+    r = _integer(args.r.split("=", 1)[-1])
+    if r is None:
+        raise CliError("hopf-frobenius needs an exponent r=N in ASCII "
+                       "digits, got %r" % args.r)
     kernel = frobenius_kernel(H, r)
     payload = {
         "r": r,

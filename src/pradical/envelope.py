@@ -239,7 +239,7 @@ def envelope_subalgebra_span(g, S, H):
         [H.unit], lambda v, _: [H.mul(v, s) for s in gens])
 
 
-def subgroup_ideal_from_p_subalgebra(g, S, cap=128):
+def subgroup_ideal_from_p_subalgebra(g, S):
     """The defining ideal, in the coordinate ring dual to u(g), of the
     height-one subgroup corresponding to a p-subalgebra S ≤ g.
 
@@ -248,7 +248,7 @@ def subgroup_ideal_from_p_subalgebra(g, S, cap=128):
     """
     if not g.is_restricted_subalgebra(S):
         raise ValueError("S is not a p-subalgebra")
-    H = u_env(g, cap=cap)
+    H = u_env(g)
     A = dual_hopf(H)
     span = envelope_subalgebra_span(g, S, H)
     ann = span.annihilator()

@@ -648,10 +648,10 @@ class ExtensionField(Ring):
 
     Up to TABLE_MAX_ORDER every operation is a lookup in the log/antilog and
     Zech tables of `_log_tables`, shared by all descriptors of one (p, m):
-    mul, inv and neg add logs, add adds a Zech logarithm, and pow_int and
+    mul and neg add logs, add adds a Zech logarithm, and pow_int and
     pth_root multiply a log mod q - 1; sub and div go through `Ring`.
-    Above it, mul is the polynomial product mod f and inv the extended
-    Euclid.
+    Above it, mul is the polynomial product mod f and pow_int
+    square-and-multiply.  On both paths inv is pow_int(a, q − 2).
     """
 
     is_field = True
@@ -685,20 +685,6 @@ class ExtensionField(Ring):
     def _poly_mul(self, a, b):
         return self._pad(pmulmod(ptrim(a), ptrim(b), self.modulus, self.p))
 
-    def _poly_inv(self, a):
-        # extended Euclid on (a, modulus)
-        p = self.p
-        r0, r1 = ptrim(a), self.modulus
-        s0, s1 = (1,), ()
-        while r1:
-            q, r = pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        lead_inv = pow(r0[-1], p - 2, p)
-        s0 = tuple((c * lead_inv) % p for c in s0)
-        _, s0 = pdivmod(s0, self.modulus, p)
-        return self._pad(s0)
-
     def add(self, a, b):
         log = self._log
         if log is None:
@@ -725,11 +711,10 @@ class ExtensionField(Ring):
         return self._exp[log[a] + log[b]]
 
     def inv(self, a):
+        """a^(q−2), which is 1/a as a^(q−1) = 1 for a ≠ 0."""
         if a == self.zero:
             raise ZeroDivisionError("inverse of 0 in %r" % self)
-        if self._log is None:
-            return self._poly_inv(a)
-        return self._exp[self._n - self._log[a]]
+        return self.pow_int(a, self._n - 1)
 
     def pow_int(self, a, e):
         log = self._log

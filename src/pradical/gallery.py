@@ -25,6 +25,7 @@ from .lie import RLieAlgebra, direct_sum
 from .linalg import (lin_comb, mat_identity, mat_mul, mat_pow, mat_sub,
                      mat_rank, vec_terms)
 from .radical import rad_p, is_p_reductive
+from .textio import parse_unsigned
 
 
 # -- constructors ------------------------------------------------------------
@@ -221,14 +222,16 @@ def resolve(name, hopf_cap=128):
         if head == "torus":
             ptxt, caret, ntxt = tail.partition("^")
             p = _prime(ptxt)
-            rank = int(ntxt) if caret else 1
+            rank = _number(ntxt) if caret else 1
             if rank < 1:
                 raise UnknownGalleryName("torus rank %d is below 1" % rank)
             return torus_lie(p, rank)
         raise UnknownGalleryName(name)
     for prefix, builder in (("alpha", _resolve_alpha_hopf), ("mu", _resolve_mu_hopf)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return builder(int(name[len(prefix):]))
+        if name.startswith(prefix):
+            order = parse_unsigned(name[len(prefix):])
+            if order is not None:
+                return builder(order)
     raise UnknownGalleryName(name)
 
 
@@ -245,8 +248,16 @@ def _resolve_mu_hopf(order):
     return mu_hopf(order)
 
 
+def _number(text):
+    """The number in a gallery name, in unsigned ASCII digits."""
+    n = parse_unsigned(text)
+    if n is None:
+        raise UnknownGalleryName("%r is not a number in ASCII digits" % text)
+    return n
+
+
 def _prime(text):
-    p = int(text)
+    p = _number(text)
     if not is_prime(p):
         raise UnknownGalleryName("%d is not prime" % p)
     return p

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .fields import power
 from .lie import ValidationReport
@@ -497,10 +497,8 @@ def is_subgroup_ideal(A, I):
     if bad is not None:
         v, i = bad
         return False, {"condition": "ideal", "element": v, "factor": i}
-    bad = _coideal_failure(A, I, I.basis)
-    if bad is None:
-        return True, None
-    condition, v = bad
+    # a generator that fails is a basis vector of I, so this scan fails too
+    condition, v = _coideal_failure(A, I, I.basis)
     witness = {"condition": condition, "element": v}
     if condition == "comultiplication":
         witness["escape"] = A.mixed_tensor_subspace(I).reduce(A.delta(v))
@@ -513,13 +511,8 @@ def tensor_intersection_identity(A, ideals):
     downward-directed families."""
     if not ideals:
         raise ValueError("need at least one ideal")
-    inter = ideals[0]
-    for J in ideals[1:]:
-        inter = inter.intersect(J)
-    lhs = A.mixed_tensor_subspace(inter)
-    rhs = A.mixed_tensor_subspace(ideals[0])
-    for J in ideals[1:]:
-        rhs = rhs.intersect(A.mixed_tensor_subspace(J))
+    lhs = A.mixed_tensor_subspace(reduce(Subspace.intersect, ideals))
+    rhs = reduce(Subspace.intersect, map(A.mixed_tensor_subspace, ideals))
     return lhs == rhs, lhs, rhs
 
 
@@ -554,9 +547,7 @@ def schematic_union(A, ideals, force=False):
                 if not (ideals[i].contains(ideals[j])
                         or ideals[j].contains(ideals[i])):
                     raise NonDirectedFamilyError((i, j))
-    inter = ideals[0]
-    for J in ideals[1:]:
-        inter = inter.intersect(J)
+    inter = reduce(Subspace.intersect, ideals)
     ok, witness = is_subgroup_ideal(A, inter)
     if not (force or ok):
         raise NotSubgroupIdealError(witness)

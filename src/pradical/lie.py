@@ -94,15 +94,18 @@ class RLieAlgebra(StructureConstants):
     @classmethod
     def _with_ppowers(cls, table, ppowers, pterms):
         """The algebra on the bracket table of `table` with the p-powers
-        `ppowers` (nested tuples) and their sparse terms `pterms`.  It holds
-        the very `brackets`, `_terms`, `_ad_basis` and `_ad_terms` objects
-        of `table`, so the p-power variants of one table derive them once."""
+        `ppowers` (nested tuples) and their sparse terms `pterms`, recorded
+        as valid: the caller has checked that the table is alternating and
+        satisfies Jacobi, and that each p-power solves ad(e_i^[p]) =
+        ad(e_i)^p.  It holds the very `brackets`, `_terms`, `_ad_basis` and
+        `_ad_terms` objects of `table`, so the p-power variants of one table
+        derive them once."""
         g = cls.__new__(cls)
         g.field, g.dim, g.labels = table.field, table.dim, table.labels
         g.brackets, g._terms = table.brackets, table._terms
         g._ad_basis, g._ad_terms = table.ad_basis(), table._ad_rows()
         g.ppowers, g._pterms = ppowers, pterms
-        g._validated = None
+        g._validated = ValidationReport(True)
         return g
 
     @classmethod
@@ -276,16 +279,20 @@ class RLieAlgebra(StructureConstants):
         vecs = [self.bracket(s, t) for s in S.basis for t in T.basis]
         return self.subspace(vecs)
 
-    def is_subalgebra(self, S):
-        return all(S.contains_vector(self.bracket(u, v))
-                   for u in S.basis for v in S.basis)
-
-    def is_p_closed(self, S):
-        """Basis p-powers land in S (enough once S is a subalgebra)."""
-        return all(S.contains_vector(self.p_power(v)) for v in S.basis)
+    def _words(self, S):
+        """The [u, v] for u, v in S.basis, then the v^[p], produced
+        lazily.  S is a restricted subalgebra exactly when they all lie in
+        S (p-powers of a basis suffice once S is a subalgebra, as in
+        `spin_subalgebra`), and they span the next term of S's unipotency
+        chain."""
+        for u in S.basis:
+            for v in S.basis:
+                yield self.bracket(u, v)
+        for v in S.basis:
+            yield self.p_power(v)
 
     def is_restricted_subalgebra(self, S):
-        return self.is_subalgebra(S) and self.is_p_closed(S)
+        return all(map(S.contains_vector, self._words(S)))
 
     def is_p_ideal(self, S):
         return self._p_ideal_escape(S) is None
@@ -300,7 +307,9 @@ class RLieAlgebra(StructureConstants):
         for i, u in enumerate(within.basis):
             if not all(S.contains_vector(self.bracket(u, v)) for v in S.basis):
                 return "ideal", i
-        return None if self.is_p_closed(S) else ("p-closed", None)
+        if all(S.contains_vector(self.p_power(v)) for v in S.basis):
+            return None
+        return "p-closed", None
 
     def spin_p_ideal(self, S):
         """Smallest p-ideal containing S: the `Subspace.closure` of S under
@@ -343,9 +352,9 @@ class RLieAlgebra(StructureConstants):
             return self.full_subspace()
         return nullspace(F, rows, n)
 
-    def derived_subalgebra(self, S=None):
-        S = S if S is not None else self.full_subspace()
-        return self.bracket_span(S, S)
+    def derived_subalgebra(self):
+        full = self.full_subspace()
+        return self.bracket_span(full, full)
 
     def characteristic_series(self):
         full = self.full_subspace()
@@ -367,13 +376,8 @@ class RLieAlgebra(StructureConstants):
         S = S if S is not None else self.full_subspace()
         if not self.is_restricted_subalgebra(S):
             raise ValueError("is_unipotent needs a restricted subalgebra")
-
-        def step(T):
-            return self.subspace([self.bracket(u, v) for u in T.basis
-                                  for v in T.basis]
-                                 + [self.p_power(v) for v in T.basis])
-
-        return descending_chain(S, step)[-1].dim == 0
+        return descending_chain(
+            S, lambda T: self.subspace(self._words(T)))[-1].dim == 0
 
     def is_abelian(self, S=None):
         S = S if S is not None else self.full_subspace()
@@ -407,17 +411,11 @@ class RLieAlgebra(StructureConstants):
                 "[%s, v] escapes the subspace" % self.labels[i]
                 if kind == "ideal" else "v^[p] escapes the subspace"))
         comp, project, section = I.quotient_data()
-        m = len(comp)
-        F = self.field
-        reps = [tuple(F.one if j == comp[a] else F.zero for j in range(self.dim))
-                for a in range(m)]
-        table = [[None] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                table[a][b] = project(self.bracket(reps[a], reps[b]))
-        ppow = [project(self.p_power(reps[a])) for a in range(m)]
+        reps = [self.basis_vector(c) for c in comp]
+        table = [[project(self.bracket(x, y)) for y in reps] for x in reps]
+        ppow = [project(self.p_power(x)) for x in reps]
         labels = tuple(self.labels[c] + "~" for c in comp)
-        q = RLieAlgebra(F, m, table, ppow, labels)
+        q = RLieAlgebra(self.field, len(comp), table, ppow, labels)
         # a quotient of a valid algebra by a p-ideal is valid
         q._validated = ValidationReport(True)
         return q, project, section
@@ -496,21 +494,18 @@ def direct_sum(a, b):
         raise ValueError("direct sum needs a common field")
     F = a.field
     n = a.dim + b.dim
-    zero = vec_zero(F, n)
+    zero, za, zb = vec_zero(F, n), vec_zero(F, a.dim), vec_zero(F, b.dim)
 
     def embed_a(v):
-        return tuple(v) + vec_zero(F, b.dim)
+        return v + zb
 
     def embed_b(v):
-        return vec_zero(F, a.dim) + tuple(v)
+        return za + v
 
-    table = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            table[i][j] = embed_a(a.brackets[i][j])
-    for i in range(b.dim):
-        for j in range(b.dim):
-            table[a.dim + i][a.dim + j] = embed_b(b.brackets[i][j])
+    # a row of a's table, then its zero brackets with b; b's rows likewise
+    table = ([tuple(map(embed_a, row)) + (zero,) * b.dim
+              for row in a.brackets]
+             + [(zero,) * a.dim + tuple(map(embed_b, row))
+                for row in b.brackets])
     ppow = [embed_a(v) for v in a.ppowers] + [embed_b(v) for v in b.ppowers]
-    labels = tuple(a.labels) + tuple(b.labels)
-    return RLieAlgebra(F, n, table, ppow, labels)
+    return RLieAlgebra(F, n, table, ppow, a.labels + b.labels)

@@ -15,7 +15,17 @@ product), the Kronecker product `kron` (with `kron_product`, the product in
 a tensor square), and `Subspace.coordinates`.  Both sides also run their
 descending chains of subspaces (derived and lower central series, the
 unipotency chains of a p-subalgebra and of an augmentation ideal) through
-`descending_chain`.
+`descending_chain`.  On the Lie side a p-subalgebra's step is the span of
+its Lie words, the brackets of its basis vectors and then their p-powers,
+the one word list by which `lie.RLieAlgebra` also tests a restricted
+subalgebra.
+
+A Frobenius-semilinear map v ↦ B·v^(p) is given by its matrix B:
+`semilinear_kernel` solves B·v^(p) = 0 over the base field,
+`rational_unipotent_part` is the ascending union of the kernels of its
+powers, and `stable_rank` the rank its powers settle at, which does not
+depend on the field.  The radical's centre step and `is_p_reductive` take
+them on the p-power matrix of a central subspace.
 """
 
 from __future__ import annotations
@@ -458,42 +468,32 @@ def projective_points(F, n):
 # Frobenius-semilinear maps
 # ---------------------------------------------------------------------------
 
-class SemilinearMap:
-    """v |-> B . v^(p): additive, scaling twisted by the Frobenius."""
+def rational_unipotent_part(F, B):
+    """The ascending union of ker(φ^i), i = 1..n, of the semilinear map
+    φ: v ↦ B·v^(p) on F^n: a genuine subspace."""
+    n = len(B)
+    K = Subspace.zero(F, n)
+    for _ in range(n):
+        nxt = semilinear_kernel(F, mat_mul(F, K.constraint_matrix(), B))
+        if nxt == K:
+            break
+        K = nxt
+    return K
 
-    def __init__(self, field, matrix):
-        self.field = field
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self.n = len(self.matrix)
 
-    def __repr__(self):
-        return "SemilinearMap(n=%d over %r)" % (self.n, self.field)
-
-    def rational_unipotent_part(self):
-        """Ascending union of ker(phi^i), i = 1..n; a genuine subspace."""
-        F = self.field
-        K = Subspace.zero(F, self.n)
-        for _ in range(self.n):
-            A = K.constraint_matrix()
-            nxt = semilinear_kernel(F, mat_mul(F, A, self.matrix))
-            if nxt == K:
-                break
-            K = nxt
-        return K
-
-    def stable_rank(self):
-        """Rank of B . B^(p) . B^(p^2) ... at stabilization.  A pass that
-        does not return lowers the rank by at least 1, and a full-rank B
-        returns on the first pass, so some pass up to max(n, 1) returns."""
-        F = self.field
-        M = self.matrix
-        r = mat_rank(F, M)
-        for i in itertools.count(1):
-            M = mat_mul(F, M, mat_frobenius(F, self.matrix, i))
-            r2 = mat_rank(F, M)
-            if r2 == r:
-                return r
-            r = r2
+def stable_rank(F, B):
+    """The rank of B·B^(p)·B^(p^2)··· at stabilization, the matrix of φ^m
+    for v ↦ B·v^(p).  A pass that does not return lowers the rank by at
+    least 1, and a full-rank B returns on the first pass, so some pass up
+    to max(n, 1) returns."""
+    M = B
+    r = mat_rank(F, M)
+    for i in itertools.count(1):
+        M = mat_mul(F, M, mat_frobenius(F, B, i))
+        r2 = mat_rank(F, M)
+        if r2 == r:
+            return r
+        r = r2
 
 
 def semilinear_kernel(F, B):

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtensionField, PrimeField
-from .linalg import (SemilinearMap, Subspace, mat_pow, nullspace,
-                     projective_points, vec_is_zero)
+from .linalg import (Subspace, mat_pow, nullspace, projective_points,
+                     rational_unipotent_part, stable_rank, vec_is_zero)
 
 EXACT = "exact"
 UNDECIDED = "undecided-fragment"
@@ -35,10 +35,10 @@ class RadicalCertificate:
         return self.verdict == EXACT
 
 
-def rad_p(g, trace=None):
+def rad_p(g):
     """Largest unipotent p-ideal, with a derivation trace."""
     g.require_valid()
-    trace = trace if trace is not None else []
+    trace = []
     sub, used, exact = _rad_search(g, trace)
     return RadicalCertificate(sub, used, EXACT if exact else UNDECIDED, trace)
 
@@ -114,7 +114,7 @@ def _unipotent_spins(g, candidates):
 def _centre_unipotent_part(g, Z):
     """The rational unipotent part of the p-map on a central subspace Z,
     or on g itself when g is abelian: a unipotent p-ideal of g."""
-    part = SemilinearMap(g.field, g.p_power_matrix(Z)).rational_unipotent_part()
+    part = rational_unipotent_part(g.field, g.p_power_matrix(Z))
     if Z.dim == g.dim:
         # Z's basis is the identity, so part is already in g's coordinates
         return part
@@ -289,8 +289,7 @@ def _geometric_p_nilpotent(g, S):
     does not depend on the field, is below dim S."""
     if S.dim == 0:
         return False
-    B = g.p_power_matrix(S)
-    return SemilinearMap(g.field, B).stable_rank() < S.dim
+    return stable_rank(g.field, g.p_power_matrix(S)) < S.dim
 
 
 def is_mult_type(g):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .lie import RLieAlgebra, ValidationReport, jacobi_failures
+from .lie import RLieAlgebra, jacobi_failures
 from .linalg import all_subspaces, lin_comb, mat_pow, rref, vec_add, vec_terms
 from .radical import rad_p
 
@@ -109,13 +109,11 @@ def _grid(F, n):
         if not all(options):
             continue
         option_terms = [[vec_terms(F, x) for x in opts] for opts in options]
+        # valid by construction: alternating by the table, Jacobi by
+        # jacobi_failures, restricted by _restricted_choices
         for ppowers, pterms in zip(itertools.product(*options),
                                    itertools.product(*option_terms)):
-            g = RLieAlgebra._with_ppowers(g0, ppowers, pterms)
-            # valid by construction: alternating by the table, Jacobi by
-            # jacobi_failures, restricted by _restricted_choices
-            g._validated = ValidationReport(True)
-            yield g
+            yield RLieAlgebra._with_ppowers(g0, ppowers, pterms)
 
 
 def brute_force_radical(g):

@@ -41,9 +41,22 @@ class ParseError(ValueError):
         self.column = column
 
 
-# -- field literals -----------------------------------------------------------
+# -- numbers and field literals -------------------------------------------------
 
-_FIELD_ORDER = re.compile(r"[0-9]+(\^[0-9]+)?")
+_UNSIGNED = re.compile(r"[0-9]+")
+
+
+def parse_unsigned(text):
+    """The number that text writes in unsigned ASCII digits, as `_tokenize`
+    reads integers; None for any other text, or for more digits than
+    sys.get_int_max_str_digits().  int() alone also reads "٣", "1_1",
+    "+3", "-4" and " 3"."""
+    if not _UNSIGNED.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def parse_field(text, line=None):
@@ -58,17 +71,15 @@ def parse_field(text, line=None):
             text = head
     if not (text.startswith("GF(") and text.endswith(")")):
         raise ParseError("unrecognized field literal %r" % text, line)
+    if not _is_name(var):
+        # an element would print the variable as a token it does not read
+        raise ParseError("bad field variable %r: not a name" % var, line)
     body = text[3:-1]
-    # unsigned ASCII digits only, as in `_tokenize`: int() alone also reads
-    # "٣", "1_1", "+3" and "-4"
-    if not _FIELD_ORDER.fullmatch(body):
+    ptxt, caret, mtxt = body.partition("^")
+    p, m = parse_unsigned(ptxt), (parse_unsigned(mtxt) if caret else 1)
+    if p is None or m is None:
         raise ParseError("bad field order %r: not a prime power p or p^m"
                          % body, line)
-    ptxt, caret, mtxt = body.partition("^")
-    try:
-        p, m = int(ptxt), (int(mtxt) if caret else 1)
-    except ValueError:      # longer than sys.get_int_max_str_digits()
-        raise ParseError("bad field order %r" % body, line)
     try:
         if not caret:
             split = prime_power(p)
@@ -131,6 +142,25 @@ def _tokenize(text, line):
         raise ParseError("unexpected character %r" % ch, line, i + 1)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _is_name(text):
+    """Whether `_tokenize` reads text as one name."""
+    try:
+        return [kind for kind, _, _ in _tokenize(text, None)] == ["name",
+                                                                  "end"]
+    except ParseError:
+        return False
+
+
+def _generator(F):
+    """(name, value) of the generator an expression over F may name: t
+    of GF(p)(t) and u of GF(p^m); None over GF(p)."""
+    if isinstance(F, RationalFunctionField):
+        return F.var, F.t
+    if isinstance(F, ExtensionField):
+        return F.var, F.u
+    return None
 
 
 class _ExprParser:
@@ -263,11 +293,9 @@ class _ExprParser:
         return out, idx
 
     def _named_scalar(self, name, col):
-        F = self.F
-        if isinstance(F, RationalFunctionField) and name == F.var:
-            return F.t
-        if isinstance(F, ExtensionField) and name == F.var:
-            return F.u
+        gen = _generator(self.F)
+        if gen is not None and name == gen[0]:
+            return gen[1]
         raise ParseError("unknown name %r" % name, self.line, col + 1)
 
 
@@ -333,10 +361,14 @@ def tensor_str(F, labels, vec):
     return _terms_str(F, vec_terms(F, vec), _tensor_label(labels))
 
 
-def safe_labels(labels):
-    """Token-safe unique basis labels for canonical printing."""
+def safe_labels(labels, F=None):
+    """Token-safe unique basis labels for canonical printing.  A label
+    that repeats an earlier one gets a numbered suffix, and so, with F
+    given, does a label equal to the name of F's generator: the parser
+    would read that name as the label, not as the scalar."""
     out = []
-    seen = set()
+    gen = _generator(F)
+    seen = {gen[0]} if gen else set()
     for lb in labels:
         cand = "".join(ch if (ch.isalnum() or ch in "_'") else "_"
                        for ch in lb)
@@ -507,7 +539,7 @@ def _parse_matrix(F, text, lineno):
 def print_algebra(g, rep=None):
     """The canonical document of g, written from its sparse tables."""
     F = g.field
-    labels = safe_labels(g.labels)
+    labels = safe_labels(g.labels, F)
     label = labels.__getitem__
     rows = {"BRACKETS": [((i, j), _terms_str(F, terms, label))
                          for i, row in enumerate(g._terms)
@@ -548,7 +580,7 @@ def print_hopf(H):
     terms are in increasing index order, as a scan of the dense tables
     would list them, and no dense table is built."""
     F = H.field
-    labels = safe_labels(H.labels)
+    labels = safe_labels(H.labels, F)
     label = labels.__getitem__
     pair = _tensor_label(labels)
     rows = {"MULT": [((i, j), _terms_str(F, terms, label))

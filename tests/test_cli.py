@@ -147,6 +147,9 @@ def test_series_verify_and_p_reductive(capsys):
     code, out, err = run(["series-verify", PAPER_G, "--chain", "X | X,Y"],
                          capsys)
     assert code == 0 and "mu-form, alpha-type, mu-form" in out
+    code, out, err = run(["series-verify", "paper-G@p=2", "--chain",
+                          "X,Y | X"], capsys)
+    assert code == 1 and out == "" and err == "error: chain does not ascend\n"
     code, out, err = run(["p-reductive", PAPER_G], capsys)
     assert code == 0 and "verdict: true" in out
 
@@ -383,3 +386,56 @@ def test_hopf_frobenius_large_exponent_answers(capsys):
     code, out, err = run(["hopf-frobenius", "alpha4", "r=40"], capsys)
     assert code == 0
     assert "Frobenius kernel ideal dim 0, kernel order 4" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "alpha@p=3.0"], ["validate", "alpha@p=٣"],
+    ["validate", "alpha@p=+3"], ["validate", "alpha@p=1_1"],
+    ["validate", "torus@2^+3"], ["hopf-dual", "alpha٣"]])
+def test_gallery_numbers_outside_ascii_digits_are_refused(capsys, args):
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: target %r is neither a readable file nor a "
+                   "gallery name\n" % args[1])
+
+
+@pytest.mark.parametrize("r", ["r=x", "r=3.0", "r=+1", "r=٣", "r=1_1"])
+def test_hopf_frobenius_refuses_an_exponent_outside_ascii_digits(capsys, r):
+    code, out, err = run(["hopf-frobenius", "alpha4", r], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: hopf-frobenius needs an exponent r=N in ASCII "
+                   "digits, got %r\n" % r)
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle-compare", "--dim", "+2"], ["oracle-compare", "--dim", "٢"],
+    ["oracle-compare", "--cap", "1_0"], ["oracle-compare", "--cap", "3.0"],
+    ["validate", "alpha4", "--hopf-cap", "+8"]])
+def test_integer_options_take_ascii_digits(capsys, args):
+    """argparse's int() read these; a malformed option is a command line
+    that argparse refuses, with code 2."""
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert ("%s: expected an integer in ASCII digits, got %r"
+            % (args[-2], args[-1])) in err
+
+
+def test_oracle_compare_takes_no_hopf_cap(capsys):
+    """oracle-compare loads no target, so it has no enveloping cap."""
+    assert main(["oracle-compare", "--dim", "1", "--hopf-cap", "8"]) == 2
+    assert "unrecognized arguments: --hopf-cap 8" in capsys.readouterr().err
+
+
+def test_element_strings_rename_a_label_named_like_the_generator(
+        capsys, tmp_path):
+    """Over GF(4) the label u would read back as the generator u."""
+    path = tmp_path / "gf4.alg"
+    path.write_text("FIELD GF(4)\nBASIS u v\n")
+    cert = tmp_path / "radical.json"
+    code, out, err = run(["radical", str(path), "--json", str(cert)], capsys)
+    assert code == 0 and "verdict: exact" in out
+    assert json.loads(cert.read_text())["payload"]["radical_basis"] == [
+        "u_2", "v"]
+    code, out, err = run(["series-verify", str(path), "--chain", "u*u_2"],
+                         capsys)
+    assert code == 0 and "alpha-type" in out

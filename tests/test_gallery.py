@@ -70,8 +70,12 @@ def test_resolve_gallery_names():
     assert isinstance(nested, RLieAlgebra) and nested.dim == 3
     env = resolve("product(env(alpha@p=2),mu2)")
     assert isinstance(env, HopfAlgebra) and env.dim == 4
+    # numbers are unsigned ASCII digits: int() also reads "٣", "+3" and
+    # "1_1", and str.isdigit() accepts "٣"
     for bad in ("paper-G@p=4", "alpha6", "mu4", "nonsense", "alpha0",
-                "alpha1", "mu0", "mu1", "torus@2^0", "torus@3^-1"):
+                "alpha1", "mu0", "mu1", "torus@2^0", "torus@3^-1",
+                "alpha@p=٣", "alpha@p=+3", "alpha@p=1_1", "alpha@p=3.0",
+                "alpha@p=", "torus@2^+3", "alpha٣", "mu+3"):
         with pytest.raises(UnknownGalleryName):
             resolve(bad)
 

@@ -828,3 +828,19 @@ def test_rad_p_is_the_largest_unipotent_normal_subgroup():
     # are not unipotent, both occur: R = 0 or R = g would fail the check
     assert verdicts == {(True, True, False), (True, True, True),
                         (True, False, True), (False, False, True)}
+
+
+def test_subgroup_ideal_names_an_antipode_witness():
+    """ker ε of alpha4 is a bi-ideal; with S(x) = 1 + x in place of x it
+    fails only the antipode condition, at x."""
+    A = alpha_hopf(2, 2)
+    F = A.field
+    antipode = ((((0, F.one),), ((0, F.one), (1, F.one)))
+                + A._antipode_terms[2:])
+    B = HopfAlgebra(F, A.dim, A._terms, A.unit, A._coflat, A.counit,
+                    antipode, A.labels)
+    ok, witness = is_subgroup_ideal(B, B.augmentation_ideal())
+    assert not ok
+    assert witness == {"condition": "antipode",
+                       "element": basis_vec(F, A.dim, 1)}
+    assert is_subgroup_ideal(A, A.augmentation_ideal()) == (True, None)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 nor a private name of another package module, every private helper it
-defines is used by package code, and every public name it defines has a
-caller or a stated reason to stay."""
+defines is used by package code, every public name it defines has a
+caller, and every optional parameter of a public function or method a
+call that sets it, or a stated reason to stay."""
 
 import ast
 import pathlib
@@ -255,3 +256,106 @@ def test_every_public_name_has_a_caller():
     # an entry whose name gained a caller is stale and must go
     assert set(ALLOWED_UNCALLED) <= set(uncalled)
     assert [q for q in uncalled if q not in ALLOWED_UNCALLED] == []
+
+
+def _optional_parameters(node, method):
+    """(position, name) of each optional parameter of a function or method
+    definition, position None for a keyword-only one.  A method's position
+    counts from the argument after self (or cls), as a call passes it."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, default in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _calls(tree):
+    """(called name, positional count, keywords, spread) for each call in
+    `tree`: the name is the function's bare name or the called attribute,
+    and spread is whether a *args or **kwargs argument may set anything."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or len(keywords) < len(node.keywords))
+            yield name, len(node.args), keywords, spread
+
+
+def unset_optional_parameters(package, callers):
+    """The optional parameters, as "<qualified name>(<parameter>=)", of
+    the public functions and methods of `package` ({module: source}) that
+    no call in the package or in `callers` sets, by keyword or by
+    position.  A call names a function or method by its bare name or an
+    attribute of that name, and a class's `__init__` by the class name or
+    `__init__`; a call that spreads *args or **kwargs sets them all."""
+    defined = []
+    for module, source in package.items():
+        for cls, name, node in _units(ast.parse(source)):
+            if (not isinstance(node, _FUNCTIONS) or _is_private(cls or "")
+                    or (_is_private(name) and name != "__init__")):
+                continue
+            called = cls if name == "__init__" else name
+            for position, parameter in _optional_parameters(node,
+                                                            cls is not None):
+                defined.append(("%s(%s=)" % (".".join(filter(
+                    None, (module, cls, name))), parameter),
+                    {called, name}, position, parameter))
+    calls = [call for source in list(package.values()) + list(callers)
+             for call in _calls(ast.parse(source))]
+    return sorted(
+        qualified for qualified, names, position, parameter in defined
+        if not any(called in names and (
+            spread or parameter in keywords
+            or (position is not None and position < count))
+            for called, count, keywords, spread in calls))
+
+
+def test_checker_flags_an_unset_optional_parameter():
+    package = {
+        "a": ("def f(x, by_position=0, by_keyword=1, unset=2, *, kw=3):\n"
+              "    return x\n"
+              "def spread(x, y=0): return x\n"
+              "def _private(x, y=0): return x\n"
+              "class C:\n"
+              "    def __init__(self, x, label=None): pass\n"
+              "    def m(self, y=0, z=1): return f(1, 2, by_keyword=3)\n"
+              "    @staticmethod\n"
+              "    def s(y=0): return C(1).m(5)\n"),
+        "b": ("def g(args): return spread(*args), C.s(), C(1, 'x')\n"),
+    }
+    assert unset_optional_parameters(package, []) == [
+        "a.C.m(z=)", "a.C.s(y=)", "a.f(kw=)", "a.f(unset=)"]
+    callers = ["import a\na.f(0, 1, 2, 3, kw=4)\nC.s(1)\n"]
+    assert unset_optional_parameters(package, callers) == ["a.C.m(z=)"]
+
+
+# optional parameters kept although no call in the package, scripts/ or
+# perfbench/ sets them, each for the reason given
+ALLOWED_UNSET = {
+    "textio.print_algebra(rep=)":
+        "the printer's half of the REP round trip",
+    "fields.base_change_map(m=)":
+        "the inseparable maps t -> s^(p^m) of the paper-G tests",
+}
+
+
+def test_every_optional_parameter_is_set():
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    callers = [path.read_text(encoding="utf-8")
+               for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    unset = unset_optional_parameters(package, callers)
+    # an entry whose parameter gained a caller is stale and must go
+    assert set(ALLOWED_UNSET) <= set(unset)
+    assert [q for q in unset if q not in ALLOWED_UNSET] == []

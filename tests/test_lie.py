@@ -646,3 +646,19 @@ def test_validate_reports_the_reference_jacobi_triples_in_order():
             passing += not got
             several += len(got) > 1
     assert failing > 500 and passing > 100 and several > 300
+
+
+def test_is_unipotent_refuses_a_subspace_that_is_no_subalgebra():
+    """<e, f> of sl2-kernel@p=2 misses [e, f] = h."""
+    g = sl2_kernel_char2()
+    S = g.subspace([g.basis_vector(0), g.basis_vector(2)])
+    with pytest.raises(ValueError, match="needs a restricted subalgebra"):
+        g.is_unipotent(S)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (1, 1)])
+def test_from_upper_refuses_a_key_off_the_upper_triangle(key):
+    F = PrimeField(2)
+    zero = (F.zero, F.zero)
+    with pytest.raises(ValueError, match="upper bracket keys need i < j"):
+        RLieAlgebra.from_upper(F, 2, {key: zero}, (zero, zero))

@@ -114,8 +114,8 @@ def test_oracle_compare_reports_a_dropped_radical(monkeypatch, capsys):
     nonzero radical is a mismatch, and the command says `disagree`."""
     real = survey.rad_p
 
-    def dropped(g, trace=None):
-        return dataclasses.replace(real(g, trace), radical=g.zero_subspace())
+    def dropped(g):
+        return dataclasses.replace(real(g), radical=g.zero_subspace())
 
     monkeypatch.setattr(survey, "rad_p", dropped)
     grid = list(enumerate_algebras(PrimeField(2), 2))

@@ -53,6 +53,11 @@ def test_parse_field_literals():
                 "GF(-4)", "GF(2^-1)", "GF(+3)", "GF(2^+3)"):
         with pytest.raises(ParseError, match="bad field order"):
             parse_field(bad)
+    # the variable is one name: over GF(2)(1) the p-power t·a printed as
+    # `1*a` and read back as a
+    for bad in ("GF(2)(1)", "GF(2)(+)", "GF(3)(t^2)"):
+        with pytest.raises(ParseError, match="bad field variable"):
+            parse_field(bad)
     # the modulus search skips multiples of x and runs Ben-Or's test
     for literal, name in (("GF(2^21)", "GF(2^21)"),
                           ("GF(1000000007^2)", "GF(1000000007^2)"),
@@ -167,6 +172,8 @@ HOPF = "FIELD GF(3)\nBASIS a b\nUNIT a\n"
      4, 10),
     (parse_algebra, ALG + "PPOWERS\nX^[p] = (1 + X)*Y\n",
      "parenthesized labels are not supported", 4, 7),
+    (parse_algebra, ALG + "PPOWERS\nX^[p] = *X\n", "unexpected token '*'",
+     4, 1),
     # a left-hand side is matched against its section's shape
     (parse_algebra, ALG + "BRACKETS\n[X;Y] = X\n", "expected '[A,B] = ...'",
      4, None),
@@ -357,3 +364,25 @@ def test_parsers_raise_only_parse_errors_with_lines(text):
             parse(text)
         except ParseError as err:
             assert err.line is not None or str(err) in DOCUMENT_ERRORS, err
+
+
+@pytest.mark.parametrize("F", [ExtensionField(2, 2),
+                               RationalFunctionField(3, "x")],
+                         ids=repr)
+def test_a_label_named_like_the_generator_round_trips(F):
+    """Labels (u, v) over GF(4), or (x, v) over GF(3)(x), with the first
+    p-power the generator times the second label: printed as is, the
+    generator would read back as the label, and the line fails as a
+    product of two labels.  The printer renames the label instead."""
+    gen = F.var
+    zero = (F.zero, F.zero)
+    scalar = F.u if isinstance(F, ExtensionField) else F.t
+    g = RLieAlgebra(F, 2, ((zero, zero), (zero, zero)),
+                    ((F.zero, scalar), zero), labels=(gen, "v"))
+    text = print_algebra(g)
+    assert "BASIS %s_2 v\n" % gen in text
+    assert "%s_2^[p] = %s*v\n" % (gen, gen) in text
+    h, rep = parse_algebra(text)
+    assert rep is None and h.labels == (gen + "_2", "v")
+    assert (h.field, h.brackets, h.ppowers) == (F, g.brackets, g.ppowers)
+    assert print_algebra(h) == text
